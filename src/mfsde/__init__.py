@@ -78,6 +78,7 @@ from .solver import (
     read_solution_csv,
     solve_segment,
     solve_with_jumps,
+    solve_with_jumps_batch,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +99,7 @@ __all__ = [
     "norm_inf", "norm_profile", "norm_t", "parse_config", "pathwise_bound_rhs",
     "read_solution_csv", "rl_left_derivative", "rl_right_derivative",
     "serialize_config", "simulate_ensemble", "solve_segment",
-    "solve_with_jumps", "tail_diagnostic", "verify_jump_product_moment",
-    "verify_kernel_estimates", "verify_pathwise_lemma",
-    "verify_self_similarity", "weighted_norms",
+    "solve_with_jumps", "solve_with_jumps_batch", "tail_diagnostic",
+    "verify_jump_product_moment", "verify_kernel_estimates",
+    "verify_pathwise_lemma", "verify_self_similarity", "weighted_norms",
 ]

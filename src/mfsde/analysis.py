@@ -41,7 +41,7 @@ from .solver import (
     SolutionPath,
     ito_integral_path,
     pathwise_bound_rhs,
-    solve_with_jumps,
+    solve_with_jumps_batch,
 )
 
 
@@ -57,6 +57,11 @@ class Thresholds:
 
 
 DEFAULT_THRESHOLDS = Thresholds()
+
+# replicas per batched solve in simulate_ensemble: wide enough that the
+# step loop's per-step overhead is shared, narrow enough that one block's
+# drivers and padded step arrays stay small
+ENSEMBLE_BLOCK = 128
 
 
 def _num(x: float) -> str:
@@ -138,10 +143,15 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                       norm_params: NormParams | None = None) -> Ensemble:
     """Solve `replicas` independent copies of the equation.
 
-    Blown-up replicas are excluded and counted rather than fatal; the
-    moment suite flags any nonzero exclusion rate.  When `norm_params` is
-    given, a NormReport is evaluated per kept path on its grid
-    restriction (exact nodes for jump-free paths, right-continuous
+    Replicas are solved in blocks of ENSEMBLE_BLOCK: a block's drivers are
+    drawn, its replicas advance together through one batched jump-restart
+    solve (`solve_with_jumps_batch`), and the drivers are dropped.  Each
+    path equals the width-1 solve `solve_with_jumps(coeffs, x0,
+    *ens.drivers(r))` bit for bit.  A blown-up replica is excluded and
+    recorded with its BlowUpError text, and the rest of its block carries
+    on; the moment suite flags any nonzero exclusion rate.  When
+    `norm_params` is given, a NormReport is evaluated per kept path on its
+    grid restriction (exact nodes for jump-free paths, right-continuous
     resampling otherwise).  Norm evaluation is quadratic in the node
     count, so leave it off for large ensembles.
     """
@@ -151,26 +161,24 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
         marks = TwoPointMarks()
+    solve_kw = {} if kappa is None else {"kappa": kappa}
     ids, paths, excluded, reports = [], [], [], []
-    for r in range(replicas):
-        child = seed.child(REPLICA_STREAM_BASE + r)
-        wiener, fbm, train = gen_driving_triple(grid, frac.hurst, rate,
-                                                marks, child, dependence)
-        try:
-            if kappa is None:
-                sol = solve_with_jumps(coeffs, x0, wiener, fbm, train)
-            else:
-                sol = solve_with_jumps(coeffs, x0, wiener, fbm, train,
-                                       kappa=kappa)
-        except BlowUpError as err:
-            excluded.append((r, str(err)))
-            continue
-        ids.append(r)
-        paths.append(sol)
-        if norm_params is not None:
-            restriction = _grid_restriction(sol, grid)
-            reports.append(evaluate_norms(restriction, norm_params,
-                                          path_id=f"replica{r}"))
+    for first in range(0, replicas, ENSEMBLE_BLOCK):
+        block = range(first, min(first + ENSEMBLE_BLOCK, replicas))
+        drivers = [gen_driving_triple(grid, frac.hurst, rate, marks,
+                                      seed.child(REPLICA_STREAM_BASE + r), dependence)
+                   for r in block]
+        solved = solve_with_jumps_batch(coeffs, x0, drivers, **solve_kw)
+        for r, sol in zip(block, solved):
+            if isinstance(sol, BlowUpError):
+                excluded.append((r, str(sol)))
+                continue
+            ids.append(r)
+            paths.append(sol)
+            if norm_params is not None:
+                restriction = _grid_restriction(sol, grid)
+                reports.append(evaluate_norms(restriction, norm_params,
+                                              path_id=f"replica{r}"))
     return Ensemble(coeffs, x0, grid, frac, rate, marks, seed, dependence,
                     kappa, tuple(ids), tuple(paths), tuple(excluded),
                     tuple(reports) if norm_params is not None else None)

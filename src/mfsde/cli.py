@@ -358,12 +358,12 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed_root=args.seed)
         if args.out:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ParameterError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "simulate":
             return cmd_simulate(cfg, out)
@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BlowUpError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

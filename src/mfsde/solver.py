@@ -6,6 +6,12 @@ the rough integral is a forward-sum limit.  Jumps restart the solve: the
 path is advanced segment by segment between jump times, the drivers are
 shifted to each segment's origin, and the jump map is applied at the
 boundary.  Everything is deterministic given the drivers.
+
+One step loop serves every solve.  A replica's segments and jumps are laid
+on a single step axis, replicas are padded to a common length and advance
+together, and a replica that blows up is frozen and reported on its own.
+The state is an array at every batch width, so a replica solved alone
+equals the same replica solved in a batch bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "SegmentInfo",
     "SolutionPath",
     "solve_with_jumps",
+    "solve_with_jumps_batch",
     "read_solution_csv",
     "ito_integral_path",
     "pathwise_bound_rhs",
@@ -47,9 +54,10 @@ _DEFAULT_KAPPA = 0.4
 class CoefficientSet:
     """Equation coefficients plus their declared regularity constants.
 
-    a, b, c, dc_dx take (t, x) and must broadcast over numpy arrays in x;
-    q takes (t, x, y) and must broadcast over x and y; jump_gain is the
-    dominating function g with |q(t,x,y)| <= g(y)(1+|x|).
+    a, b, c, dc_dx take (t, x) and must broadcast over numpy arrays in t
+    and x (a batched solve passes one time per replica); q takes (t, x, y)
+    and must broadcast over all three; jump_gain is the dominating
+    function g with |q(t,x,y)| <= g(y)(1+|x|).
 
     The constants are declarations, not guarantees: check_assumptions
     samples the quotients and reports which hold on a given box.
@@ -198,6 +206,69 @@ def check_assumptions(coeffs: CoefficientSet, box: SamplingBox = SamplingBox(),
 
 
 # ---------------------------------------------------------------------------
+# the Euler step loop
+
+# transition kinds besides an Euler step, which carries its positive step
+# number within its segment
+_JUMP = -1
+_HOLD = 0
+
+
+def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
+                dt: np.ndarray, dw: np.ndarray, dz: np.ndarray,
+                kinds: np.ndarray | None = None,
+                marks: np.ndarray | None = None) -> tuple:
+    """The one step loop behind every solve; it advances all rows at once.
+
+    Row r goes from column k to column k + 1 of the returned (rows, K + 1)
+    states by the forward Euler step x + a(t, x) dt + b(t, x) dw
+    + c(t, x) dz, with t, dt, dw, dz read at [r, k] from arrays of shape
+    (rows, K) or (1, K).  `kinds` (rows, K) may mark a transition _JUMP,
+    which applies the jump map x + q(t, x, mark) instead, or _HOLD, which
+    keeps the value (padding after a row's last transition); that work is
+    done only at columns where some row needs it.  The state stays an
+    array at every width, so each elementwise operation is the same for a
+    row alone as in a batch.
+
+    A row whose state leaves the trust region is frozen at its last finite
+    value and the other rows carry on.  The second result maps each such
+    row to (k, state) of its first bad transition, in order of k.
+    """
+    x = x0
+    rows, steps = x.size, dw.shape[1]
+    out = np.empty((rows, steps + 1))
+    out[:, 0] = x
+    special = ([False] * steps if kinds is None
+               else (kinds <= _HOLD).any(axis=0).tolist())
+    frozen = None
+    failed = {}
+    for k in range(steps):
+        tk = t[:, k]
+        new = (x + coeffs.a(tk, x) * dt[:, k] + coeffs.b(tk, x) * dw[:, k]
+               + coeffs.c(tk, x) * dz[:, k])
+        hold = frozen
+        if special[k]:
+            kind = kinds[:, k]
+            jump = kind == _JUMP
+            if jump.any():
+                new[jump] = x[jump] + coeffs.q(tk[jump], x[jump], marks[jump, k])
+            pad = kind == _HOLD
+            hold = pad if hold is None else hold | pad
+        if hold is not None:
+            new[hold] = x[hold]
+        ok = np.abs(new) <= BLOWUP_LIMIT
+        if not ok.all():
+            bad = ~ok
+            for r in np.flatnonzero(bad):
+                failed[int(r)] = (k, float(new[r]))
+            new[bad] = x[bad]
+            frozen = bad if frozen is None else frozen | bad
+        out[:, k + 1] = new
+        x = new
+    return out, failed
+
+
+# ---------------------------------------------------------------------------
 # segment solving
 
 
@@ -223,36 +294,10 @@ class SegmentProblem:
             raise ParameterError("offset must be nonnegative")
 
 
-def _euler_core(offset: float, x0, ts: np.ndarray, w_vals: np.ndarray,
-                z_vals: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
-    """Forward Euler over the nodes ts (segment clock, starting at 0).
-
-    x0 may be a scalar or a batch vector; w_vals/z_vals then have shape
-    (n+1,) or (batch, n+1).  Returns values with a trailing node axis.
-    """
-    dts = np.diff(ts)
-    dw = np.diff(w_vals, axis=-1)
-    dz = np.diff(z_vals, axis=-1)
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty(np.broadcast_shapes(x.shape, dw.shape[:-1]) + (len(ts),))
-    out[..., 0] = x
-    for i in range(len(dts)):
-        t = offset + ts[i]
-        x = (x + coeffs.a(t, x) * dts[i] + coeffs.b(t, x) * dw[..., i]
-             + coeffs.c(t, x) * dz[..., i])
-        bad = ~np.isfinite(x) | (np.abs(x) > BLOWUP_LIMIT)
-        if np.any(bad):
-            state = float(np.atleast_1d(x)[np.argmax(np.atleast_1d(bad))])
-            raise BlowUpError(step=i + 1, time=offset + ts[i + 1], state=state)
-        out[..., i + 1] = x
-    return out
-
-
 def solve_segment(p: SegmentProblem, coeffs: CoefficientSet) -> SamplePath:
     """Solve one jump-free segment on its drivers' grid."""
-    ts = p.wiener.grid.times
-    vals = _euler_core(p.offset, p.initial, ts, p.wiener.values,
-                       p.frac.values, coeffs)
+    vals = euler_paths(coeffs, p.initial, p.wiener.grid, p.wiener.values,
+                       p.frac.values, offset=p.offset)
     return SamplePath(p.wiener.grid, vals, kind="continuous")
 
 
@@ -260,12 +305,26 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
                 wiener_values: np.ndarray, frac_values: np.ndarray,
                 offset: float = 0.0) -> np.ndarray:
     """Batched jump-free solve: driver value arrays of shape (m, n+1) give
-    an (m, n+1) state array in one pass.  Used by the ensemble experiments."""
+    an (m, n+1) state array in one pass (shape (n+1,) for a single path;
+    x0 may be a scalar or one start per path).  A blow-up in any path
+    raises BlowUpError for the earliest one.  Used by the ensemble
+    experiments."""
     w = np.asarray(wiener_values, dtype=float)
     z = np.asarray(frac_values, dtype=float)
     if w.shape != z.shape or w.shape[-1] != grid.steps + 1:
         raise GridMismatchError("driver arrays must share shape (..., steps+1)")
-    return _euler_core(offset, x0, grid.times, w, z, coeffs)
+    shape = np.broadcast_shapes(np.shape(x0), w.shape[:-1])
+    n = grid.steps
+    ts = grid.times
+    dw = np.broadcast_to(np.diff(w, axis=-1), shape + (n,)).reshape(-1, n)
+    dz = np.broadcast_to(np.diff(z, axis=-1), shape + (n,)).reshape(-1, n)
+    vals, failed = _euler_loop(coeffs, np.full(shape, x0, dtype=float).reshape(-1),
+                               (offset + ts[:-1])[None, :], np.diff(ts)[None, :],
+                               dw, dz)
+    if failed:
+        k, state = next(iter(failed.values()))
+        raise BlowUpError(step=k + 1, time=offset + ts[k + 1], state=state)
+    return vals.reshape(shape + (n + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +339,6 @@ class SegmentInfo:
     end: float
     nodes: int
     kappa: float
-    holder_quotient: float
 
 
 def _holder_quotient(ts: np.ndarray, vals: np.ndarray, kappa: float) -> float:
@@ -385,6 +443,119 @@ def read_solution_csv(file) -> tuple:
     return data[:, 0], data[:, 1], data[:, 2].astype(int)
 
 
+@dataclass(frozen=True)
+class _RestartPlan:
+    """One replica's jump-restart solve laid out on a single step axis.
+
+    Transition k takes output node k to node k + 1.  Within a segment it
+    is an Euler step (kind: the step number within the segment) on the
+    drivers shifted to the segment origin; at a jump time it is the jump
+    map (kind _JUMP, t the jump time, dt = dw = dz = 0).
+    """
+
+    times: np.ndarray        # output nodes; a jump time appears twice
+    flags: np.ndarray        # 1 on the left limit before each jump
+    t: np.ndarray            # per transition from here on
+    dt: np.ndarray
+    dw: np.ndarray
+    dz: np.ndarray
+    kinds: np.ndarray
+    marks: np.ndarray
+    segments: list           # (start, end, local nodes) per segment
+
+
+def _restart_plan(W: SamplePath, BH: SamplePath, jumps: JumpTrain) -> _RestartPlan:
+    if W.grid != BH.grid:
+        raise GridMismatchError("drivers must share one grid")
+    grid = W.grid
+    t_end = float(grid.times[-1])
+    if jumps.count and jumps.times[-1] > t_end * (1 + 1e-12):
+        raise ParameterError("jump train extends beyond the driver horizon")
+    taus = list(jumps.times)
+    starts = [0.0] + taus
+    segments = [(s0, s1, _segment_nodes(s1 - s0, grid.dt))
+                for s0, s1 in zip(starts, taus + [t_end])]
+    lengths = [len(ts) for _, _, ts in segments]
+    first = np.cumsum(lengths) - lengths
+    local = np.concatenate([ts for _, _, ts in segments])
+    times = np.repeat(starts, lengths) + local
+    # drivers shifted to each segment origin, read at every output node
+    w = _DriverSampler(W).at(times)
+    z = _DriverSampler(BH).at(times)
+    w = w - np.repeat(w[first], lengths)
+    z = z - np.repeat(z[first], lengths)
+    # transition k leaves node k: an Euler step numbered within its segment,
+    # or the jump at the segment's end
+    kinds = np.arange(1, times.size + 1) - np.repeat(first, lengths)
+    kinds[first[1:] - 1] = _JUMP
+    kinds = kinds[:-1]
+    jump = kinds == _JUMP
+
+    def steps(values):
+        d = values[1:] - values[:-1]
+        d[jump] = 0.0
+        return d
+
+    t = times[:-1].copy()
+    t[jump] = jumps.times
+    marks = np.zeros(kinds.size)
+    marks[jump] = jumps.marks
+    flags = np.zeros(times.size, dtype=int)
+    flags[:-1] = jump
+    return _RestartPlan(times=times, flags=flags, t=t, dt=steps(local),
+                        dw=steps(w), dz=steps(z), kinds=kinds, marks=marks,
+                        segments=segments)
+
+
+def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers,
+                           kappa: float = _DEFAULT_KAPPA) -> list:
+    """Jump-restart solves of many replicas through one step loop.
+
+    `drivers` holds one (W, BH, jumps) triple per replica.  Each replica's
+    segment solves and jump maps are laid on one step axis with exactly
+    the operations of a solve on its own, padded to the longest replica,
+    and all replicas advance together.  Returns one entry per replica: its
+    SolutionPath, or the BlowUpError that stopped it; a blow-up freezes
+    only its own replica.  Entry r equals
+    solve_with_jumps(coeffs, x0, *drivers[r]) bit for bit.
+    """
+    plans = [_restart_plan(W, BH, jumps) for W, BH, jumps in drivers]
+    rows = len(plans)
+    width = max((len(p.kinds) for p in plans), default=0)
+    t, dt, dw, dz, marks = (np.zeros((rows, width)) for _ in range(5))
+    kinds = np.full((rows, width), _HOLD)
+    for r, p in enumerate(plans):
+        k = len(p.kinds)
+        t[r, :k] = p.t
+        dt[r, :k] = p.dt
+        dw[r, :k] = p.dw
+        dz[r, :k] = p.dz
+        kinds[r, :k] = p.kinds
+        marks[r, :k] = p.marks
+    states, failed = _euler_loop(coeffs, np.full(rows, float(x0)), t, dt, dw, dz,
+                                 kinds, marks)
+    results = []
+    for r, (p, (W, _, jumps)) in enumerate(zip(plans, drivers)):
+        if r in failed:
+            k, state = failed[r]
+            if p.kinds[k] == _JUMP:
+                results.append(BlowUpError(step=-1, time=p.t[k], state=state))
+            else:
+                results.append(BlowUpError(step=int(p.kinds[k]), time=p.times[k + 1],
+                                           state=state))
+            continue
+        values = states[r, :len(p.times)]
+        infos, data, first = [], [], 0
+        for s0, s1, ts in p.segments:
+            infos.append(SegmentInfo(start=s0, end=s1, nodes=len(ts), kappa=kappa))
+            data.append((s0, ts, values[first:first + len(ts)]))
+            first += len(ts)
+        results.append(SolutionPath(times=p.times, values=values, left_flags=p.flags,
+                                    train=jumps, grid=W.grid, segments=infos,
+                                    segment_data=data))
+    return results
+
+
 def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
                      BH: SamplePath, jumps: JumpTrain,
                      kappa: float = _DEFAULT_KAPPA) -> SolutionPath:
@@ -394,55 +565,13 @@ def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
     started at the previous jump (drivers shifted to the segment origin,
     linearly interpolated at off-grid jump times); at each jump time the
     jump map is applied to the left limit.  Output is cadlag with stored
-    left limits.
+    left limits.  This is the width-1 call of solve_with_jumps_batch, so
+    it regenerates any replica of a batched ensemble bit for bit.
     """
-    if W.grid != BH.grid:
-        raise GridMismatchError("drivers must share one grid")
-    grid = W.grid
-    t_end = float(grid.times[-1])
-    if jumps.count and jumps.times[-1] > t_end * (1 + 1e-12):
-        raise ParameterError("jump train extends beyond the driver horizon")
-    w_s = _DriverSampler(W)
-    z_s = _DriverSampler(BH)
-
-    taus = list(jumps.times)
-    marks = list(jumps.marks)
-    starts = [0.0] + taus
-    ends = taus + [t_end]
-
-    rows_t, rows_v, rows_f = [], [], []
-    seg_infos, seg_data = [], []
-    x = float(x0)
-    for j, (s0, s1) in enumerate(zip(starts, ends)):
-        ts = _segment_nodes(s1 - s0, grid.dt)
-        abs_nodes = s0 + ts
-        w_loc = w_s.at(abs_nodes)
-        z_loc = z_s.at(abs_nodes)
-        vals = _euler_core(s0, x, ts, w_loc - w_loc[0], z_loc - z_loc[0], coeffs)
-        has_jump_after = j < len(taus)
-        flags = np.zeros(len(ts), dtype=int)
-        if has_jump_after:
-            flags[-1] = 1
-        rows_t.append(abs_nodes)
-        rows_v.append(vals)
-        rows_f.append(flags)
-        seg_infos.append(SegmentInfo(start=s0, end=s1, nodes=len(ts), kappa=kappa,
-                                     holder_quotient=_holder_quotient(ts, vals, kappa)))
-        seg_data.append((s0, ts, vals))
-        x = float(vals[-1])
-        if has_jump_after:
-            x = x + float(coeffs.q(s1, x, marks[j]))
-            if not math.isfinite(x) or abs(x) > BLOWUP_LIMIT:
-                raise BlowUpError(step=-1, time=s1, state=x)
-    return SolutionPath(
-        times=np.concatenate(rows_t),
-        values=np.concatenate(rows_v),
-        left_flags=np.concatenate(rows_f),
-        train=jumps,
-        grid=grid,
-        segments=seg_infos,
-        segment_data=seg_data,
-    )
+    result = solve_with_jumps_batch(coeffs, x0, [(W, BH, jumps)], kappa=kappa)[0]
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Verification suites: moment tables, tail slopes, the pathwise growth
 bound, kernel quadrature, interval scaling, and the jump product moment."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from mfsde.analysis import (
@@ -17,7 +20,7 @@ from mfsde.analysis import (
     verify_pathwise_lemma,
     verify_self_similarity,
 )
-from mfsde.errors import ParameterError
+from mfsde.errors import BlowUpError, ParameterError
 from mfsde.models import build_model
 from mfsde.noise import FracParams, GridSpec, Seed, TwoPointMarks
 from mfsde.solver import CoefficientSet, pathwise_bound_rhs, solve_with_jumps
@@ -59,6 +62,46 @@ def test_ensemble_regeneration_is_bit_identical():
     w, z, train = e1.drivers(rid)
     redo = solve_with_jumps(e1.coeffs, e1.x0, w, z, train)
     np.testing.assert_array_equal(redo.values, e1.paths[2].values)
+
+
+def _cubic_jump_coeffs():
+    # the cubic with a steep jump map, so replicas blow up both inside a
+    # segment and at a jump
+    return dataclasses.replace(_cubic_coeffs(), name="cubic-jumps",
+                               q=lambda t, x, y: 1e4 * y * x ** 8)
+
+
+EQUIVALENCE_MODELS = {
+    "trigonometric": (lambda: build_model("trigonometric"), 1.0),
+    "linear": (lambda: build_model("linear"), 1.0),
+    "cubic-jumps": (_cubic_jump_coeffs, 0.3),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from(sorted(EQUIVALENCE_MODELS)),
+       root=st.integers(0, 2**31 - 1),
+       rate=st.sampled_from([0.0, 0.5, 3.0, 12.0]),
+       replicas=st.integers(1, 300),
+       steps=st.sampled_from([8, 16, 33]))
+def test_batched_ensemble_equals_width_one_solves(model, root, rate, replicas, steps):
+    build, x0 = EQUIVALENCE_MODELS[model]
+    ens = simulate_ensemble(build(), x0, GridSpec(1.0, steps), FRAC, Seed(root),
+                            replicas, rate=rate, marks=TwoPointMarks())
+    kept, excluded = {}, []
+    for r in range(replicas):
+        try:
+            kept[r] = solve_with_jumps(ens.coeffs, x0, *ens.drivers(r))
+        except BlowUpError as err:
+            excluded.append((r, str(err)))
+    assert list(ens.excluded) == excluded
+    assert ens.replica_ids == tuple(kept)
+    for r, path in zip(ens.replica_ids, ens.paths):
+        single = kept[r]
+        np.testing.assert_array_equal(path.values, single.values)
+        np.testing.assert_array_equal(path.times, single.times)
+        np.testing.assert_array_equal(path.left_flags, single.left_flags)
+        assert len(path.segments) == len(single.segments)
 
 
 def test_moments_of_a_constant_ensemble_are_exact():

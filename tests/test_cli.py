@@ -159,6 +159,25 @@ def test_convergence_validation_exits_2(tmp_path, capsys):
     assert "no closed-form oracle" in capsys.readouterr().err
 
 
+def test_convergence_blow_up_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = mixed_geometric\nsigma_h = 40\n"
+                 "[noise]\nrate = 0\n[grid]\nsteps = 16\n[mc]\nreplicas = 50\n")
+    assert cli.main(["convergence", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: state blew up at step")
+    assert "Traceback" not in err
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    assert cli.main(["simulate", "--out", str(taken)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_seed_override(tmp_path):
     cfg = _write(tmp_path, "run.ini", SIM_CFG)
     base, other = tmp_path / "base", tmp_path / "other"

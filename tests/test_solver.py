@@ -1,6 +1,7 @@
 """Solver contracts: assumption checking, exact special cases, jump-restart
 composition, forward-sum stochastic integrals, and the blow-up guard."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -19,6 +20,7 @@ from mfsde.noise import (
     gen_wiener,
 )
 from mfsde.solver import (
+    BLOWUP_LIMIT,
     CoefficientSet,
     SamplingBox,
     SegmentProblem,
@@ -30,6 +32,7 @@ from mfsde.solver import (
     solve_segment,
     solve_with_jumps,
 )
+from mfsde.solver import _DriverSampler, _segment_nodes
 
 EMPTY_TRAIN = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
 
@@ -293,16 +296,75 @@ def test_solution_csv_roundtrip():
 
 def test_euler_paths_batch_matches_single_solves():
     grid = GridSpec(1.0, 256)
-    coeffs = build_model("trigonometric")
     ws, zs = [], []
     for s in range(5):
         w, z, _ = _drivers(grid, 0.75, 0.0, Seed(12).child(3 + s))
         ws.append(w.values)
         zs.append(z.values)
-    batch = euler_paths(coeffs, 0.3, grid, np.array(ws), np.array(zs))
-    for s in range(5):
-        single = euler_paths(coeffs, 0.3, grid, ws[s], zs[s])
-        np.testing.assert_array_equal(batch[s], single)
+    # a restoring cubic drift: numpy's scalar and array powers differ in the
+    # last bit on a few percent of inputs, and from 1.7 the drift is large
+    # enough per step that such a bit reaches the state
+    for coeffs, x0 in ((build_model("trigonometric"), 0.3),
+                       (build_model("explosive", scale=-1.0), 1.7)):
+        batch = euler_paths(coeffs, x0, grid, np.array(ws), np.array(zs))
+        for s in range(5):
+            single = euler_paths(coeffs, x0, grid, ws[s], zs[s])
+            np.testing.assert_array_equal(batch[s], single)
+
+
+def _reference_solve(coeffs, x0, W, BH, jumps):
+    """The jump-restart construction as a plain per-segment loop, one path
+    and one Euler step at a time; the state is a 1-element array, like a
+    row of the batched solver."""
+    w_s, z_s = _DriverSampler(W), _DriverSampler(BH)
+    taus = list(jumps.times)
+    times, values = [], []
+    x = np.array([float(x0)])
+    for j, (s0, s1) in enumerate(zip([0.0] + taus, taus + [W.grid.horizon])):
+        ts = _segment_nodes(s1 - s0, W.grid.dt)
+        nodes = s0 + ts
+        w_loc, z_loc = w_s.at(nodes), z_s.at(nodes)
+        dw, dz = np.diff(w_loc - w_loc[0]), np.diff(z_loc - z_loc[0])
+        seg = [x]
+        for i, dt in enumerate(np.diff(ts)):
+            t = nodes[i]
+            x = (x + coeffs.a(t, x) * dt + coeffs.b(t, x) * dw[i]
+                 + coeffs.c(t, x) * dz[i])
+            if not abs(x[0]) <= BLOWUP_LIMIT:
+                raise BlowUpError(step=i + 1, time=nodes[i + 1], state=float(x[0]))
+            seg.append(x)
+        times.append(nodes)
+        values.append(np.concatenate(seg))
+        if j < len(taus):
+            x = x + coeffs.q(s1, x, jumps.marks[j])
+            if not abs(x[0]) <= BLOWUP_LIMIT:
+                raise BlowUpError(step=-1, time=s1, state=float(x[0]))
+    return np.concatenate(times), np.concatenate(values)
+
+
+def test_solve_with_jumps_matches_the_per_segment_loop():
+    grid = GridSpec(1.0, 64)
+    steep = dataclasses.replace(build_model("linear"),
+                                q=lambda t, x, y: 1e6 * y * x ** 4)
+    cases = [(build_model("trigonometric"), 1.0), (build_model("linear"), 1.0),
+             (build_model("explosive", scale=2.0), 0.9), (steep, 1.0)]
+    outcomes = set()
+    for coeffs, x0 in cases:
+        for s in range(12):
+            w, z, train = _drivers(grid, 0.75, 4.0, Seed(40 + s))
+            try:
+                expect = _reference_solve(coeffs, x0, w, z, train)
+            except BlowUpError as err:
+                with pytest.raises(BlowUpError) as got:
+                    solve_with_jumps(coeffs, x0, w, z, train)
+                assert str(got.value) == str(err)
+                outcomes.add("jump" if err.step == -1 else "step")
+                continue
+            sol = solve_with_jumps(coeffs, x0, w, z, train)
+            np.testing.assert_array_equal(sol.times, expect[0])
+            np.testing.assert_array_equal(sol.values, expect[1])
+            outcomes.add("solved")
+    assert outcomes == {"solved", "step", "jump"}
 
 
 def test_segment_problem_validation():
