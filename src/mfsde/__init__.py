@@ -3,8 +3,9 @@ noise, rough fractional noise, and finite-activity jumps.
 
 The package splits into driver generation (`noise`), the pathwise
 integral machinery (`fractional`, `norms`), the jump-restart Euler
-solver (`solver`, `models`), Monte Carlo verification suites
-(`analysis`), and a config-driven CLI (`config`, `cli`).
+solver (`solver`), coefficient models with their closed forms where
+known (`models`), Monte Carlo verification suites (`analysis`), and a
+config-driven CLI (`config`, `cli`).
 """
 
 from .analysis import (
@@ -26,7 +27,13 @@ from .analysis import (
     verify_self_similarity,
 )
 from .config import RunConfig, load_config, parse_config, serialize_config
-from .errors import BlowUpError, EmbeddingError, GridMismatchError, ParameterError
+from .errors import (
+    BlowUpError,
+    EmbeddingError,
+    GridMismatchError,
+    ParameterError,
+    RunFailure,
+)
 from .fractional import (
     FracDerivative,
     GridFunction,
@@ -69,14 +76,12 @@ from .solver import (
     AssumptionReport,
     CoefficientSet,
     SamplingBox,
-    SegmentProblem,
     SolutionPath,
     check_assumptions,
     euler_paths,
     ito_integral_path,
     pathwise_bound_rhs,
     read_solution_csv,
-    solve_segment,
     solve_with_jumps,
     solve_with_jumps_batch,
 )
@@ -89,16 +94,16 @@ __all__ = [
     "GaussianMarks", "GridFunction", "GridMismatchError", "GridSpec",
     "JumpMomentReport", "JumpTrain", "KernelReport", "LemmaReport", "MODELS",
     "MarkLaw", "MomentTable", "NormParams", "NormReport", "ParameterError",
-    "RunConfig", "SamplePath", "SamplingBox", "Seed", "SegmentProblem",
+    "RunConfig", "RunFailure", "SamplePath", "SamplingBox", "Seed",
     "SelfSimReport", "SolutionPath", "TailReport", "Thresholds",
     "TwoPointMarks", "UniformMarks", "build_mark_law", "build_model",
     "capital_lambda", "check_assumptions", "estimate_moments", "euler_paths",
     "evaluate_norms", "forward_sum_integral", "gen_driving_triple", "gen_fbm",
     "gen_jump_train", "gen_wiener", "gls_integral", "grr_functional",
-    "integral_bound_rhs", "ito_integral_path", "load_config", "norm_0_interval",
-    "norm_inf", "norm_profile", "norm_t", "parse_config", "pathwise_bound_rhs",
-    "read_solution_csv", "rl_left_derivative", "rl_right_derivative",
-    "serialize_config", "simulate_ensemble", "solve_segment",
+    "integral_bound_rhs", "ito_integral_path", "load_config",
+    "norm_0_interval", "norm_inf", "norm_profile", "norm_t", "parse_config",
+    "pathwise_bound_rhs", "read_solution_csv", "rl_left_derivative",
+    "rl_right_derivative", "serialize_config", "simulate_ensemble",
     "solve_with_jumps", "solve_with_jumps_batch", "tail_diagnostic",
     "verify_jump_product_moment", "verify_kernel_estimates",
     "verify_pathwise_lemma", "verify_self_similarity", "weighted_norms",

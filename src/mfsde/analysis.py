@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special, stats
 
-from .errors import BlowUpError, ParameterError
+from .errors import BlowUpError, ParameterError, RunFailure
 from .noise import (
     CSV_FLOAT_FMT,
     REPLICA_STREAM_BASE,
@@ -35,10 +35,9 @@ from .noise import (
     gen_fbm,
     gen_jump_train,
 )
-from .norms import NormParams, capital_lambda, evaluate_norms, norm_0_interval, norm_inf
+from .norms import capital_lambda, norm_0_interval, norm_inf
 from .solver import (
     CoefficientSet,
-    SolutionPath,
     ito_integral_path,
     pathwise_bound_rhs,
     solve_with_jumps_batch,
@@ -54,6 +53,17 @@ class Thresholds:
     holdout_pass_fraction: float = 0.95
     ks_pvalue_min: float = 0.01
     ratio_slack: float = 1e-3             # quadrature inequality tolerance
+
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("se_multiplier", self.se_multiplier > 0.0, "> 0"),
+                ("stability_se_multiplier", self.stability_se_multiplier > 0.0, "> 0"),
+                ("holdout_pass_fraction", 0.0 <= self.holdout_pass_fraction <= 1.0,
+                 "in [0, 1]"),
+                ("ks_pvalue_min", 0.0 <= self.ks_pvalue_min <= 1.0, "in [0, 1]"),
+                ("ratio_slack", self.ratio_slack >= 0.0, ">= 0")):
+            if not ok:
+                raise ParameterError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 DEFAULT_THRESHOLDS = Thresholds()
@@ -104,11 +114,9 @@ class Ensemble:
     marks: MarkLaw
     seed: Seed
     dependence: str
-    kappa: float | None
     replica_ids: tuple
     paths: tuple
     excluded: tuple
-    norm_reports: tuple | None = None
 
     @property
     def size(self) -> int:
@@ -129,18 +137,10 @@ class Ensemble:
         return np.array([float(np.max(np.abs(p.values))) for p in self.paths])
 
 
-def _grid_restriction(path: SolutionPath, grid: GridSpec) -> SamplePath:
-    if path.train.count == 0:
-        return SamplePath(grid, path.values)
-    return path.resample(grid)
-
-
 def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                       frac: FracParams, seed: Seed, replicas: int,
                       rate: float = 0.0, marks: MarkLaw | None = None,
-                      kappa: float | None = None,
-                      dependence: str = "independent",
-                      norm_params: NormParams | None = None) -> Ensemble:
+                      dependence: str = "independent") -> Ensemble:
     """Solve `replicas` independent copies of the equation.
 
     Replicas are solved in blocks of ENSEMBLE_BLOCK: a block's drivers are
@@ -149,11 +149,7 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
     path equals the width-1 solve `solve_with_jumps(coeffs, x0,
     *ens.drivers(r))` bit for bit.  A blown-up replica is excluded and
     recorded with its BlowUpError text, and the rest of its block carries
-    on; the moment suite flags any nonzero exclusion rate.  When
-    `norm_params` is given, a NormReport is evaluated per kept path on its
-    grid restriction (exact nodes for jump-free paths, right-continuous
-    resampling otherwise).  Norm evaluation is quadratic in the node
-    count, so leave it off for large ensembles.
+    on; the moment suite flags any nonzero exclusion rate.
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
@@ -161,27 +157,21 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
         marks = TwoPointMarks()
-    solve_kw = {} if kappa is None else {"kappa": kappa}
-    ids, paths, excluded, reports = [], [], [], []
+    ids, paths, excluded = [], [], []
     for first in range(0, replicas, ENSEMBLE_BLOCK):
         block = range(first, min(first + ENSEMBLE_BLOCK, replicas))
         drivers = [gen_driving_triple(grid, frac.hurst, rate, marks,
                                       seed.child(REPLICA_STREAM_BASE + r), dependence)
                    for r in block]
-        solved = solve_with_jumps_batch(coeffs, x0, drivers, **solve_kw)
+        solved = solve_with_jumps_batch(coeffs, x0, drivers)
         for r, sol in zip(block, solved):
             if isinstance(sol, BlowUpError):
                 excluded.append((r, str(sol)))
                 continue
             ids.append(r)
             paths.append(sol)
-            if norm_params is not None:
-                restriction = _grid_restriction(sol, grid)
-                reports.append(evaluate_norms(restriction, norm_params,
-                                              path_id=f"replica{r}"))
     return Ensemble(coeffs, x0, grid, frac, rate, marks, seed, dependence,
-                    kappa, tuple(ids), tuple(paths), tuple(excluded),
-                    tuple(reports) if norm_params is not None else None)
+                    tuple(ids), tuple(paths), tuple(excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +400,12 @@ def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
     if any(p.train.count for p in ens.paths):
         raise ParameterError("pathwise bound suite needs a jump-free ensemble")
     if ens.size < 4:
-        raise ParameterError(f"need at least 4 paths to split, got {ens.size}")
+        message = f"need at least 4 paths to split, got {ens.size}"
+        if ens.requested >= 4:
+            # a valid request whose solves blew up: a run failure, not bad input
+            raise RunFailure(f"{message}: {len(ens.excluded)} of {ens.requested}"
+                             " replicas blew up")
+        raise ParameterError(message)
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     alpha = ens.frac.alpha if alpha is None else float(alpha)
@@ -424,9 +419,7 @@ def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
         x = SamplePath(ens.grid, path.values)
         lhs_i = norm_inf(x, horizon, alpha)
         lam_i = capital_lambda(fbm, horizon, alpha)
-        b_vals = np.asarray(ens.coeffs.b(times, path.values), dtype=float)
-        if b_vals.ndim == 0:
-            b_vals = np.full(times.shape, float(b_vals))
+        b_vals = np.broadcast_to(ens.coeffs.b(times, path.values), times.shape)
         jb_i = norm_inf(ito_integral_path(b_vals, wiener), horizon, alpha)
         lhs.append(lhs_i)
         lam.append(lam_i)

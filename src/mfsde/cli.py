@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    ENSEMBLE_BLOCK,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -30,9 +30,10 @@ from .analysis import (
     verify_self_similarity,
 )
 from .config import RunConfig, load_config, parse_config, serialize_config
-from .errors import BlowUpError, ParameterError
+from .errors import BlowUpError, ParameterError, RunFailure
+from .models import MODELS
 from .noise import CSV_FLOAT_FMT, REPLICA_STREAM_BASE, GridSpec, SamplePath, gen_driving_triple
-from .solver import euler_paths, solve_with_jumps
+from .solver import euler_paths, solve_with_jumps, solve_with_jumps_batch
 
 SUITES = ("kernel", "lemma", "selfsim", "moments", "jumps")
 KERNEL_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
@@ -186,18 +187,6 @@ def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int
 # convergence
 
 
-_ORACLES = {
-    "zero": lambda cfg, w_t, z_t, mark_sum: cfg.x0,
-    "additive": lambda cfg, w_t, z_t, mark_sum: cfg.x0 + z_t + mark_sum,
-    "pure_jump": lambda cfg, w_t, z_t, mark_sum: cfg.x0 + mark_sum,
-    # fallbacks mirror the mixed_geometric_model builder defaults
-    "mixed_geometric": lambda cfg, w_t, z_t, mark_sum: cfg.x0 * math.exp(
-        cfg.model_params.get("sigma_w", 0.25) * w_t
-        - 0.5 * cfg.model_params.get("sigma_w", 0.25) ** 2 * cfg.grid.horizon
-        + cfg.model_params.get("sigma_h", 0.75) * z_t),
-}
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Terminal error against a closed form across dyadic refinements."""
@@ -246,56 +235,52 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
 
     All levels of one seed subsample the same finest-grid drivers, so the
     closed form is evaluated once per seed from the shared terminal
-    driver values.
+    driver values.  Without jumps a level is one batched euler_paths
+    call; with jumps it is solved in blocks of ENSEMBLE_BLOCK seeds.
     """
     if refinements < 3:
         raise ParameterError(f"refinements must be >= 3, got {refinements}")
-    oracle = _ORACLES.get(cfg.model_name)
-    if oracle is None:
-        known = ", ".join(sorted(_ORACLES))
+    coeffs = cfg.build_coeffs()
+    if coeffs.closed_form is None:
+        known = ", ".join(sorted(name for name, build in MODELS.items()
+                                 if build().closed_form is not None))
         raise ParameterError(
             f"no closed-form oracle for model {cfg.model_name!r}; known: {known}")
-    if cfg.model_name == "mixed_geometric" and cfg.rate > 0:
-        raise ParameterError("the mixed_geometric closed form needs rate = 0")
-    coeffs = cfg.build_coeffs()
     seed = cfg.seed()
     levels = [cfg.grid.steps * 2 ** j for j in range(refinements + 1)]
     fine = GridSpec(cfg.grid.horizon, levels[-1])
     m = cfg.replicas
 
-    errors = np.empty((m, len(levels)))
-    if cfg.rate == 0.0:
-        w_fine = np.empty((m, fine.steps + 1))
-        z_fine = np.empty((m, fine.steps + 1))
-        oracles = np.empty(m)
-        for s in range(m):
-            wiener, fbm, _ = gen_driving_triple(fine, cfg.hurst, 0.0, cfg.marks,
+    w_fine = np.empty((m, fine.steps + 1))
+    z_fine = np.empty((m, fine.steps + 1))
+    trains = []
+    targets = np.empty(m)
+    for s in range(m):
+        wiener, fbm, train = gen_driving_triple(fine, cfg.hurst, cfg.rate, cfg.marks,
                                                 seed.child(REPLICA_STREAM_BASE + s))
-            w_fine[s] = wiener.values
-            z_fine[s] = fbm.values
-            oracles[s] = oracle(cfg, wiener.values[-1], fbm.values[-1], 0.0)
-        for j, steps in enumerate(levels):
-            stride = levels[-1] // steps
-            grid_j = GridSpec(cfg.grid.horizon, steps)
-            states = euler_paths(coeffs, cfg.x0, grid_j,
-                                 w_fine[:, ::stride], z_fine[:, ::stride])
-            errors[:, j] = np.abs(states[:, -1] - oracles) / np.maximum(
-                np.abs(oracles), 1e-12)
-    else:
-        for s in range(m):
-            wiener, fbm, train = gen_driving_triple(fine, cfg.hurst, cfg.rate,
-                                                    cfg.marks,
-                                                    seed.child(REPLICA_STREAM_BASE + s))
-            mark_sum = float(train.marks.sum()) if train.count else 0.0
-            target = oracle(cfg, wiener.values[-1], fbm.values[-1], mark_sum)
-            for j, steps in enumerate(levels):
-                stride = levels[-1] // steps
-                grid_j = GridSpec(cfg.grid.horizon, steps)
-                sol = solve_with_jumps(coeffs, cfg.x0,
-                                       SamplePath(grid_j, wiener.values[::stride]),
-                                       SamplePath(grid_j, fbm.values[::stride]),
-                                       train)
-                errors[s, j] = abs(sol.terminal - target) / max(abs(target), 1e-12)
+        w_fine[s] = wiener.values
+        z_fine[s] = fbm.values
+        trains.append(train)
+        targets[s] = coeffs.closed_form(cfg.x0, wiener.values[-1], fbm.values[-1], train)
+
+    errors = np.empty((m, len(levels)))
+    for j, steps in enumerate(levels):
+        stride = levels[-1] // steps
+        grid_j = GridSpec(cfg.grid.horizon, steps)
+        w_j, z_j = w_fine[:, ::stride], z_fine[:, ::stride]
+        if cfg.rate == 0.0:
+            terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1]
+        else:
+            terminal = np.empty(m)
+            for first in range(0, m, ENSEMBLE_BLOCK):
+                block = range(first, min(first + ENSEMBLE_BLOCK, m))
+                drivers = [(SamplePath(grid_j, w_j[s]), SamplePath(grid_j, z_j[s]), trains[s])
+                           for s in block]
+                for s, sol in zip(block, solve_with_jumps_batch(coeffs, cfg.x0, drivers)):
+                    if isinstance(sol, BlowUpError):
+                        raise sol
+                    terminal[s] = sol.terminal
+        errors[:, j] = np.abs(terminal - targets) / np.maximum(np.abs(targets), 1e-12)
 
     mean_errors = errors.mean(axis=0)
     exact = bool(mean_errors.max() <= 1e-12)
@@ -373,7 +358,7 @@ def main(argv=None) -> int:
     except ParameterError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BlowUpError as err:
+    except RunFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .analysis import Thresholds
@@ -101,9 +102,12 @@ def _fail(text: str, section: str, key: str | None, message: str) -> None:
 def _get_float(text: str, values: dict, section: str, key: str) -> float:
     raw = values[key]
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         _fail(text, section, key, f"expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        _fail(text, section, key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _get_int(text: str, values: dict, section: str, key: str) -> int:
@@ -202,16 +206,15 @@ def parse_config(text: str) -> RunConfig:
         p_list = tuple(float(tok) for tok in raw_list)
     except ValueError:
         _fail(text, "mc", "p_list", f"expected numbers, got {mc_sec['p_list']!r}")
-    if any(not p > 0 for p in p_list):
-        _fail(text, "mc", "p_list", "moment orders must be positive")
+    if any(not (p > 0 and math.isfinite(p)) for p in p_list):
+        _fail(text, "mc", "p_list", "moment orders must be positive and finite")
     jump_power = _get_float(text, mc_sec, "mc", "jump_power")
-    thresholds = Thresholds(
-        se_multiplier=_get_float(text, mc_sec, "mc", "se_multiplier"),
-        stability_se_multiplier=_get_float(text, mc_sec, "mc", "stability_se_multiplier"),
-        holdout_pass_fraction=_get_float(text, mc_sec, "mc", "holdout_pass_fraction"),
-        ks_pvalue_min=_get_float(text, mc_sec, "mc", "ks_pvalue_min"),
-        ratio_slack=_get_float(text, mc_sec, "mc", "ratio_slack"),
-    )
+    try:
+        thresholds = Thresholds(**{f.name: _get_float(text, mc_sec, "mc", f.name)
+                                   for f in dataclasses.fields(Thresholds)})
+    except ParameterError as exc:
+        # Thresholds names the offending field first; fields are mc keys
+        _fail(text, "mc", str(exc).split()[0], str(exc))
 
     seed_root = _get_int(text, merged["seed"], "seed", "root")
     if seed_root < 0:

@@ -13,7 +13,11 @@ class EmbeddingError(RuntimeError):
     """A synthesis method cannot represent the requested covariance."""
 
 
-class BlowUpError(RuntimeError):
+class RunFailure(RuntimeError):
+    """A valid run could not produce its result."""
+
+
+class BlowUpError(RunFailure):
     """The solver state left the trust region or became non-finite."""
 
     def __init__(self, step: int, time: float, state: float):

@@ -23,7 +23,6 @@ from ._kernels import (
     weighted_linear_integral,
 )
 from .errors import GridMismatchError, ParameterError
-from .noise import CSV_FLOAT_FMT, SamplePath
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -60,24 +59,11 @@ class GridFunction:
         x = np.linspace(left, right, cells + 1)
         return cls(left, right, np.asarray(fn(x), dtype=float))
 
-    @classmethod
-    def from_sample_path(cls, path: SamplePath) -> "GridFunction":
-        return cls(0.0, path.grid.horizon, path.values.copy())
-
     def subgrid(self, i0: int, i1: int) -> "GridFunction":
         if not 0 <= i0 < i1 <= self.cells:
             raise ParameterError(f"bad subgrid indices ({i0}, {i1})")
         x = self.nodes
         return GridFunction(float(x[i0]), float(x[i1]), self.values[i0 : i1 + 1].copy())
-
-    def to_csv(self, file) -> None:
-        data = np.column_stack([self.nodes, self.values])
-        np.savetxt(file, data, fmt=CSV_FLOAT_FMT, delimiter=",", header="t,value", comments="")
-
-    @classmethod
-    def from_csv(cls, file) -> "GridFunction":
-        data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
-        return cls(float(data[0, 0]), float(data[-1, 0]), data[:, 1])
 
 
 @dataclass

@@ -3,10 +3,13 @@
 Each entry builds a CoefficientSet whose declared constants are honest for
 the stated sampling box (a few models, noted below, violate an assumption
 on purpose so the violation machinery stays tested).  Names are stable:
-they appear in run configs.
+they appear in run configs.  Models whose terminal value is known in
+closed form carry it as `closed_form`, the oracle of convergence studies.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,6 +38,7 @@ def zero_model() -> CoefficientSet:
         growth=0.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y) * 0.0,
         jump_gain_desc="0",
+        closed_form=lambda x0, w_t, z_t, jumps: x0,
     )
 
 
@@ -46,6 +50,7 @@ def additive_model() -> CoefficientSet:
         growth=1.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
         jump_gain_desc="|y|",
+        closed_form=lambda x0, w_t, z_t, jumps: x0 + z_t + float(jumps.marks.sum()),
     )
 
 
@@ -56,6 +61,7 @@ def pure_jump_model() -> CoefficientSet:
         growth=0.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
         jump_gain_desc="|y|",
+        closed_form=lambda x0, w_t, z_t, jumps: x0 + float(jumps.marks.sum()),
     )
 
 
@@ -142,6 +148,13 @@ def mixed_geometric_model(sigma_w: float = 0.25,
     any finite box; declared b_bound is deliberately 0 to surface that in
     assumption checks.
     """
+
+    def closed_form(x0, w_t, z_t, jumps):
+        if jumps.rate > 0:
+            raise ParameterError("the mixed_geometric closed form needs rate = 0")
+        return x0 * math.exp(sigma_w * w_t - 0.5 * sigma_w ** 2 * jumps.horizon
+                             + sigma_h * z_t)
+
     return CoefficientSet(
         name="mixed_geometric",
         a=_zero,
@@ -156,6 +169,7 @@ def mixed_geometric_model(sigma_w: float = 0.25,
         b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
         jump_gain_desc="|y|",
+        closed_form=closed_form,
     )
 
 

@@ -15,7 +15,7 @@ run can be regenerated in isolation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -110,7 +110,6 @@ class SamplePath:
 
     grid: GridSpec
     values: np.ndarray
-    kind: str = "continuous"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -135,13 +134,13 @@ class SamplePath:
         np.savetxt(file, data, fmt=CSV_FLOAT_FMT, delimiter=",", header="t,value", comments="")
 
     @classmethod
-    def from_csv(cls, file, kind: str = "continuous") -> "SamplePath":
+    def from_csv(cls, file) -> "SamplePath":
         data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
         t = data[:, 0]
         grid = GridSpec(float(t[-1]), len(t) - 1)
         if not np.allclose(t, grid.times, rtol=0.0, atol=1e-9 * max(1.0, abs(t[-1]))):
             raise ParameterError("CSV nodes are not a uniform grid starting at 0")
-        return cls(grid, data[:, 1], kind=kind)
+        return cls(grid, data[:, 1])
 
 
 @dataclass

@@ -17,7 +17,7 @@ equals the same replica solved in a batch bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,10 +32,7 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "check_assumptions",
-    "SegmentProblem",
-    "solve_segment",
     "euler_paths",
-    "SegmentInfo",
     "SolutionPath",
     "solve_with_jumps",
     "solve_with_jumps_batch",
@@ -64,6 +61,10 @@ class CoefficientSet:
     growth bounds |a|+|b|+|c| against 1+|x| and |dc_dx| directly;
     lipschitz bounds the x-increments of a, b, dc_dx; time_holder and
     beta bound the t-increments of a, b, c, dc_dx; b_bound bounds |b|.
+
+    closed_form, when the model has one, maps (x0, W_T, Z_T, jump train)
+    to the exact terminal value X_T; it raises ParameterError for trains
+    it does not cover.
     """
 
     a: Callable
@@ -79,6 +80,7 @@ class CoefficientSet:
     jump_gain: Callable
     jump_gain_desc: str = ""
     name: str = ""
+    closed_form: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +165,42 @@ def check_assumptions(coeffs: CoefficientSet, box: SamplingBox = SamplingBox(),
     asep = np.abs(x - x2) > 1e-9
     tsep = np.abs(t - s) > 1e-9
 
-    av, bv, cv = coeffs.a(t, x), coeffs.b(t, x), coeffs.c(t, x)
-    dcv = coeffs.dc_dx(t, x)
+    def at(fn, *args):
+        # coefficients may return scalars; every quotient is per sample
+        return np.broadcast_to(fn(*args), x.shape)
+
+    av, bv, cv = at(coeffs.a, t, x), at(coeffs.b, t, x), at(coeffs.c, t, x)
+    dcv = at(coeffs.dc_dx, t, x)
     checks = []
 
     quot = (np.abs(av) + np.abs(bv) + np.abs(cv)) / (1.0 + np.abs(x))
-    obs, wit = _max_with_witness(quot + 0.0 * x, t, x)
+    obs, wit = _max_with_witness(quot, t, x)
     checks.append(AssumptionCheck("growth", obs, coeffs.growth, ok(obs, coeffs.growth), wit))
 
-    obs, wit = _max_with_witness(np.abs(dcv) + 0.0 * x, t, x)
+    obs, wit = _max_with_witness(np.abs(dcv), t, x)
     checks.append(AssumptionCheck("dc_dx-bound", obs, coeffs.growth,
                                   ok(obs, coeffs.growth), wit))
 
-    num = (np.abs(coeffs.a(t, x2) - av) + np.abs(coeffs.b(t, x2) - bv)
-           + np.abs(coeffs.dc_dx(t, x2) - dcv)) + 0.0 * x
+    num = (np.abs(at(coeffs.a, t, x2) - av) + np.abs(at(coeffs.b, t, x2) - bv)
+           + np.abs(at(coeffs.dc_dx, t, x2) - dcv))
     quot = np.where(asep, num / np.abs(x - x2), 0.0)
     obs, wit = _max_with_witness(quot, t, x, x2)
     checks.append(AssumptionCheck("x-lipschitz", obs, coeffs.lipschitz,
                                   ok(obs, coeffs.lipschitz), wit))
 
-    num = (np.abs(coeffs.a(s, x) - av) + np.abs(coeffs.b(s, x) - bv)
-           + np.abs(coeffs.c(s, x) - cv)
-           + np.abs(coeffs.dc_dx(s, x) - dcv)) + 0.0 * x
+    num = (np.abs(at(coeffs.a, s, x) - av) + np.abs(at(coeffs.b, s, x) - bv)
+           + np.abs(at(coeffs.c, s, x) - cv)
+           + np.abs(at(coeffs.dc_dx, s, x) - dcv))
     quot = np.where(tsep, num / np.abs(t - s) ** coeffs.beta, 0.0)
     obs, wit = _max_with_witness(quot, t, s, x)
     checks.append(AssumptionCheck("t-holder", obs, coeffs.time_holder,
                                   ok(obs, coeffs.time_holder), wit))
 
-    obs, wit = _max_with_witness(np.abs(bv) + 0.0 * x, t, x)
+    obs, wit = _max_with_witness(np.abs(bv), t, x)
     checks.append(AssumptionCheck("b-bound", obs, coeffs.b_bound,
                                   ok(obs, coeffs.b_bound), wit))
 
-    qv = np.abs(coeffs.q(t, x, y)) + 0.0 * x
+    qv = np.abs(at(coeffs.q, t, x, y))
     denom = coeffs.jump_gain(y) * (1.0 + np.abs(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = np.where(qv == 0.0, 0.0, qv / denom)
@@ -268,39 +274,6 @@ def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
     return out, failed
 
 
-# ---------------------------------------------------------------------------
-# segment solving
-
-
-@dataclass(frozen=True)
-class SegmentProblem:
-    """One between-jumps subproblem: clock offset, start value, drivers.
-
-    The drivers are segment-local (both start at 0 at the segment origin);
-    the offset only enters the coefficients' time argument.
-    """
-
-    offset: float
-    initial: float
-    wiener: SamplePath
-    frac: SamplePath
-
-    def __post_init__(self):
-        if self.wiener.grid != self.frac.grid:
-            raise GridMismatchError("segment drivers must share one grid")
-        if self.wiener.values[0] != 0.0 or self.frac.values[0] != 0.0:
-            raise ParameterError("segment drivers must start at 0")
-        if self.offset < 0.0:
-            raise ParameterError("offset must be nonnegative")
-
-
-def solve_segment(p: SegmentProblem, coeffs: CoefficientSet) -> SamplePath:
-    """Solve one jump-free segment on its drivers' grid."""
-    vals = euler_paths(coeffs, p.initial, p.wiener.grid, p.wiener.values,
-                       p.frac.values, offset=p.offset)
-    return SamplePath(p.wiener.grid, vals, kind="continuous")
-
-
 def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
                 wiener_values: np.ndarray, frac_values: np.ndarray,
                 offset: float = 0.0) -> np.ndarray:
@@ -329,16 +302,6 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
 
 # ---------------------------------------------------------------------------
 # jump-restart construction
-
-
-@dataclass(frozen=True)
-class SegmentInfo:
-    """Diagnostics for one between-jumps segment."""
-
-    start: float
-    end: float
-    nodes: int
-    kappa: float
 
 
 def _holder_quotient(ts: np.ndarray, vals: np.ndarray, kappa: float) -> float:
@@ -392,8 +355,9 @@ class SolutionPath:
     """Cadlag solution on the union of the grid and the jump times.
 
     Jump times appear twice in `times`: first the left limit (flag 1),
-    then the post-jump value (flag 0).  Per-segment data is kept for
-    cadlag resampling and Holder diagnostics.
+    then the post-jump value (flag 0).  `segments` holds one (start,
+    local times, values) triple per between-jumps segment, for cadlag
+    resampling and Holder diagnostics.
     """
 
     times: np.ndarray
@@ -402,7 +366,6 @@ class SolutionPath:
     train: JumpTrain
     grid: GridSpec
     segments: list
-    segment_data: list = field(repr=False, default_factory=list)
 
     @property
     def terminal(self) -> float:
@@ -414,21 +377,18 @@ class SolutionPath:
     def resample(self, grid: GridSpec | None = None) -> SamplePath:
         """Right-continuous values at the nodes of a uniform grid."""
         grid = grid or self.grid
-        starts = np.array([s0 for s0, _, _ in self.segment_data])
+        starts = np.array([s0 for s0, _, _ in self.segments])
         out = np.empty(grid.steps + 1)
         for i, t in enumerate(grid.times):
             j = max(int(np.searchsorted(starts, t, side="right")) - 1, 0)
-            s0, ts, vals = self.segment_data[j]
+            s0, ts, vals = self.segments[j]
             local = min(max(t - s0, 0.0), ts[-1])
             out[i] = np.interp(local, ts, vals)
-        return SamplePath(grid, out, kind="cadlag")
+        return SamplePath(grid, out)
 
-    def holder_constants(self, kappa: float | None = None) -> list:
+    def holder_constants(self, kappa: float = _DEFAULT_KAPPA) -> list:
         """Per-segment discrete Holder quotients at the given order."""
-        if kappa is None:
-            kappa = self.segments[0].kappa if self.segments else _DEFAULT_KAPPA
-        return [_holder_quotient(ts, vals, kappa)
-                for _, ts, vals in self.segment_data]
+        return [_holder_quotient(ts, vals, kappa) for _, ts, vals in self.segments]
 
     def to_csv(self, file) -> None:
         data = np.column_stack([self.times, self.values,
@@ -461,7 +421,7 @@ class _RestartPlan:
     dz: np.ndarray
     kinds: np.ndarray
     marks: np.ndarray
-    segments: list           # (start, end, local nodes) per segment
+    segments: list           # (start, local nodes) per segment
 
 
 def _restart_plan(W: SamplePath, BH: SamplePath, jumps: JumpTrain) -> _RestartPlan:
@@ -473,11 +433,11 @@ def _restart_plan(W: SamplePath, BH: SamplePath, jumps: JumpTrain) -> _RestartPl
         raise ParameterError("jump train extends beyond the driver horizon")
     taus = list(jumps.times)
     starts = [0.0] + taus
-    segments = [(s0, s1, _segment_nodes(s1 - s0, grid.dt))
+    segments = [(s0, _segment_nodes(s1 - s0, grid.dt))
                 for s0, s1 in zip(starts, taus + [t_end])]
-    lengths = [len(ts) for _, _, ts in segments]
+    lengths = [len(ts) for _, ts in segments]
     first = np.cumsum(lengths) - lengths
-    local = np.concatenate([ts for _, _, ts in segments])
+    local = np.concatenate([ts for _, ts in segments])
     times = np.repeat(starts, lengths) + local
     # drivers shifted to each segment origin, read at every output node
     w = _DriverSampler(W).at(times)
@@ -507,8 +467,7 @@ def _restart_plan(W: SamplePath, BH: SamplePath, jumps: JumpTrain) -> _RestartPl
                         segments=segments)
 
 
-def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers,
-                           kappa: float = _DEFAULT_KAPPA) -> list:
+def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
     """Jump-restart solves of many replicas through one step loop.
 
     `drivers` holds one (W, BH, jumps) triple per replica.  Each replica's
@@ -545,20 +504,17 @@ def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers,
                                            state=state))
             continue
         values = states[r, :len(p.times)]
-        infos, data, first = [], [], 0
-        for s0, s1, ts in p.segments:
-            infos.append(SegmentInfo(start=s0, end=s1, nodes=len(ts), kappa=kappa))
-            data.append((s0, ts, values[first:first + len(ts)]))
+        segments, first = [], 0
+        for s0, ts in p.segments:
+            segments.append((s0, ts, values[first:first + len(ts)]))
             first += len(ts)
         results.append(SolutionPath(times=p.times, values=values, left_flags=p.flags,
-                                    train=jumps, grid=W.grid, segments=infos,
-                                    segment_data=data))
+                                    train=jumps, grid=W.grid, segments=segments))
     return results
 
 
 def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
-                     BH: SamplePath, jumps: JumpTrain,
-                     kappa: float = _DEFAULT_KAPPA) -> SolutionPath:
+                     BH: SamplePath, jumps: JumpTrain) -> SolutionPath:
     """Advance the equation through its jumps by restarted segment solves.
 
     Between jump times the mixed Euler scheme runs on the usual spacing
@@ -568,7 +524,7 @@ def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
     left limits.  This is the width-1 call of solve_with_jumps_batch, so
     it regenerates any replica of a batched ensemble bit for bit.
     """
-    result = solve_with_jumps_batch(coeffs, x0, [(W, BH, jumps)], kappa=kappa)[0]
+    result = solve_with_jumps_batch(coeffs, x0, [(W, BH, jumps)])[0]
     if isinstance(result, BlowUpError):
         raise result
     return result
@@ -589,7 +545,7 @@ def ito_integral_path(b_values, W: SamplePath) -> SamplePath:
     if bv.shape != W.values.shape:
         raise GridMismatchError("integrand and Wiener path must share the grid")
     vals = np.concatenate([[0.0], np.cumsum(bv[:-1] * np.diff(W.values))])
-    return SamplePath(W.grid, vals, kind="continuous")
+    return SamplePath(W.grid, vals)
 
 
 def pathwise_bound_rhs(Lambda: float, Jb: float, alpha: float, K: float) -> float:

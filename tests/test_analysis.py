@@ -166,20 +166,24 @@ def test_tail_degenerate_and_light_tailed():
 
 def test_lemma_on_constant_paths():
     # constant solution: lhs is exactly x0 and the Wiener integral vanishes,
-    # so each per-path minimal constant comes straight from the W0 branch
-    ens = simulate_ensemble(build_model("zero"), 1.0, GridSpec(0.5, 64),
-                            FracParams(0.9, alpha=0.15), Seed(17), 40)
-    rep = verify_pathwise_lemma(ens)
-    assert all(v == 1.0 for v in rep.lhs)
-    assert all(v == 0.0 for v in rep.ito_norm)
-    assert rep.train_size == 20
-    assert rep.fitted_k == max(rep.k_min[:rep.train_size])
-    np.testing.assert_array_equal(
-        np.array(rep.k_envelope),
-        np.maximum.accumulate(np.array(rep.k_min[:rep.train_size])))
-    assert all(b >= a for a, b in zip(rep.k_envelope, rep.k_envelope[1:]))
-    assert rep.passed and rep.holdout_rate >= 0.9
-    assert len(rep.csv_rows()) == 40
+    # so each per-path minimal constant comes straight from the W0 branch;
+    # the second model's b and q return Python scalars
+    zero = build_model("zero")
+    scalars = dataclasses.replace(zero, b=lambda t, x: 0.0, q=lambda t, x, y: 0.0)
+    for coeffs in (zero, scalars):
+        ens = simulate_ensemble(coeffs, 1.0, GridSpec(0.5, 64),
+                                FracParams(0.9, alpha=0.15), Seed(17), 40)
+        rep = verify_pathwise_lemma(ens)
+        assert all(v == 1.0 for v in rep.lhs)
+        assert all(v == 0.0 for v in rep.ito_norm)
+        assert rep.train_size == 20
+        assert rep.fitted_k == max(rep.k_min[:rep.train_size])
+        np.testing.assert_array_equal(
+            np.array(rep.k_envelope),
+            np.maximum.accumulate(np.array(rep.k_min[:rep.train_size])))
+        assert all(b >= a for a, b in zip(rep.k_envelope, rep.k_envelope[1:]))
+        assert rep.passed and rep.holdout_rate >= 0.9
+        assert len(rep.csv_rows()) == 40
 
 
 def test_minimal_constant_at_the_roughness_floor():
@@ -312,3 +316,7 @@ def test_thresholds_are_explicit_conventions():
     assert t.holdout_pass_fraction == 0.95
     assert t.ks_pvalue_min == 0.01
     assert t.ratio_slack == 1e-3
+    for bad in ({"stability_se_multiplier": 0.0}, {"ratio_slack": -1e-3},
+                {"holdout_pass_fraction": math.nan}, {"ks_pvalue_min": 1.5}):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            Thresholds(**bad)

@@ -136,17 +136,20 @@ def test_verify_jumps_unit_scale(tmp_path):
 
 
 def test_convergence_additive_is_exact(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.ini",
-                 "[model]\nname = additive\n[grid]\nsteps = 64\n"
-                 "[mc]\nreplicas = 20\n")
-    out = tmp_path / "out"
-    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
-    assert "convergence: PASS" in capsys.readouterr().out
-    summary = (out / "convergence_summary.txt").read_text()
-    assert "exact for this model" in summary
-    assert "command: convergence --refinements 3" in (out / "manifest.txt").read_text()
-    # four levels: base grid plus three refinements
-    assert len((out / "convergence_data.csv").read_text().strip().splitlines()) == 5
+    # without jumps (one batched solve per level) and with them (the
+    # jump-restart solve in blocks of seeds)
+    for rate in (0, 2):
+        cfg = _write(tmp_path, f"run{rate}.ini",
+                     f"[model]\nname = additive\n[noise]\nrate = {rate}\n"
+                     "[grid]\nsteps = 64\n[mc]\nreplicas = 20\n")
+        out = tmp_path / f"out{rate}"
+        assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        assert "convergence: PASS" in capsys.readouterr().out
+        summary = (out / "convergence_summary.txt").read_text()
+        assert "exact for this model" in summary
+        assert "command: convergence --refinements 3" in (out / "manifest.txt").read_text()
+        # four levels: base grid plus three refinements
+        assert len((out / "convergence_data.csv").read_text().strip().splitlines()) == 5
 
 
 def test_convergence_validation_exits_2(tmp_path, capsys):
@@ -156,7 +159,13 @@ def test_convergence_validation_exits_2(tmp_path, capsys):
                      "--out", out]) == 2
     nolemma = _write(tmp_path, "run2.ini", "[model]\nname = linear\n")
     assert cli.main(["convergence", "--config", nolemma, "--out", out]) == 2
-    assert "no closed-form oracle" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no closed-form oracle" in err
+    assert "known: additive, mixed_geometric, pure_jump, zero" in err
+    jumpy = _write(tmp_path, "run3.ini",
+                   "[model]\nname = mixed_geometric\n[noise]\nrate = 1\n")
+    assert cli.main(["convergence", "--config", jumpy, "--out", out]) == 2
+    assert "closed form needs rate = 0" in capsys.readouterr().err
 
 
 def test_convergence_blow_up_exits_1(tmp_path, capsys):
@@ -167,6 +176,19 @@ def test_convergence_blow_up_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: state blew up at step")
+    assert "Traceback" not in err
+
+
+def test_lemma_without_survivors_exits_1(tmp_path, capsys):
+    # a valid config whose every solve blows up is a run failure, not a
+    # configuration error
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = explosive\nx0 = 3\n[grid]\nsteps = 64\n"
+                 "[mc]\nreplicas = 8\n")
+    assert cli.main(["verify", "lemma", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "8 of 8 replicas blew up" in err
     assert "Traceback" not in err
 
 

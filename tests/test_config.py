@@ -170,6 +170,24 @@ def test_grid_seed_rate_validation():
         parse_config("[noise]\nrate = -2\n")
 
 
+@pytest.mark.parametrize("text, spot", [
+    ("[model]\nx0 = nan\n", "line 2: [model] x0"),
+    ("[model]\nx0 = inf\n", "line 2: [model] x0"),
+    ("[noise]\nrate = inf\n", "line 2: [noise] rate"),
+    ("[mc]\njump_power = nan\n", "line 2: [mc] jump_power"),
+    ("[frac]\nlambda = nan\n", "line 2: [frac] lambda"),
+    ("[model]\nname = linear\ntheta = nan\n", "line 3: [model] theta"),
+    ("[mc]\nholdout_pass_fraction = 7\n", "line 2: [mc] holdout_pass_fraction"),
+    ("[mc]\nks_pvalue_min = -1\n", "line 2: [mc] ks_pvalue_min"),
+    ("[mc]\nse_multiplier = -3\n", "line 2: [mc] se_multiplier"),
+    ("[mc]\np_list = 1 inf\n", "line 2: [mc] p_list"),
+])
+def test_non_finite_and_out_of_range_numbers_are_rejected(text, spot):
+    with pytest.raises(ParameterError) as exc:
+        parse_config(text)
+    assert spot in str(exc.value)
+
+
 def test_frac_weight_validation():
     with pytest.raises(ParameterError) as exc:
         parse_config("[frac]\nlambda = -1\n")

@@ -23,13 +23,11 @@ from mfsde.solver import (
     BLOWUP_LIMIT,
     CoefficientSet,
     SamplingBox,
-    SegmentProblem,
     check_assumptions,
     euler_paths,
     ito_integral_path,
     pathwise_bound_rhs,
     read_solution_csv,
-    solve_segment,
     solve_with_jumps,
 )
 from mfsde.solver import _DriverSampler, _segment_nodes
@@ -63,6 +61,14 @@ def test_check_assumptions_pass():
     rep = check_assumptions(build_model("trigonometric"))
     assert rep.passed
     assert all("PASS" in line for line in rep.lines())
+    # coefficients may return Python scalars; each check still sees one
+    # value per sample
+    scalars = dataclasses.replace(build_model("additive"), b=lambda t, x: 0.0,
+                                  c=lambda t, x: 1.0, q=lambda t, x, y: 0.0)
+    rep = check_assumptions(scalars, samples=50)
+    assert rep.passed
+    growth = rep.checks[0]
+    assert growth.observed == pytest.approx(1.0 / (1.0 + abs(growth.witness[1])))
 
 
 def test_check_assumptions_reports_violation_with_witness():
@@ -91,7 +97,7 @@ def test_zero_model_stays_constant():
 def test_additive_model_reproduces_rough_driver():
     grid = GridSpec(1.0, 1024)
     w, z, _ = _drivers(grid, 0.75, 0.0, Seed(2))
-    sol = solve_segment(SegmentProblem(0.0, 0.5, w, z), build_model("additive"))
+    sol = solve_with_jumps(build_model("additive"), 0.5, w, z, EMPTY_TRAIN)
     np.testing.assert_allclose(sol.values, 0.5 + z.values, atol=1e-13)
 
 
@@ -100,10 +106,8 @@ def test_empty_train_matches_plain_segment_solve_bitwise():
     coeffs = build_model("linear")
     w, z, _ = _drivers(grid, 0.75, 0.0, Seed(3))
     jumped = solve_with_jumps(coeffs, 1.0, w, z, EMPTY_TRAIN)
-    seg = solve_segment(SegmentProblem(0.0, 1.0, w, z), coeffs)
     batch = euler_paths(coeffs, 1.0, grid, w.values[None, :], z.values[None, :])
-    np.testing.assert_array_equal(jumped.values, seg.values)
-    np.testing.assert_array_equal(seg.values, batch[0])
+    np.testing.assert_array_equal(jumped.values, batch[0])
     assert len(jumped.segments) == 1 and jumped.train.count == 0
 
 
@@ -365,19 +369,6 @@ def test_solve_with_jumps_matches_the_per_segment_loop():
             np.testing.assert_array_equal(sol.values, expect[1])
             outcomes.add("solved")
     assert outcomes == {"solved", "step", "jump"}
-
-
-def test_segment_problem_validation():
-    g1 = GridSpec(1.0, 64)
-    g2 = GridSpec(1.0, 128)
-    w1 = _zero_path(g1)
-    with pytest.raises(GridMismatchError):
-        SegmentProblem(0.0, 1.0, w1, _zero_path(g2))
-    shifted = SamplePath(g1, np.ones(65))
-    with pytest.raises(ParameterError):
-        SegmentProblem(0.0, 1.0, w1, shifted)
-    with pytest.raises(ParameterError):
-        SegmentProblem(-0.1, 1.0, w1, _zero_path(g1))
 
 
 def test_solve_with_jumps_validation():
