@@ -5,7 +5,9 @@ The package splits into driver generation (`noise`), the pathwise
 integral machinery (`fractional`, `norms`), the jump-restart Euler
 solver (`solver`), coefficient models with their closed forms where
 known (`models`), Monte Carlo verification suites (`analysis`), and a
-config-driven CLI (`config`, `cli`).
+config-driven CLI (`config`, `cli`).  Values on a uniform grid, whether a
+driver, a resampled solution or a fractional derivative, are one type,
+`GridFunction(left, right, values)`.
 """
 
 from .analysis import (
@@ -29,14 +31,11 @@ from .analysis import (
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import (
     BlowUpError,
-    EmbeddingError,
     GridMismatchError,
     ParameterError,
     RunFailure,
 )
 from .fractional import (
-    FracDerivative,
-    GridFunction,
     forward_sum_integral,
     gls_integral,
     integral_bound_rhs,
@@ -47,10 +46,10 @@ from .models import MODELS, build_model
 from .noise import (
     FracParams,
     GaussianMarks,
+    GridFunction,
     GridSpec,
     JumpTrain,
     MarkLaw,
-    SamplePath,
     Seed,
     TwoPointMarks,
     UniformMarks,
@@ -90,11 +89,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionReport", "BlowUpError", "CoefficientSet", "DEFAULT_THRESHOLDS",
-    "EmbeddingError", "Ensemble", "FracDerivative", "FracParams",
+    "Ensemble", "FracParams",
     "GaussianMarks", "GridFunction", "GridMismatchError", "GridSpec",
     "JumpMomentReport", "JumpTrain", "KernelReport", "LemmaReport", "MODELS",
     "MarkLaw", "MomentTable", "NormParams", "NormReport", "ParameterError",
-    "RunConfig", "RunFailure", "SamplePath", "SamplingBox", "Seed",
+    "RunConfig", "RunFailure", "SamplingBox", "Seed",
     "SelfSimReport", "SolutionPath", "TailReport", "Thresholds",
     "TwoPointMarks", "UniformMarks", "build_mark_law", "build_model",
     "capital_lambda", "check_assumptions", "estimate_moments", "euler_paths",

@@ -19,24 +19,27 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 
-def _power_tables(n: int, alpha: float, h: float):
-    """Cell integrals of w^(-1-alpha) and w^(-alpha) at integer lags.
+def _power_tables(n: int, a: float, b: float, h: float):
+    """Cell integrals of w^(a-1) and w^(b-1) at integer lags, with b = a + 1.
 
-    G1[k] = integral of w^(-1-alpha) over [(k-1)h, kh], G2[k] the same for
-    w^(-alpha).  G1[1] is set to 0: its coefficient vanishes identically for
-    interpolants that are zero at the singular node, which is the only case
-    in which the first cell is touched.
+    T1[k] = integral of w^(a-1) over [(k-1)h, kh], T2[k] the same for
+    w^(b-1); the powers k^a and k^b come along.  T1[1] is set to 0: its
+    coefficient vanishes identically for interpolants that are zero at the
+    singular node, which is the only case in which the first cell is
+    touched.  The right-singular kernel takes (a, b) = (-alpha, 1 - alpha),
+    the left-singular one (alpha - 1, alpha); both exponents are passed,
+    since (alpha - 1) + 1 need not equal alpha in floating point.
     """
     k = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        pow_neg = k**-alpha
-    pow_pos = k ** (1.0 - alpha)
-    g1 = np.zeros(n + 1)
+        pow_a = k**a
+    pow_b = k**b
+    t1 = np.zeros(n + 1)
     if n >= 2:
-        g1[2:] = (pow_neg[1:-1] - pow_neg[2:]) * h**-alpha / alpha
-    g2 = np.zeros(n + 1)
-    g2[1:] = (pow_pos[1:] - pow_pos[:-1]) * h ** (1.0 - alpha) / (1.0 - alpha)
-    return g1, g2, pow_neg, pow_pos
+        t1[2:] = (pow_a[1:-1] - pow_a[2:]) * h**a / -a
+    t2 = np.zeros(n + 1)
+    t2[1:] = (pow_b[1:] - pow_b[:-1]) * h**b / b
+    return t1, t2, pow_a, pow_b
 
 
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
@@ -50,7 +53,7 @@ def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndar
     out = np.zeros(n + 1)
     if n == 0:
         return out
-    g1, g2, _, _ = _power_tables(n, alpha, h)
+    g1, g2, _, _ = _power_tables(n, -alpha, 1.0 - alpha, h)
     df = np.diff(f)
     kg1 = np.arange(n + 1, dtype=float) * g1
     cg1 = np.cumsum(g1)
@@ -108,7 +111,7 @@ def _abs_right_singular_total(
 def abs_increment_kernel(values: np.ndarray, alpha: float, h: float, at: int) -> float:
     """Integral over [t_0, t_at] of |f(t_at) - f(u)| (t_at - u)^(-1-alpha) du."""
     f = np.asarray(values, dtype=float)
-    g1, g2, pow_neg, pow_pos = _power_tables(at, alpha, h)
+    g1, g2, pow_neg, pow_pos = _power_tables(at, -alpha, 1.0 - alpha, h)
     d = f[at] - f[: at + 1]
     return _abs_right_singular_total(d, at, alpha, h, g1, g2, pow_neg, pow_pos)
 
@@ -120,29 +123,11 @@ def abs_increment_kernel_profile(values: np.ndarray, alpha: float, h: float) -> 
     out = np.zeros(n + 1)
     if n == 0:
         return out
-    g1, g2, pow_neg, pow_pos = _power_tables(n, alpha, h)
+    g1, g2, pow_neg, pow_pos = _power_tables(n, -alpha, 1.0 - alpha, h)
     for i in range(1, n + 1):
         d = f[i] - f[: i + 1]
         out[i] = _abs_right_singular_total(d, i, alpha, h, g1, g2, pow_neg, pow_pos)
     return out
-
-
-def _left_power_tables(m: int, alpha: float, h: float):
-    """Cell integrals of w^(alpha-2) and w^(alpha-1) at integer lags.
-
-    Q1[k] covers [(k-1)h, kh] for w^(alpha-2); Q1[1] is set to 0 because its
-    coefficient vanishes for interpolants that are zero at the singularity.
-    """
-    k = np.arange(m + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        pow_m1 = k ** (alpha - 1.0)
-    pow_a = k**alpha
-    q1 = np.zeros(m + 1)
-    if m >= 2:
-        q1[2:] = (pow_m1[1:-1] - pow_m1[2:]) * h ** (alpha - 1.0) / (1.0 - alpha)
-    q2 = np.zeros(m + 1)
-    q2[1:] = (pow_a[1:] - pow_a[:-1]) * h**alpha / alpha
-    return q1, q2, pow_m1, pow_a
 
 
 def abs_left_singular_cells(
@@ -158,7 +143,8 @@ def abs_left_singular_cells(
     m = n - start
     if m <= 0:
         return np.zeros(0)
-    q1, q2, pow_m1, pow_a = tables if tables is not None else _left_power_tables(m, alpha, h)
+    q1, q2, pow_m1, pow_a = (tables if tables is not None
+                             else _power_tables(m, alpha - 1.0, alpha, h))
     d = f[start:] - f[start]
     v = np.abs(d)
     v_lo = v[:-1]                       # node start+k-1, at w = (k-1)h

@@ -26,9 +26,9 @@ from .noise import (
     CSV_FLOAT_FMT,
     REPLICA_STREAM_BASE,
     FracParams,
+    GridFunction,
     GridSpec,
     MarkLaw,
-    SamplePath,
     Seed,
     TwoPointMarks,
     gen_driving_triple,
@@ -67,6 +67,14 @@ class Thresholds:
 
 
 DEFAULT_THRESHOLDS = Thresholds()
+
+# fewest replicas each suite can reduce; the moment, tail and lemma floors
+# count kept (not blown-up) paths
+LEMMA_MIN_REPLICAS = 4
+SELFSIM_MIN_REPLICAS = 10
+MOMENTS_MIN_REPLICAS = 100
+TAIL_MIN_REPLICAS = 1000
+JUMPS_MIN_REPLICAS = 16
 
 # replicas per batched solve in simulate_ensemble: wide enough that the
 # step loop's per-step overhead is shared, narrow enough that one block's
@@ -174,6 +182,17 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                     tuple(ids), tuple(paths), tuple(excluded))
 
 
+def _require_kept(ens: Ensemble, floor: int, message: str) -> None:
+    """Refuse an ensemble with fewer than `floor` kept paths."""
+    if ens.size >= floor:
+        return
+    if ens.requested >= floor:
+        # a valid request whose solves blew up: a run failure, not bad input
+        raise RunFailure(f"{message}: {len(ens.excluded)} of {ens.requested}"
+                         " replicas blew up")
+    raise ParameterError(message)
+
+
 # ---------------------------------------------------------------------------
 # moments
 
@@ -248,8 +267,9 @@ def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THR
     drifting mean between the two is how an almost-surely-finite-looking
     sample reveals an infinite moment.
     """
-    if ens.size < 100:
-        raise ParameterError(f"moment estimation needs >= 100 kept replicas, got {ens.size}")
+    _require_kept(ens, MOMENTS_MIN_REPLICAS,
+                  f"moment estimation needs >= {MOMENTS_MIN_REPLICAS} kept replicas,"
+                  f" got {ens.size}")
     sups = ens.sup_values()
     half = sups[:sups.size // 2]
     rows = []
@@ -307,8 +327,9 @@ class TailReport:
 def tail_diagnostic(ens: Ensemble, p_max: float,
                     thresholds: Thresholds = DEFAULT_THRESHOLDS) -> TailReport:
     """Fit the survival-function slope over the top decile of sup|X|."""
-    if ens.size < 1000:
-        raise ParameterError(f"tail diagnostic needs >= 1000 kept replicas, got {ens.size}")
+    if ens.size < TAIL_MIN_REPLICAS:
+        raise ParameterError(f"tail diagnostic needs >= {TAIL_MIN_REPLICAS} kept replicas,"
+                             f" got {ens.size}")
     sups = np.sort(ens.sup_values())
     m = sups.size
     k = max(m // 10, 20)
@@ -399,13 +420,8 @@ def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
     """
     if any(p.train.count for p in ens.paths):
         raise ParameterError("pathwise bound suite needs a jump-free ensemble")
-    if ens.size < 4:
-        message = f"need at least 4 paths to split, got {ens.size}"
-        if ens.requested >= 4:
-            # a valid request whose solves blew up: a run failure, not bad input
-            raise RunFailure(f"{message}: {len(ens.excluded)} of {ens.requested}"
-                             " replicas blew up")
-        raise ParameterError(message)
+    _require_kept(ens, LEMMA_MIN_REPLICAS,
+                  f"need at least {LEMMA_MIN_REPLICAS} paths to split, got {ens.size}")
     if not 0.0 < train_fraction < 1.0:
         raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     alpha = ens.frac.alpha if alpha is None else float(alpha)
@@ -416,7 +432,7 @@ def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
     lhs, lam, jb, kmin = [], [], [], []
     for rid, path in zip(ens.replica_ids, ens.paths):
         wiener, fbm, _ = ens.drivers(rid)
-        x = SamplePath(ens.grid, path.values)
+        x = GridFunction(0.0, horizon, path.values)
         lhs_i = norm_inf(x, horizon, alpha)
         lam_i = capital_lambda(fbm, horizon, alpha)
         b_vals = np.broadcast_to(ens.coeffs.b(times, path.values), times.shape)
@@ -626,8 +642,8 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
         raise ParameterError(f"hurst must lie in (1/2, 1), got {hurst}")
     if not (1.0 - hurst) < alpha < 0.5:
         raise ParameterError(f"alpha must lie in (1-H, 1/2), got {alpha}")
-    if replicas < 10:
-        raise ParameterError(f"need at least 10 replicas, got {replicas}")
+    if replicas < SELFSIM_MIN_REPLICAS:
+        raise ParameterError(f"need at least {SELFSIM_MIN_REPLICAS} replicas, got {replicas}")
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
     kappa_used = kappa_scale * kappa
     expo = 1.0 / (1.0 - alpha)
@@ -716,8 +732,8 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     """
     if not (rate >= 0.0 and math.isfinite(rate)):
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
-    if replicas < 16:
-        raise ParameterError(f"need at least 16 replicas, got {replicas}")
+    if replicas < JUMPS_MIN_REPLICAS:
+        raise ParameterError(f"need at least {JUMPS_MIN_REPLICAS} replicas, got {replicas}")
     power = 4.0 * float(p)
     prods = np.empty(replicas)
     for r in range(replicas):

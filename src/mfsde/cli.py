@@ -21,6 +21,11 @@ import numpy as np
 
 from .analysis import (
     ENSEMBLE_BLOCK,
+    JUMPS_MIN_REPLICAS,
+    LEMMA_MIN_REPLICAS,
+    MOMENTS_MIN_REPLICAS,
+    SELFSIM_MIN_REPLICAS,
+    TAIL_MIN_REPLICAS,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -32,13 +37,15 @@ from .analysis import (
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import BlowUpError, ParameterError, RunFailure
 from .models import MODELS
-from .noise import CSV_FLOAT_FMT, REPLICA_STREAM_BASE, GridSpec, SamplePath, gen_driving_triple
+from .noise import CSV_FLOAT_FMT, REPLICA_STREAM_BASE, GridFunction, GridSpec, gen_driving_triple
 from .solver import euler_paths, solve_with_jumps, solve_with_jumps_batch
 
 SUITES = ("kernel", "lemma", "selfsim", "moments", "jumps")
+# replicas a suite needs; the kernel suite draws none
+SUITE_MIN_REPLICAS = {"lemma": LEMMA_MIN_REPLICAS, "selfsim": SELFSIM_MIN_REPLICAS,
+                      "moments": MOMENTS_MIN_REPLICAS, "jumps": JUMPS_MIN_REPLICAS}
 KERNEL_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
 SELFSIM_INTERVALS = ((0.0, 0.25), (0.5, 1.0))
-TAIL_MIN_REPLICAS = 1000
 MONOTONE_FRACTION = 0.9
 
 
@@ -142,6 +149,10 @@ def _run_jumps(cfg: RunConfig):
 
 def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int:
     selected = SUITES if suite == "all" else (suite,)
+    for name in selected:
+        floor = SUITE_MIN_REPLICAS.get(name, 0)
+        if cfg.replicas < floor:
+            raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
     all_passed = True
@@ -274,7 +285,8 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
             terminal = np.empty(m)
             for first in range(0, m, ENSEMBLE_BLOCK):
                 block = range(first, min(first + ENSEMBLE_BLOCK, m))
-                drivers = [(SamplePath(grid_j, w_j[s]), SamplePath(grid_j, z_j[s]), trains[s])
+                drivers = [(GridFunction(0.0, grid_j.horizon, w_j[s]),
+                             GridFunction(0.0, grid_j.horizon, z_j[s]), trains[s])
                            for s in block]
                 for s, sol in zip(block, solve_with_jumps_batch(coeffs, cfg.x0, drivers)):
                     if isinstance(sol, BlowUpError):

@@ -9,10 +9,6 @@ class GridMismatchError(ValueError):
     """Two grid-indexed objects do not live on the same grid."""
 
 
-class EmbeddingError(RuntimeError):
-    """A synthesis method cannot represent the requested covariance."""
-
-
 class RunFailure(RuntimeError):
     """A valid run could not produce its result."""
 

@@ -5,13 +5,11 @@ The real-valued convention is used throughout: neither derivative carries
 its complex branch factor.  The dropped factors multiply to -1, which the
 pairing integral absorbs as an overall sign (see gls_integral).  Derivatives
 are undefined at one endpoint each (left: x = a, right: x = b); those nodes
-hold NaN.
+hold NaN.  Inputs and derivatives are `GridFunction`s, the package's one
+uniform-grid path type (defined in `noise`, re-exported here).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -23,60 +21,9 @@ from ._kernels import (
     weighted_linear_integral,
 )
 from .errors import GridMismatchError, ParameterError
+from .noise import GridFunction
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-@dataclass
-class GridFunction:
-    """Real function sampled on a uniform grid over [left, right]."""
-
-    left: float
-    right: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ParameterError("a grid function needs at least two nodes")
-        if not self.right > self.left:
-            raise ParameterError(f"need right > left, got [{self.left}, {self.right}]")
-
-    @property
-    def cells(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def h(self) -> float:
-        return (self.right - self.left) / self.cells
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.left, self.right, self.values.size)
-
-    @classmethod
-    def from_callable(cls, fn, left: float, right: float, cells: int) -> "GridFunction":
-        x = np.linspace(left, right, cells + 1)
-        return cls(left, right, np.asarray(fn(x), dtype=float))
-
-    def subgrid(self, i0: int, i1: int) -> "GridFunction":
-        if not 0 <= i0 < i1 <= self.cells:
-            raise ParameterError(f"bad subgrid indices ({i0}, {i1})")
-        x = self.nodes
-        return GridFunction(float(x[i0]), float(x[i1]), self.values[i0 : i1 + 1].copy())
-
-
-@dataclass
-class FracDerivative:
-    """Fractional derivative values on the grid of the input function.
-
-    `order` is the actual differentiation order: alpha for side="left",
-    1 - alpha for side="right".  The undefined endpoint node is NaN.
-    """
-
-    order: float
-    side: str
-    values: GridFunction
 
 
 def _check_order(alpha: float) -> None:
@@ -95,8 +42,9 @@ def shared_grid(f: GridFunction, g: GridFunction) -> None:
         )
 
 
-def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None) -> FracDerivative:
-    """Left Riemann-Liouville derivative of order alpha on [a, b].
+def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None) -> GridFunction:
+    """Left Riemann-Liouville derivative of order alpha on [a, b], on the
+    grid of f.
 
     Uses the boundary + increment form: the singular increment integral is
     evaluated by product integration, exact for piecewise-linear f.  The
@@ -110,12 +58,12 @@ def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (f.values * x**-alpha + alpha * kern) / _gamma_fn(1.0 - alpha)
     vals[0] = np.nan
-    return FracDerivative(alpha, "left", GridFunction(f.left, f.right, vals))
+    return GridFunction(f.left, f.right, vals)
 
 
-def rl_right_derivative(g: GridFunction, alpha: float, right: float | None = None) -> FracDerivative:
+def rl_right_derivative(g: GridFunction, alpha: float, right: float | None = None) -> GridFunction:
     """Right Riemann-Liouville derivative of order 1 - alpha of the
-    end-shifted function g - g(b), real convention.
+    end-shifted function g - g(b), real convention, on the grid of g.
 
     Computed by reflecting the grid and reusing the left-derivative kernel at
     order 1 - alpha.  The node x = b is undefined (NaN).
@@ -132,7 +80,7 @@ def rl_right_derivative(g: GridFunction, alpha: float, right: float | None = Non
         rev_vals = (rev * y**-order + order * kern) / _gamma_fn(alpha)
     rev_vals[0] = np.nan
     vals = rev_vals[::-1].copy()
-    return FracDerivative(order, "right", GridFunction(g.left, g.right, vals))
+    return GridFunction(g.left, g.right, vals)
 
 
 def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
@@ -165,8 +113,8 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     n = f.cells
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")
-    dl = rl_left_derivative(f, alpha).values.values
-    dr = rl_right_derivative(g, alpha).values.values
+    dl = rl_left_derivative(f, alpha).values
+    dr = rl_right_derivative(g, alpha).values
     x = f.nodes - f.left
     psi = np.empty(n + 1)
     psi[1:n] = dl[1:n] * dr[1:n] * x[1:n] ** alpha

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import toeplitz
 
-from .errors import EmbeddingError, ParameterError
+from .errors import ParameterError
 
 WIENER_STREAM = 0
 FBM_STREAM = 1
@@ -105,42 +105,60 @@ class FracParams:
 
 
 @dataclass
-class SamplePath:
-    """Values on the nodes of a uniform grid; cadlag paths store right limits."""
+class GridFunction:
+    """Real function sampled at the nodes of a uniform grid on [left, right].
 
-    grid: GridSpec
+    The one path type: drivers, solutions and the fractional calculus all
+    use it.  Drivers start at left = 0; cadlag paths store right limits.
+    """
+
+    left: float
+    right: float
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.steps + 1,):
-            raise ParameterError(
-                f"path needs {self.grid.steps + 1} values, got shape {self.values.shape}"
-            )
+        if self.values.ndim != 1 or self.values.size < 2:
+            raise ParameterError("a grid function needs at least two nodes")
+        if not (math.isfinite(self.left) and math.isfinite(self.right)
+                and self.right > self.left):
+            raise ParameterError(f"need finite right > left, got [{self.left}, {self.right}]")
 
     @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
+    def cells(self) -> int:
+        return self.values.size - 1
+
+    @property
+    def h(self) -> float:
+        return (self.right - self.left) / self.cells
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.left, self.right, self.values.size)
 
     @property
     def terminal(self) -> float:
         return float(self.values[-1])
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
+    def subgrid(self, i0: int, i1: int) -> "GridFunction":
+        if not 0 <= i0 < i1 <= self.cells:
+            raise ParameterError(f"bad subgrid indices ({i0}, {i1})")
+        x = self.nodes
+        return GridFunction(float(x[i0]), float(x[i1]), self.values[i0 : i1 + 1].copy())
 
     def to_csv(self, file) -> None:
-        data = np.column_stack([self.times, self.values])
+        data = np.column_stack([self.nodes, self.values])
         np.savetxt(file, data, fmt=CSV_FLOAT_FMT, delimiter=",", header="t,value", comments="")
 
     @classmethod
-    def from_csv(cls, file) -> "SamplePath":
+    def from_csv(cls, file) -> "GridFunction":
         data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
         t = data[:, 0]
-        grid = GridSpec(float(t[-1]), len(t) - 1)
-        if not np.allclose(t, grid.times, rtol=0.0, atol=1e-9 * max(1.0, abs(t[-1]))):
-            raise ParameterError("CSV nodes are not a uniform grid starting at 0")
-        return cls(grid, data[:, 1])
+        path = cls(float(t[0]), float(t[-1]), data[:, 1])
+        scale = max(1.0, abs(t[0]), abs(t[-1]))
+        if not np.allclose(t, path.nodes, rtol=0.0, atol=1e-9 * scale):
+            raise ParameterError("CSV nodes are not a uniform grid")
+        return path
 
 
 @dataclass
@@ -324,51 +342,40 @@ def _embedding_ok(eigs: np.ndarray) -> bool:
     return eigs.min() >= -_EMBED_TOL * max(float(eigs.max()), 1.0)
 
 
-def _fgn_cholesky(rng: np.random.Generator, gamma: np.ndarray, n: int) -> np.ndarray:
-    cov = toeplitz(gamma[:n])
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
+def _fgn(rng: np.random.Generator, n: int, hurst: float):
+    """n unit-spacing fractional Gaussian noise increments, plus a function
+    giving the white noise made from the same draws.
 
-
-def gen_fbm(grid: GridSpec, hurst: float, seed: Seed, method: str = "auto") -> SamplePath:
-    """Exact fractional Brownian motion on the grid, started at 0.
-
-    Synthesis is circulant embedding of the increment covariance; if the
-    embedding is not nonnegative definite the generator falls back to a dense
-    Cholesky factorization (method="auto"), or fails loudly (method="circulant").
+    Synthesis is circulant embedding of the increment covariance, with a
+    dense Cholesky factor when the embedding is not nonnegative definite.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    if method not in ("auto", "circulant", "cholesky"):
-        raise ParameterError(f"unknown method {method!r}")
-    n = grid.steps
-    rng = seed.generator()
     gamma = _fgn_autocov(n, hurst)
-    use_cholesky = method == "cholesky"
-    if not use_cholesky:
-        eigs = _circulant_eigenvalues(gamma)
-        if not _embedding_ok(eigs):
-            if method == "circulant":
-                raise EmbeddingError(
-                    "circulant embedding is not nonnegative definite "
-                    f"(min eigenvalue {eigs.min():.3e}) and no fallback was allowed"
-                )
-            use_cholesky = True
-    if use_cholesky:
-        fgn = _fgn_cholesky(rng, gamma, n)
-    else:
-        fgn = _spectral_transform(_hermitian_noise(rng, n), eigs, n)
-    incr = fgn * grid.dt**hurst
-    values = np.concatenate([[0.0], np.cumsum(incr)])
-    return SamplePath(grid, values)
+    eigs = _circulant_eigenvalues(gamma)
+    if _embedding_ok(eigs):
+        draws = _hermitian_noise(rng, n)
+        white = lambda: _spectral_transform(draws, np.ones(2 * n), n)
+        return _spectral_transform(draws, eigs, n), white
+    draws = rng.standard_normal(n)
+    return np.linalg.cholesky(toeplitz(gamma[:n])) @ draws, lambda: draws
 
 
-def gen_wiener(grid: GridSpec, seed: Seed) -> SamplePath:
+def _path(grid: GridSpec, increments: np.ndarray) -> GridFunction:
+    """The path on `grid` started at 0 with the given increments."""
+    return GridFunction(0.0, grid.horizon, np.concatenate([[0.0], np.cumsum(increments)]))
+
+
+def gen_fbm(grid: GridSpec, hurst: float, seed: Seed) -> GridFunction:
+    """Exact fractional Brownian motion on the grid, started at 0."""
+    fgn, _ = _fgn(seed.generator(), grid.steps, hurst)
+    return _path(grid, fgn * grid.dt**hurst)
+
+
+def gen_wiener(grid: GridSpec, seed: Seed) -> GridFunction:
     """Standard Wiener path on the grid, started at 0."""
     rng = seed.generator()
-    incr = rng.standard_normal(grid.steps) * math.sqrt(grid.dt)
-    values = np.concatenate([[0.0], np.cumsum(incr)])
-    return SamplePath(grid, values)
+    return _path(grid, rng.standard_normal(grid.steps) * math.sqrt(grid.dt))
 
 
 def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> JumpTrain:
@@ -411,25 +418,6 @@ def gen_driving_triple(
         wiener = gen_wiener(grid, seed.child(WIENER_STREAM))
         fbm = gen_fbm(grid, hurst, seed.child(FBM_STREAM))
         return wiener, fbm, train
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    n = grid.steps
-    rng = seed.child(FBM_STREAM).generator()
-    gamma = _fgn_autocov(n, hurst)
-    eigs = _circulant_eigenvalues(gamma)
-    if _embedding_ok(eigs):
-        noise = _hermitian_noise(rng, n)
-        fgn = _spectral_transform(noise, eigs, n)
-        white = _spectral_transform(noise, np.ones(2 * n), n)
-    else:
-        shared = rng.standard_normal(n)
-        cov = toeplitz(gamma[:n])
-        fgn = np.linalg.cholesky(cov) @ shared
-        white = shared
-    wiener_values = np.concatenate([[0.0], np.cumsum(white * math.sqrt(grid.dt))])
-    fbm_values = np.concatenate([[0.0], np.cumsum(fgn * grid.dt**hurst)])
-    return (
-        SamplePath(grid, wiener_values),
-        SamplePath(grid, fbm_values),
-        train,
-    )
+    fgn, white = _fgn(seed.child(FBM_STREAM).generator(), grid.steps, hurst)
+    return (_path(grid, white() * math.sqrt(grid.dt)),
+            _path(grid, fgn * grid.dt**hurst), train)

@@ -14,12 +14,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._kernels import (
-    _left_power_tables,
+    _power_tables,
     abs_increment_kernel,
     abs_increment_kernel_profile,
     abs_left_singular_cells,
 )
 from .errors import GridMismatchError, ParameterError
+from .noise import GridFunction
 
 __all__ = [
     "NormParams",
@@ -59,15 +60,6 @@ class NormParams:
             raise ParameterError("eta must lie in (0, 1/2 - alpha)")
 
 
-def _path_data(f) -> tuple[float, float, np.ndarray]:
-    """Accept a sample path (grid + values) or a grid function."""
-    if hasattr(f, "grid"):
-        return 0.0, f.grid.dt, np.asarray(f.values, dtype=float)
-    if hasattr(f, "left"):
-        return f.left, f.h, np.asarray(f.values, dtype=float)
-    raise TypeError("expected a SamplePath or GridFunction")
-
-
 def _node_index(t0: float, h: float, n: int, t: float, what: str = "t") -> int:
     k = int(round((t - t0) / h))
     if k < 0 or k > n or abs(t0 + k * h - t) > 1e-9 * max(1.0, abs(t)):
@@ -75,26 +67,24 @@ def _node_index(t0: float, h: float, n: int, t: float, what: str = "t") -> int:
     return k
 
 
-def norm_t(f, t: float, alpha: float) -> float:
-    """Integral of |f(t) - f(s)| (t - s)^(-1-alpha) over s in [0, t].
+def norm_t(f: GridFunction, t: float, alpha: float) -> float:
+    """Integral of |f(t) - f(s)| (t - s)^(-1-alpha) over s in [left, t].
 
     t must be a grid node; t at the left end returns 0 (empty integral).
     """
-    t0, h, vals = _path_data(f)
-    k = _node_index(t0, h, len(vals) - 1, t)
+    k = _node_index(f.left, f.h, f.cells, t)
     if k == 0:
         return 0.0
-    return abs_increment_kernel(vals[: k + 1], alpha, h, k)
+    return abs_increment_kernel(f.values[: k + 1], alpha, f.h, k)
 
 
-def norm_profile(f, t: float, alpha: float) -> np.ndarray:
+def norm_profile(f: GridFunction, t: float, alpha: float) -> np.ndarray:
     """norm_t evaluated at every node up to t, sharing kernel tables."""
-    t0, h, vals = _path_data(f)
-    k = _node_index(t0, h, len(vals) - 1, t)
-    return abs_increment_kernel_profile(vals[: k + 1], alpha, h)
+    k = _node_index(f.left, f.h, f.cells, t)
+    return abs_increment_kernel_profile(f.values[: k + 1], alpha, f.h)
 
 
-def weighted_norms(f, lam: float, t: float, alpha: float) -> tuple[float, float]:
+def weighted_norms(f: GridFunction, lam: float, t: float, alpha: float) -> tuple[float, float]:
     """Exponentially weighted sup norms up to time t.
 
     Returns (sup of e^(-lam*s)|f(s)|, sup of e^(-lam*s)*norm_s(f)), both
@@ -102,21 +92,21 @@ def weighted_norms(f, lam: float, t: float, alpha: float) -> tuple[float, float]
     """
     if lam < 0.0:
         raise ParameterError("lam must be nonnegative")
-    t0, h, vals = _path_data(f)
-    k = _node_index(t0, h, len(vals) - 1, t)
+    t0, h, vals = f.left, f.h, f.values
+    k = _node_index(t0, h, f.cells, t)
     s = t0 + h * np.arange(k + 1)
     w = np.exp(-lam * (s - t0))
     prof = abs_increment_kernel_profile(vals[: k + 1], alpha, h)
     return float(np.max(w * np.abs(vals[: k + 1]))), float(np.max(w * prof))
 
 
-def norm_inf(f, t: float, alpha: float) -> float:
+def norm_inf(f: GridFunction, t: float, alpha: float) -> float:
     """Unweighted sup of |f| plus sup of norm_s, up to t."""
     a, b = weighted_norms(f, 0.0, t, alpha)
     return a + b
 
 
-def norm_0_interval(f, s: float, t: float, alpha: float) -> float:
+def norm_0_interval(f: GridFunction, s: float, t: float, alpha: float) -> float:
     """Two-parameter seminorm on [s, t].
 
     Supremum over node pairs u < v of
@@ -125,15 +115,14 @@ def norm_0_interval(f, s: float, t: float, alpha: float) -> float:
     The anchor loop is O(n^2) with shared power tables; the inner integral
     is a cumulative sum of exact cell integrals of the linear interpolant.
     """
-    t0, h, vals = _path_data(f)
-    n = len(vals) - 1
-    i0 = _node_index(t0, h, n, s, "s")
-    i1 = _node_index(t0, h, n, t, "t")
+    h = f.h
+    i0 = _node_index(f.left, h, f.cells, s, "s")
+    i1 = _node_index(f.left, h, f.cells, t, "t")
     if i0 >= i1:
         raise ParameterError("norm_0_interval needs s < t")
-    seg = vals[i0 : i1 + 1]
+    seg = f.values[i0 : i1 + 1]
     m = i1 - i0
-    tables = _left_power_tables(m, alpha, h)
+    tables = _power_tables(m, alpha - 1.0, alpha, h)
     spans_pow = (h * np.arange(1, m + 1)) ** (1.0 - alpha)
     best = 0.0
     for i in range(m):
@@ -145,7 +134,7 @@ def norm_0_interval(f, s: float, t: float, alpha: float) -> float:
     return best
 
 
-def grr_functional(f, eta: float, T: float, alpha: float | None = None) -> float:
+def grr_functional(f: GridFunction, eta: float, T: float, alpha: float | None = None) -> float:
     """Double-integral modulus functional.
 
     (integral over [0,T]^2 of |f(y)-f(x)|^(2/eta) / |x-y|^(1/eta))^(eta/2)
@@ -156,9 +145,9 @@ def grr_functional(f, eta: float, T: float, alpha: float | None = None) -> float
     hi = 0.5 if alpha is None else 0.5 - alpha
     if not 0.0 < eta < hi:
         raise ParameterError("eta must lie in (0, 1/2 - alpha)")
-    t0, h, vals = _path_data(f)
-    k = _node_index(t0, h, len(vals) - 1, T, "T")
-    seg = vals[: k + 1]
+    h = f.h
+    k = _node_index(f.left, h, f.cells, T, "T")
+    seg = f.values[: k + 1]
     x = h * np.arange(k + 1)
     w = np.full(k + 1, h)
     w[0] = w[-1] = 0.5 * h
@@ -174,7 +163,7 @@ def grr_functional(f, eta: float, T: float, alpha: float | None = None) -> float
     return total ** (eta / 2.0)
 
 
-def capital_lambda(bh, T: float, alpha: float) -> float:
+def capital_lambda(bh: GridFunction, T: float, alpha: float) -> float:
     """Seminorm of the rough driver over [0, T], floored at 1."""
     return max(norm_0_interval(bh, 0.0, T, alpha), 1.0)
 
@@ -207,12 +196,11 @@ class NormReport:
         return ",".join(cells)
 
 
-def evaluate_norms(f, params: NormParams, t: float | None = None,
+def evaluate_norms(f: GridFunction, params: NormParams, t: float | None = None,
                    s: float = 0.0, path_id: str = "") -> NormReport:
     """Evaluate the whole family on [s, t] (t defaults to the last node)."""
-    t0, h, vals = _path_data(f)
     if t is None:
-        t = t0 + h * (len(vals) - 1)
+        t = f.left + f.h * f.cells
     nl, n1l = weighted_norms(f, params.lam, t, params.alpha)
     xi = (grr_functional(f, params.eta, t, params.alpha)
           if params.eta is not None else float("nan"))

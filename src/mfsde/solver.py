@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, ParameterError
-from .noise import CSV_FLOAT_FMT, GridSpec, JumpTrain, SamplePath, Seed
+from .noise import CSV_FLOAT_FMT, GridFunction, GridSpec, JumpTrain, Seed
 
 __all__ = [
     "BLOWUP_LIMIT",
@@ -333,11 +333,11 @@ def _segment_nodes(length: float, dt: float) -> np.ndarray:
 class _DriverSampler:
     """Reads a master path at arbitrary times; exact at its own nodes."""
 
-    def __init__(self, path: SamplePath):
-        self.times = path.grid.times
+    def __init__(self, path: GridFunction):
+        self.times = path.nodes
         self.values = path.values
-        self.dt = path.grid.dt
-        self.steps = path.grid.steps
+        self.dt = path.h
+        self.steps = path.cells
 
     def at(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -374,7 +374,7 @@ class SolutionPath:
     def jump_rows(self) -> np.ndarray:
         return np.nonzero(self.left_flags == 1)[0]
 
-    def resample(self, grid: GridSpec | None = None) -> SamplePath:
+    def resample(self, grid: GridSpec | None = None) -> GridFunction:
         """Right-continuous values at the nodes of a uniform grid."""
         grid = grid or self.grid
         starts = np.array([s0 for s0, _, _ in self.segments])
@@ -384,7 +384,7 @@ class SolutionPath:
             s0, ts, vals = self.segments[j]
             local = min(max(t - s0, 0.0), ts[-1])
             out[i] = np.interp(local, ts, vals)
-        return SamplePath(grid, out)
+        return GridFunction(0.0, grid.horizon, out)
 
     def holder_constants(self, kappa: float = _DEFAULT_KAPPA) -> list:
         """Per-segment discrete Holder quotients at the given order."""
@@ -424,16 +424,17 @@ class _RestartPlan:
     segments: list           # (start, local nodes) per segment
 
 
-def _restart_plan(W: SamplePath, BH: SamplePath, jumps: JumpTrain) -> _RestartPlan:
-    if W.grid != BH.grid:
+def _restart_plan(W: GridFunction, BH: GridFunction, jumps: JumpTrain) -> _RestartPlan:
+    if W.left != 0.0 or BH.left != 0.0:
+        raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
+    if (W.right, W.cells) != (BH.right, BH.cells):
         raise GridMismatchError("drivers must share one grid")
-    grid = W.grid
-    t_end = float(grid.times[-1])
+    t_end = float(W.right)
     if jumps.count and jumps.times[-1] > t_end * (1 + 1e-12):
         raise ParameterError("jump train extends beyond the driver horizon")
     taus = list(jumps.times)
     starts = [0.0] + taus
-    segments = [(s0, _segment_nodes(s1 - s0, grid.dt))
+    segments = [(s0, _segment_nodes(s1 - s0, W.h))
                 for s0, s1 in zip(starts, taus + [t_end])]
     lengths = [len(ts) for _, ts in segments]
     first = np.cumsum(lengths) - lengths
@@ -509,12 +510,13 @@ def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
             segments.append((s0, ts, values[first:first + len(ts)]))
             first += len(ts)
         results.append(SolutionPath(times=p.times, values=values, left_flags=p.flags,
-                                    train=jumps, grid=W.grid, segments=segments))
+                                    train=jumps, grid=GridSpec(W.right, W.cells),
+                                    segments=segments))
     return results
 
 
-def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
-                     BH: SamplePath, jumps: JumpTrain) -> SolutionPath:
+def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: GridFunction,
+                     BH: GridFunction, jumps: JumpTrain) -> SolutionPath:
     """Advance the equation through its jumps by restarted segment solves.
 
     Between jump times the mixed Euler scheme runs on the usual spacing
@@ -534,18 +536,17 @@ def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: SamplePath,
 # helpers used by the bound experiments
 
 
-def ito_integral_path(b_values, W: SamplePath) -> SamplePath:
+def ito_integral_path(b_values: np.ndarray, W: GridFunction) -> GridFunction:
     """Running forward sums of b against the Wiener increments.
 
-    b_values holds the integrand at the grid nodes, as a SamplePath or a
-    bare array (left-endpoint values are used, so an adapted integrand
-    stays adapted).
+    b_values holds the integrand at the grid nodes (left-endpoint values
+    are used, so an adapted integrand stays adapted).
     """
-    bv = np.asarray(getattr(b_values, "values", b_values), dtype=float)
+    bv = np.asarray(b_values, dtype=float)
     if bv.shape != W.values.shape:
         raise GridMismatchError("integrand and Wiener path must share the grid")
     vals = np.concatenate([[0.0], np.cumsum(bv[:-1] * np.diff(W.values))])
-    return SamplePath(W.grid, vals)
+    return GridFunction(W.left, W.right, vals)
 
 
 def pathwise_bound_rhs(Lambda: float, Jb: float, alpha: float, K: float) -> float:

@@ -110,7 +110,7 @@ def test_c03_fractional_derivative_power_oracles(capsys):
     for alpha in (0.2, 0.3, 0.45):
         for p in (0.9, 2.0):
             f = GridFunction(0.0, 1.0, xs ** p)
-            d = rl_left_derivative(f, alpha).values.values
+            d = rl_left_derivative(f, alpha).values
             exact = gamma(p + 1.0) / gamma(p + 1.0 - alpha) * xs ** (p - alpha)
             rel = np.max(np.abs(d[lo:] - exact[lo:]) / np.abs(exact[lo:]))
             worst = max(worst, float(rel))

@@ -192,6 +192,33 @@ def test_lemma_without_survivors_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_moments_without_survivors_exits_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = explosive\nx0 = 3\n[grid]\nsteps = 64\n"
+                 "[mc]\nreplicas = 100\n")
+    assert cli.main(["verify", "moments", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: moment estimation needs >= 100 kept replicas, got 0")
+    assert "100 of 100 replicas blew up" in err
+    assert "Traceback" not in err
+
+
+def test_suite_floors_are_checked_before_any_artifact(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = zero\n[grid]\nsteps = 16\n[mc]\nreplicas = 30\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "all", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: suite moments needs >= 100 replicas, got 30\n"
+    assert list(out.iterdir()) == []
+    for suite, floor in cli.SUITE_MIN_REPLICAS.items():
+        few = _write(tmp_path, f"{suite}.ini", f"[mc]\nreplicas = {floor - 1}\n")
+        assert cli.main(["verify", suite, "--config", few,
+                         "--out", str(tmp_path / suite)]) == 2
+        assert f"needs >= {floor} replicas" in capsys.readouterr().err
+        assert list((tmp_path / suite).iterdir()) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")

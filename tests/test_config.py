@@ -1,10 +1,15 @@
 """Config parsing: defaults, exact round trips, and line-precise errors."""
 
+import inspect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfsde.analysis import Thresholds
 from mfsde.config import load_config, parse_config, serialize_config
 from mfsde.errors import ParameterError
+from mfsde.models import MODELS
 from mfsde.noise import GaussianMarks, TwoPointMarks
 
 
@@ -94,6 +99,69 @@ def test_full_config_and_exact_round_trip():
 def test_default_round_trip():
     cfg = parse_config("")
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _num(lo=-1e6, hi=1e6, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def _config_texts(draw):
+    """INI text of a random valid configuration; optional keys may be absent
+    and model constants are positive (logistic_drift needs a positive
+    capacity)."""
+    model = draw(st.sampled_from(sorted(MODELS)))
+    consts = sorted(inspect.signature(MODELS[model]).parameters)
+    lines = ["[model]", f"name = {model}", f"x0 = {draw(_num())!r}"]
+    for key in draw(st.lists(st.sampled_from(consts), unique=True)) if consts else []:
+        lines.append(f"{key} = {draw(_num(1e-3, 10.0))!r}")
+    hurst = draw(_num(0.5, 1.0, exclude_min=True, exclude_max=True))
+    marks = draw(st.sampled_from(["gaussian", "two_point", "uniform"]))
+    lines += ["[noise]", f"hurst = {hurst!r}", f"rate = {draw(_num(0.0, 1e3))!r}",
+              f"marks = {marks}"]
+    if marks == "gaussian":
+        lines += [f"mark_mean = {draw(_num())!r}", f"mark_std = {draw(_num(1e-3, 1e3))!r}"]
+    elif marks == "two_point":
+        lines += [f"mark_low = {draw(_num())!r}", f"mark_high = {draw(_num())!r}",
+                  f"mark_p_low = {draw(_num(0.0, 1.0))!r}"]
+    else:
+        low = draw(_num(-10.0, 10.0))
+        lines += [f"mark_low = {low!r}", f"mark_high = {low + draw(_num(1e-3, 10.0))!r}"]
+    lines += ["[grid]", f"horizon = {draw(_num(1e-3, 1e3))!r}",
+              f"steps = {draw(st.integers(1, 10**6))}"]
+    lines.append("[frac]")
+    floor = 1.0 - hurst
+    alpha = draw(st.none() | _num(floor, 0.5, exclude_min=True, exclude_max=True))
+    if alpha is not None:
+        lines.append(f"alpha = {alpha!r}")
+        eta = draw(st.none() | _num(0.0, 0.5 - alpha, exclude_min=True, exclude_max=True))
+        if eta is not None:
+            lines.append(f"eta = {eta!r}")
+    if draw(st.booleans()):
+        lines.append(f"beta = {draw(_num(floor, 1.0, exclude_min=True, exclude_max=True))!r}")
+    lines.append(f"lambda = {draw(_num(0.0, 1e3))!r}")
+    p_list = draw(st.lists(_num(1e-3, 64.0), min_size=1, max_size=5))
+    lines += ["[mc]", f"replicas = {draw(st.integers(1, 10**6))}",
+              "p_list = " + " ".join(repr(p) for p in p_list),
+              f"jump_power = {draw(_num())!r}",
+              f"se_multiplier = {draw(_num(1e-3, 1e3))!r}",
+              f"stability_se_multiplier = {draw(_num(1e-3, 1e3))!r}",
+              f"holdout_pass_fraction = {draw(_num(0.0, 1.0))!r}",
+              f"ks_pvalue_min = {draw(_num(0.0, 1.0))!r}",
+              f"ratio_slack = {draw(_num(0.0, 1.0))!r}",
+              "[seed]", f"root = {draw(st.integers(0, 2**63))}",
+              "[output]", f"directory = {draw(st.sampled_from(['out', 'runs/a b']))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_config_texts())
+def test_parse_serialize_parse_round_trip(text):
+    cfg = parse_config(text)
+    canonical = serialize_config(cfg)
+    again = parse_config(canonical)
+    assert again == cfg
+    assert serialize_config(again) == canonical
 
 
 def test_unknown_section_is_line_precise():

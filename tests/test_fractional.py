@@ -28,7 +28,7 @@ def _grid_fn(fn, n, a=0.0, b=1.0):
 
 def test_left_derivative_of_constant():
     f = _grid_fn(lambda x: 3.0 + 0.0 * x, 256)
-    d = rl_left_derivative(f, 0.3).values.values
+    d = rl_left_derivative(f, 0.3).values
     xs = f.nodes[1:]
     exact = 3.0 * xs ** -0.3 / special.gamma(0.7)
     assert np.isnan(d[0])
@@ -41,7 +41,7 @@ def test_left_derivative_power_closed_form():
     # resolve the endpoint singularity of the closed form
     n = 4096
     f = _grid_fn(lambda x: x ** 0.9, n)
-    d = rl_left_derivative(f, 0.3).values.values
+    d = rl_left_derivative(f, 0.3).values
     xs = f.nodes
     exact = special.gamma(1.9) / special.gamma(1.6) * xs ** 0.6
     lo = n // 16
@@ -53,7 +53,7 @@ def test_left_derivative_identity_vs_quadrature():
     n = 4096
     alpha = 0.25
     f = _grid_fn(lambda x: x, n)
-    d = rl_left_derivative(f, alpha).values.values
+    d = rl_left_derivative(f, alpha).values
     for k in (256, 1024, 2048, 3072, 4096):
         x = f.nodes[k]
         inner, _ = integrate.quad(lambda u: (x - u) ** -alpha, 0.0, x)
@@ -63,7 +63,7 @@ def test_left_derivative_identity_vs_quadrature():
 
 def test_right_derivative_of_constant_is_zero():
     g = _grid_fn(lambda x: 7.0 + 0.0 * x, 128)
-    d = rl_right_derivative(g, 0.4).values.values
+    d = rl_right_derivative(g, 0.4).values
     assert np.isnan(d[-1])
     np.testing.assert_allclose(d[:-1], 0.0, atol=1e-12)
 
@@ -73,7 +73,7 @@ def test_right_derivative_linear_vs_quadrature():
     n = 4096
     alpha = 0.4
     g = _grid_fn(lambda x: 1.0 - x, n)
-    d = rl_right_derivative(g, alpha).values.values
+    d = rl_right_derivative(g, alpha).values
     for k in (0, 512, 2048, 3584):
         x = g.nodes[k]
         inner, _ = integrate.quad(lambda u: (u - x) ** (alpha - 1.0), x, 1.0)
@@ -88,7 +88,7 @@ def test_right_derivative_finite_on_rough_paths():
     sups = []
     for s in range(100):
         p = gen_fbm(grid, 0.75, Seed(20 + s).child(1))
-        d = rl_right_derivative(GridFunction(0.0, 1.0, p.values), 0.375).values.values
+        d = rl_right_derivative(GridFunction(0.0, 1.0, p.values), 0.375).values
         assert np.all(np.isfinite(d[:-1]))
         sups.append(float(np.max(np.abs(d[:-1]))))
     assert max(sups) < 100.0

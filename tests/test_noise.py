@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mfsde import noise
 from mfsde.errors import ParameterError
 from mfsde.noise import (
     ALPHA_RANGE_MESSAGE,
     FracParams,
     GaussianMarks,
+    GridFunction,
     GridSpec,
     JumpTrain,
-    SamplePath,
     Seed,
     TwoPointMarks,
     UniformMarks,
@@ -58,9 +59,25 @@ def test_sample_path_csv_roundtrip():
     buf = io.StringIO()
     p.to_csv(buf)
     buf.seek(0)
-    q = SamplePath.from_csv(buf)
+    q = GridFunction.from_csv(buf)
     assert np.array_equal(p.values, q.values)
-    assert q.grid == g
+    assert (q.left, q.right, q.cells) == (0.0, g.horizon, g.steps)
+
+
+def test_grid_function_csv_roundtrip_off_zero():
+    p = GridFunction(0.3, 2.7, np.sin(np.arange(13.0)))
+    buf = io.StringIO()
+    p.to_csv(buf)
+    buf.seek(0)
+    q = GridFunction.from_csv(buf)
+    assert (q.left, q.right) == (0.3, 2.7)
+    assert np.array_equal(q.values, p.values)
+    assert np.array_equal(q.nodes, p.nodes)
+    with pytest.raises(ParameterError):
+        GridFunction.from_csv(io.StringIO("t,value\n0,1\n0.5,2\n2,3\n"))
+    for left, right in ((0.0, float("inf")), (float("nan"), 1.0), (1.0, 1.0)):
+        with pytest.raises(ParameterError):
+            GridFunction(left, right, np.zeros(3))
 
 
 def test_jump_train_invariants_and_csv():
@@ -134,17 +151,19 @@ def test_fbm_half_matches_wiener_in_law():
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
-def test_fbm_parameter_errors_and_methods():
+def test_fbm_parameter_errors_and_methods(monkeypatch):
     g = GridSpec(1.0, 8)
     with pytest.raises(ParameterError):
         gen_fbm(g, 0.0, Seed(0))
     with pytest.raises(ParameterError):
         gen_fbm(g, 1.0, Seed(0))
-    with pytest.raises(ParameterError):
-        gen_fbm(g, 0.8, Seed(0), method="nope")
-    a = gen_fbm(g, 0.8, Seed(5).child(1), method="cholesky")
-    b = gen_fbm(g, 0.8, Seed(5).child(1), method="cholesky")
+    circulant = gen_fbm(g, 0.8, Seed(5).child(1))
+    # a rejected embedding falls back to the dense Cholesky factor
+    monkeypatch.setattr(noise, "_embedding_ok", lambda eigs: False)
+    a = gen_fbm(g, 0.8, Seed(5).child(1))
+    b = gen_fbm(g, 0.8, Seed(5).child(1))
     assert np.array_equal(a.values, b.values)
+    assert not np.array_equal(a.values, circulant.values)
 
 
 def test_wiener_law():

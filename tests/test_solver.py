@@ -10,9 +10,9 @@ import pytest
 from mfsde.errors import BlowUpError, GridMismatchError, ParameterError
 from mfsde.models import build_model
 from mfsde.noise import (
+    GridFunction,
     GridSpec,
     JumpTrain,
-    SamplePath,
     Seed,
     TwoPointMarks,
     gen_driving_triple,
@@ -36,7 +36,7 @@ EMPTY_TRAIN = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
 
 
 def _zero_path(grid):
-    return SamplePath(grid, np.zeros(grid.steps + 1))
+    return GridFunction(0.0, grid.horizon, np.zeros(grid.steps + 1))
 
 
 def _drivers(grid, hurst, rate, seed):
@@ -175,8 +175,8 @@ def test_one_jump_composition_error_shrinks_with_the_grid():
         for steps in (128, 256, 512, 1024):
             stride = 4096 // steps
             g = GridSpec(1.0, steps)
-            wi = SamplePath(g, w_master.values[::stride])
-            fb = SamplePath(g, z_master.values[::stride])
+            wi = GridFunction(0.0, g.horizon, w_master.values[::stride])
+            fb = GridFunction(0.0, g.horizon, z_master.values[::stride])
             train = JumpTrain(np.array([tau]), np.array([mark]), 1.0, 1.0)
             sol = solve_with_jumps(coeffs, 1.0, wi, fb, train)
             errs.append(abs(sol.terminal - hand))
@@ -202,7 +202,7 @@ def test_ito_integral_edge_cases_and_law():
     vals = np.empty(m)
     for r in range(m):
         wr = gen_wiener(grid, Seed(8).child(3 + r).child(0))
-        vals[r] = ito_integral_path(wr, wr).values[-1]
+        vals[r] = ito_integral_path(wr.values, wr).values[-1]
     target = 7.0 / 16.0
     sq = vals ** 2
     se = sq.std(ddof=1) / np.sqrt(m)
@@ -324,8 +324,8 @@ def _reference_solve(coeffs, x0, W, BH, jumps):
     taus = list(jumps.times)
     times, values = [], []
     x = np.array([float(x0)])
-    for j, (s0, s1) in enumerate(zip([0.0] + taus, taus + [W.grid.horizon])):
-        ts = _segment_nodes(s1 - s0, W.grid.dt)
+    for j, (s0, s1) in enumerate(zip([0.0] + taus, taus + [W.right])):
+        ts = _segment_nodes(s1 - s0, W.h)
         nodes = s0 + ts
         w_loc, z_loc = w_s.at(nodes), z_s.at(nodes)
         dw, dz = np.diff(w_loc - w_loc[0]), np.diff(z_loc - z_loc[0])
@@ -380,3 +380,9 @@ def test_solve_with_jumps_validation():
     late = JumpTrain(np.array([1.5]), np.array([0.1]), 1.0, 2.0)
     with pytest.raises(ParameterError):
         solve_with_jumps(coeffs, 1.0, _zero_path(g1), _zero_path(g1), late)
+    # the restart construction reads drivers on [0, horizon]
+    shifted = GridFunction(0.5, 1.5, np.zeros(65))
+    with pytest.raises(GridMismatchError, match="start at 0"):
+        solve_with_jumps(coeffs, 1.0, shifted, shifted, EMPTY_TRAIN)
+    with pytest.raises(GridMismatchError, match="start at 0"):
+        solve_with_jumps(coeffs, 1.0, _zero_path(g1), shifted, EMPTY_TRAIN)
