@@ -76,11 +76,6 @@ MOMENTS_MIN_REPLICAS = 100
 TAIL_MIN_REPLICAS = 1000
 JUMPS_MIN_REPLICAS = 16
 
-# replicas per batched solve in simulate_ensemble: wide enough that the
-# step loop's per-step overhead is shared, narrow enough that one block's
-# drivers and padded step arrays stay small
-ENSEMBLE_BLOCK = 128
-
 
 def _num(x: float) -> str:
     return format(float(x), ".6g")
@@ -121,7 +116,6 @@ class Ensemble:
     rate: float
     marks: MarkLaw
     seed: Seed
-    dependence: str
     replica_ids: tuple
     paths: tuple
     excluded: tuple
@@ -138,7 +132,7 @@ class Ensemble:
         """Regenerate (wiener, fbm, jumps) for one replica, bit for bit."""
         child = self.seed.child(REPLICA_STREAM_BASE + replica)
         return gen_driving_triple(self.grid, self.frac.hurst, self.rate,
-                                  self.marks, child, self.dependence)
+                                  self.marks, child)
 
     def sup_values(self) -> np.ndarray:
         """sup over nodes of |X| per kept path; left limits included."""
@@ -147,17 +141,16 @@ class Ensemble:
 
 def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                       frac: FracParams, seed: Seed, replicas: int,
-                      rate: float = 0.0, marks: MarkLaw | None = None,
-                      dependence: str = "independent") -> Ensemble:
+                      rate: float = 0.0, marks: MarkLaw | None = None) -> Ensemble:
     """Solve `replicas` independent copies of the equation.
 
-    Replicas are solved in blocks of ENSEMBLE_BLOCK: a block's drivers are
-    drawn, its replicas advance together through one batched jump-restart
-    solve (`solve_with_jumps_batch`), and the drivers are dropped.  Each
-    path equals the width-1 solve `solve_with_jumps(coeffs, x0,
-    *ens.drivers(r))` bit for bit.  A blown-up replica is excluded and
-    recorded with its BlowUpError text, and the rest of its block carries
-    on; the moment suite flags any nonzero exclusion rate.
+    The replicas go through one batched jump-restart solve
+    (`solve_with_jumps_batch`), which draws each block's drivers just
+    before solving it.  Each path equals the width-1 solve
+    `solve_with_jumps(coeffs, x0, *ens.drivers(r))` bit for bit.  A
+    blown-up replica is excluded and recorded with its BlowUpError text,
+    and the rest carry on; the moment suite flags any nonzero exclusion
+    rate.
     """
     if replicas < 1:
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
@@ -165,20 +158,17 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
         marks = TwoPointMarks()
+    drivers = (gen_driving_triple(grid, frac.hurst, rate, marks,
+                                  seed.child(REPLICA_STREAM_BASE + r))
+               for r in range(replicas))
     ids, paths, excluded = [], [], []
-    for first in range(0, replicas, ENSEMBLE_BLOCK):
-        block = range(first, min(first + ENSEMBLE_BLOCK, replicas))
-        drivers = [gen_driving_triple(grid, frac.hurst, rate, marks,
-                                      seed.child(REPLICA_STREAM_BASE + r), dependence)
-                   for r in block]
-        solved = solve_with_jumps_batch(coeffs, x0, drivers)
-        for r, sol in zip(block, solved):
-            if isinstance(sol, BlowUpError):
-                excluded.append((r, str(sol)))
-                continue
-            ids.append(r)
-            paths.append(sol)
-    return Ensemble(coeffs, x0, grid, frac, rate, marks, seed, dependence,
+    for r, sol in enumerate(solve_with_jumps_batch(coeffs, x0, drivers)):
+        if isinstance(sol, BlowUpError):
+            excluded.append((r, str(sol)))
+            continue
+        ids.append(r)
+        paths.append(sol)
+    return Ensemble(coeffs, x0, grid, frac, rate, marks, seed,
                     tuple(ids), tuple(paths), tuple(excluded))
 
 
@@ -408,23 +398,21 @@ def _minimal_k(lhs: float, lam_pow: float, jb: float) -> float:
     return float(special.lambertw(ratio * lam_pow).real / lam_pow)
 
 
-def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
-                          train_fraction: float = 0.5,
+def verify_pathwise_lemma(ens: Ensemble,
                           thresholds: Thresholds = DEFAULT_THRESHOLDS) -> LemmaReport:
     """Fit-and-holdout check of sup-norm growth against the driver norm.
 
-    Per path: lhs is the solution's combined sup and increment-kernel
-    norm, Lambda the (floored) roughness norm of the rough driver, and
-    ito_norm the same combined norm of the accumulated Wiener integral
-    of b along the path.
+    The first half of the paths (rounded) trains K, at the ensemble's
+    alpha.  Per path: lhs is the solution's combined sup and
+    increment-kernel norm, Lambda the (floored) roughness norm of the rough
+    driver, and ito_norm the same combined norm of the accumulated Wiener
+    integral of b along the path.
     """
     if any(p.train.count for p in ens.paths):
         raise ParameterError("pathwise bound suite needs a jump-free ensemble")
     _require_kept(ens, LEMMA_MIN_REPLICAS,
                   f"need at least {LEMMA_MIN_REPLICAS} paths to split, got {ens.size}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    alpha = ens.frac.alpha if alpha is None else float(alpha)
+    alpha = ens.frac.alpha
     horizon = ens.grid.horizon
     times = ens.grid.times
     lam_pow_exp = 1.0 / (1.0 - alpha)
@@ -442,7 +430,7 @@ def verify_pathwise_lemma(ens: Ensemble, alpha: float | None = None,
         jb.append(jb_i)
         kmin.append(_minimal_k(lhs_i, lam_i ** lam_pow_exp, jb_i))
 
-    n_train = min(max(int(round(train_fraction * ens.size)), 1), ens.size - 1)
+    n_train = round(ens.size / 2)
     envelope = np.maximum.accumulate(np.array(kmin[:n_train]))
     k_fit = float(envelope[-1])
 
@@ -485,7 +473,6 @@ class KernelReport:
     """
 
     alpha: float
-    horizon: float
     weighted_rows: tuple    # (lambda, sup ratio, s at sup)
     beta_ratio: float
     beta_argmax: tuple
@@ -525,9 +512,9 @@ class KernelReport:
 
 
 def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
-                            horizon: float = 1.0, s_points: int = 64,
                             thresholds: Thresholds = DEFAULT_THRESHOLDS) -> KernelReport:
-    """Check both kernel inequalities by adaptive quadrature.
+    """Check both kernel inequalities by adaptive quadrature on the unit
+    interval.
 
     The weighted kernel integral is evaluated in the form
     int_0^s exp(-lambda*v) (s-v)^(-alpha) dv so the exponential stays
@@ -548,9 +535,9 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
         if lam <= 0:
             raise ParameterError(f"lambda values must be positive, got {lam}")
         bound = gamma_factor * lam ** (alpha - 1.0)
-        s_lo = min(0.01 / lam, horizon / 4.0)
+        s_lo = min(0.01 / lam, 0.25)
         best, best_s = -math.inf, math.nan
-        for s in np.geomspace(s_lo, horizon, s_points):
+        for s in np.geomspace(s_lo, 1.0, 64):
             val = _quad_checked(lambda v: math.exp(-lam * v), 0.0, s, issues,
                                 f"weighted lambda={lam} s={s:.4g}",
                                 weight="alg", wvar=(0.0, -alpha))
@@ -561,7 +548,7 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
 
     beta_factor = special.beta(1.0 - alpha, 2.0 * alpha)
     fracs = np.linspace(1.0, grid_size, grid_size) / (grid_size + 1.0)
-    t_vals = np.linspace(horizon / grid_size, horizon, grid_size)
+    t_vals = np.linspace(1.0 / grid_size, 1.0, grid_size)
     beta_best, beta_arg = -math.inf, (math.nan, math.nan)
     for t in t_vals:
         for frac in fracs:
@@ -572,7 +559,7 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
             ratio = val / (beta_factor * (t - u) ** (-2.0 * alpha))
             if ratio > beta_best:
                 beta_best, beta_arg = ratio, (float(u), float(t))
-    return KernelReport(alpha, horizon, tuple(weighted_rows), beta_best,
+    return KernelReport(alpha, tuple(weighted_rows), beta_best,
                         beta_arg, grid_size, thresholds.ratio_slack,
                         tuple(issues))
 
@@ -628,15 +615,15 @@ class SelfSimReport:
 
 
 def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
-                           seed: Seed, steps: int = 256, horizon: float = 1.0,
-                           kappa_scale: float = 1.0,
+                           seed: Seed, steps: int = 256, kappa_scale: float = 1.0,
                            thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SelfSimReport:
     """Sample the scaled interval statistic against its unit-interval law.
 
     The reference sample is drawn on a unit-interval grid with the same
     number of cells as the interval under test, so the two discrete
     statistics share their exact law and the KS comparison carries no
-    discretization bias.  Interval endpoints must sit on the grid.
+    discretization bias.  Intervals lie in [0, 1], with endpoints on the
+    grid of `steps` cells.
     """
     if not 0.5 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (1/2, 1), got {hurst}")
@@ -647,13 +634,13 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
     kappa_used = kappa_scale * kappa
     expo = 1.0 / (1.0 - alpha)
-    grid_full = GridSpec(horizon, steps)
+    grid_full = GridSpec(1.0, steps)
     dt = grid_full.dt
 
     rows = []
     for k, (a, b) in enumerate(interval_list):
         a, b = float(a), float(b)
-        if not 0.0 <= a < b <= horizon:
+        if not 0.0 <= a < b <= 1.0:
             raise ParameterError(f"bad interval [{a}, {b}]")
         cells = int(round((b - a) / dt))
         if abs(a / dt - round(a / dt)) > 1e-9 or abs((b - a) / dt - cells) > 1e-9:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    ENSEMBLE_BLOCK,
     JUMPS_MIN_REPLICAS,
     LEMMA_MIN_REPLICAS,
     MOMENTS_MIN_REPLICAS,
@@ -246,8 +246,8 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
 
     All levels of one seed subsample the same finest-grid drivers, so the
     closed form is evaluated once per seed from the shared terminal
-    driver values.  Without jumps a level is one batched euler_paths
-    call; with jumps it is solved in blocks of ENSEMBLE_BLOCK seeds.
+    driver values.  Each level is one batched solve: euler_paths without
+    jumps, solve_with_jumps_batch with them.
     """
     if refinements < 3:
         raise ParameterError(f"refinements must be >= 3, got {refinements}")
@@ -282,16 +282,14 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
         if cfg.rate == 0.0:
             terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1]
         else:
+            drivers = ((GridFunction(0.0, grid_j.horizon, w_j[s]),
+                        GridFunction(0.0, grid_j.horizon, z_j[s]), trains[s])
+                       for s in range(m))
             terminal = np.empty(m)
-            for first in range(0, m, ENSEMBLE_BLOCK):
-                block = range(first, min(first + ENSEMBLE_BLOCK, m))
-                drivers = [(GridFunction(0.0, grid_j.horizon, w_j[s]),
-                             GridFunction(0.0, grid_j.horizon, z_j[s]), trains[s])
-                           for s in block]
-                for s, sol in zip(block, solve_with_jumps_batch(coeffs, cfg.x0, drivers)):
-                    if isinstance(sol, BlowUpError):
-                        raise sol
-                    terminal[s] = sol.terminal
+            for s, sol in enumerate(solve_with_jumps_batch(coeffs, cfg.x0, drivers)):
+                if isinstance(sol, BlowUpError):
+                    raise sol
+                terminal[s] = sol.terminal
         errors[:, j] = np.abs(terminal - targets) / np.maximum(np.abs(targets), 1e-12)
 
     mean_errors = errors.mean(axis=0)
@@ -353,6 +351,8 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ParameterError("--seed must be nonnegative")
             cfg = dataclasses.replace(cfg, seed_root=args.seed)
+        if args.command == "verify" and not math.isfinite(args.kappa_scale):
+            raise ParameterError("--kappa-scale must be finite")
         if args.out:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         out = Path(cfg.out_dir)

@@ -42,7 +42,7 @@ def shared_grid(f: GridFunction, g: GridFunction) -> None:
         )
 
 
-def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None) -> GridFunction:
+def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     """Left Riemann-Liouville derivative of order alpha on [a, b], on the
     grid of f.
 
@@ -51,8 +51,6 @@ def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None)
     node x = a is undefined (NaN).
     """
     _check_order(alpha)
-    if left is not None and abs(left - f.left) > 1e-12 * max(1.0, abs(left)):
-        raise GridMismatchError(f"left endpoint {left} does not match grid ({f.left})")
     kern = increment_kernel_sums(f.values, alpha, f.h)
     x = f.nodes - f.left
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -61,7 +59,7 @@ def rl_left_derivative(f: GridFunction, alpha: float, left: float | None = None)
     return GridFunction(f.left, f.right, vals)
 
 
-def rl_right_derivative(g: GridFunction, alpha: float, right: float | None = None) -> GridFunction:
+def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """Right Riemann-Liouville derivative of order 1 - alpha of the
     end-shifted function g - g(b), real convention, on the grid of g.
 
@@ -69,8 +67,6 @@ def rl_right_derivative(g: GridFunction, alpha: float, right: float | None = Non
     order 1 - alpha.  The node x = b is undefined (NaN).
     """
     _check_order(alpha)
-    if right is not None and abs(right - g.right) > 1e-12 * max(1.0, abs(right)):
-        raise GridMismatchError(f"right endpoint {right} does not match grid ({g.right})")
     order = 1.0 - alpha
     shifted = g.values - g.values[-1]
     rev = shifted[::-1].copy()

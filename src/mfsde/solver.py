@@ -16,6 +16,7 @@ equals the same replica solved in a batch bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -275,8 +276,7 @@ def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
 
 
 def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
-                wiener_values: np.ndarray, frac_values: np.ndarray,
-                offset: float = 0.0) -> np.ndarray:
+                wiener_values: np.ndarray, frac_values: np.ndarray) -> np.ndarray:
     """Batched jump-free solve: driver value arrays of shape (m, n+1) give
     an (m, n+1) state array in one pass (shape (n+1,) for a single path;
     x0 may be a scalar or one start per path).  A blow-up in any path
@@ -292,16 +292,21 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
     dw = np.broadcast_to(np.diff(w, axis=-1), shape + (n,)).reshape(-1, n)
     dz = np.broadcast_to(np.diff(z, axis=-1), shape + (n,)).reshape(-1, n)
     vals, failed = _euler_loop(coeffs, np.full(shape, x0, dtype=float).reshape(-1),
-                               (offset + ts[:-1])[None, :], np.diff(ts)[None, :],
+                               ts[None, :-1], np.diff(ts)[None, :],
                                dw, dz)
     if failed:
         k, state = next(iter(failed.values()))
-        raise BlowUpError(step=k + 1, time=offset + ts[k + 1], state=state)
+        raise BlowUpError(step=k + 1, time=ts[k + 1], state=state)
     return vals.reshape(shape + (n + 1,))
 
 
 # ---------------------------------------------------------------------------
 # jump-restart construction
+
+# replicas per block of a batched solve: wide enough that the step loop's
+# per-step overhead is shared, narrow enough that one block's drivers and
+# padded step arrays stay small
+_BLOCK = 128
 
 
 def _holder_quotient(ts: np.ndarray, vals: np.ndarray, kappa: float) -> float:
@@ -319,35 +324,20 @@ def _holder_quotient(ts: np.ndarray, vals: np.ndarray, kappa: float) -> float:
     return best
 
 
-def _segment_nodes(length: float, dt: float) -> np.ndarray:
-    """Local nodes for one segment: the usual spacing, plus a short final
-    step when the segment length is not a whole number of steps."""
-    if length <= 0.0:
-        return np.zeros(1)
-    k = int(math.floor(length / dt + 1e-9))
-    if k >= 1 and length - k * dt <= 1e-9 * dt:
-        return np.linspace(0.0, length, k + 1)
-    return np.concatenate([dt * np.arange(k + 1), [length]])
-
-
-class _DriverSampler:
-    """Reads a master path at arbitrary times; exact at its own nodes."""
-
-    def __init__(self, path: GridFunction):
-        self.times = path.nodes
-        self.values = path.values
-        self.dt = path.h
-        self.steps = path.cells
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.rint(t / self.dt).astype(int), 0, self.steps)
-        out = self.values[k]
-        off = np.abs(t - self.times[k]) > 1e-9 * self.dt
-        if np.any(off):
-            out = out.copy()
-            out[off] = np.interp(t[off], self.times, self.values)
-        return out
+def _local_nodes(lengths: np.ndarray, h: float) -> tuple:
+    """Node counts and concatenated local nodes of segments of the given
+    lengths: spacing h plus a short final step when a length is not a whole
+    number of steps (a whole-step segment takes the nodes of
+    np.linspace(0, L, k + 1)); a segment of length <= 0 is one node."""
+    k = np.floor(lengths / h + 1e-9)
+    whole = (k >= 1.0) & (lengths - k * h <= 1e-9 * h)
+    empty = lengths <= 0.0
+    counts = np.where(empty, 1, k.astype(int) + np.where(whole, 1, 2))
+    step = np.where(whole, lengths / np.maximum(k, 1.0), h)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    local = (np.arange(first.size) - first) * np.repeat(step, counts)
+    local[(np.cumsum(counts) - 1)[~empty]] = lengths[~empty]
+    return counts, local
 
 
 @dataclass
@@ -355,9 +345,7 @@ class SolutionPath:
     """Cadlag solution on the union of the grid and the jump times.
 
     Jump times appear twice in `times`: first the left limit (flag 1),
-    then the post-jump value (flag 0).  `segments` holds one (start,
-    local times, values) triple per between-jumps segment, for cadlag
-    resampling and Holder diagnostics.
+    then the post-jump value (flag 0).
     """
 
     times: np.ndarray
@@ -365,11 +353,22 @@ class SolutionPath:
     left_flags: np.ndarray
     train: JumpTrain
     grid: GridSpec
-    segments: list
 
     @property
     def terminal(self) -> float:
         return float(self.values[-1])
+
+    @property
+    def segments(self) -> list:
+        """One (start, local times, values) triple per between-jumps
+        segment, for cadlag resampling and Holder diagnostics."""
+        bounds = np.concatenate([[0], np.flatnonzero(self.left_flags) + 1,
+                                 [self.times.size]])
+        starts = self.times[bounds[:-1]]
+        _, local = _local_nodes(np.append(starts[1:], self.grid.horizon) - starts,
+                                self.grid.dt)
+        return [(s0, local[a:b], self.values[a:b])
+                for s0, a, b in zip(starts, bounds[:-1], bounds[1:])]
 
     def jump_rows(self) -> np.ndarray:
         return np.nonzero(self.left_flags == 1)[0]
@@ -377,11 +376,12 @@ class SolutionPath:
     def resample(self, grid: GridSpec | None = None) -> GridFunction:
         """Right-continuous values at the nodes of a uniform grid."""
         grid = grid or self.grid
-        starts = np.array([s0 for s0, _, _ in self.segments])
+        segments = self.segments
+        starts = np.array([s0 for s0, _, _ in segments])
         out = np.empty(grid.steps + 1)
         for i, t in enumerate(grid.times):
             j = max(int(np.searchsorted(starts, t, side="right")) - 1, 0)
-            s0, ts, vals = self.segments[j]
+            s0, ts, vals = segments[j]
             local = min(max(t - s0, 0.0), ts[-1])
             out[i] = np.interp(local, ts, vals)
         return GridFunction(0.0, grid.horizon, out)
@@ -403,115 +403,130 @@ def read_solution_csv(file) -> tuple:
     return data[:, 0], data[:, 1], data[:, 2].astype(int)
 
 
-@dataclass(frozen=True)
-class _RestartPlan:
-    """One replica's jump-restart solve laid out on a single step axis.
+def _restart_layout(block: list) -> tuple:
+    """Lay a block of jump-restart solves on one padded step axis.
 
-    Transition k takes output node k to node k + 1.  Within a segment it
-    is an Euler step (kind: the step number within the segment) on the
-    drivers shifted to the segment origin; at a jump time it is the jump
-    map (kind _JUMP, t the jump time, dt = dw = dz = 0).
+    `block` holds (W, BH, jumps) triples on one grid.  Transition k of row
+    r takes output node k to node k + 1: within a segment an Euler step
+    (kind: its step number within the segment) on the drivers shifted to
+    the segment origin, at a jump the jump map (kind _JUMP, t the jump
+    time, dt = dw = dz = 0), and after the row's last node a hold.  A
+    driver value within 1e-9 h of a grid node is that node's value, any
+    other is the linear interpolation np.interp computes, so a row's
+    arrays do not depend on its block.  Returns the (rows, K) arrays t,
+    dt, dw, dz, kinds and marks, and per row its output times and
+    left-limit flags.
     """
-
-    times: np.ndarray        # output nodes; a jump time appears twice
-    flags: np.ndarray        # 1 on the left limit before each jump
-    t: np.ndarray            # per transition from here on
-    dt: np.ndarray
-    dw: np.ndarray
-    dz: np.ndarray
-    kinds: np.ndarray
-    marks: np.ndarray
-    segments: list           # (start, local nodes) per segment
-
-
-def _restart_plan(W: GridFunction, BH: GridFunction, jumps: JumpTrain) -> _RestartPlan:
-    if W.left != 0.0 or BH.left != 0.0:
-        raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
-    if (W.right, W.cells) != (BH.right, BH.cells):
-        raise GridMismatchError("drivers must share one grid")
-    t_end = float(W.right)
-    if jumps.count and jumps.times[-1] > t_end * (1 + 1e-12):
+    T, n = float(block[0][0].right), block[0][0].cells
+    for W, BH, _ in block:
+        if W.left != 0.0 or BH.left != 0.0:
+            raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
+        if not (W.right, W.cells) == (BH.right, BH.cells) == (T, n):
+            raise GridMismatchError("drivers must share one grid")
+    taus = np.concatenate([jumps.times for _, _, jumps in block])
+    if taus.size and taus.max() > T * (1 + 1e-12):
         raise ParameterError("jump train extends beyond the driver horizon")
-    taus = list(jumps.times)
-    starts = [0.0] + taus
-    segments = [(s0, _segment_nodes(s1 - s0, W.h))
-                for s0, s1 in zip(starts, taus + [t_end])]
-    lengths = [len(ts) for _, ts in segments]
-    first = np.cumsum(lengths) - lengths
-    local = np.concatenate([ts for _, ts in segments])
-    times = np.repeat(starts, lengths) + local
-    # drivers shifted to each segment origin, read at every output node
-    w = _DriverSampler(W).at(times)
-    z = _DriverSampler(BH).at(times)
-    w = w - np.repeat(w[first], lengths)
-    z = z - np.repeat(z[first], lengths)
-    # transition k leaves node k: an Euler step numbered within its segment,
-    # or the jump at the segment's end
-    kinds = np.arange(1, times.size + 1) - np.repeat(first, lengths)
-    kinds[first[1:] - 1] = _JUMP
-    kinds = kinds[:-1]
-    jump = kinds == _JUMP
+    h = T / n
+
+    # segments in row order: a row's last one ends at T, the others at a jump
+    last_seg = np.cumsum([jumps.count + 1 for _, _, jumps in block]) - 1
+    inner = np.ones(last_seg[-1] + 1, dtype=bool)
+    inner[last_seg] = False
+    starts = np.zeros(inner.size)
+    starts[np.flatnonzero(inner) + 1] = taus
+    ends = np.full(inner.size, T)
+    ends[inner] = taus
+    counts, local = _local_nodes(ends - starts, h)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    times = np.repeat(starts, counts) + local
+    row_end = np.cumsum(counts)[last_seg]
+    sizes = np.diff(row_end, prepend=0)
+    row = np.repeat(np.arange(len(block)), sizes)
+
+    # drivers read at every output node, shifted to each segment origin
+    nodes = np.linspace(0.0, T, n + 1)
+    near = np.clip(np.rint(times / h).astype(int), 0, n)
+    off = np.flatnonzero(np.abs(times - nodes[near]) > 1e-9 * h)
+    t_off, r_off = times[off], row[off]
+    j = np.clip(np.searchsorted(nodes, t_off, "right") - 1, 0, n - 1)
+
+    def sample(values):
+        out = values[row, near]
+        f0, f1 = values[r_off, j], values[r_off, j + 1]
+        out[off] = np.where(t_off >= T, values[r_off, n],
+                            (f1 - f0) / (nodes[j + 1] - nodes[j]) * (t_off - nodes[j]) + f0)
+        return out - out[first]
+
+    w = sample(np.array([W.values for W, _, _ in block]))
+    z = sample(np.array([BH.values for _, BH, _ in block]))
+
+    # per node, the transition that leaves it
+    jump_from = (np.cumsum(counts) - 1)[inner]
+    kinds = np.arange(1, times.size + 1) - first
+    kinds[jump_from] = _JUMP
+    t = times.copy()
+    t[jump_from] = taus
+    marks = np.zeros(times.size)
+    marks[jump_from] = np.concatenate([jumps.marks for _, _, jumps in block])
 
     def steps(values):
-        d = values[1:] - values[:-1]
-        d[jump] = 0.0
+        d = np.append(values[1:] - values[:-1], 0.0)
+        d[jump_from] = 0.0
         return d
 
-    t = times[:-1].copy()
-    t[jump] = jumps.times
-    marks = np.zeros(kinds.size)
-    marks[jump] = jumps.marks
+    keep = np.ones(times.size, dtype=bool)
+    keep[row_end - 1] = False
+    valid = np.arange(sizes.max() - 1) < (sizes - 1)[:, None]
+
+    def pad(values, fill=0):
+        out = np.full(valid.shape, fill, dtype=values.dtype)
+        out[valid] = values[keep]
+        return out
+
     flags = np.zeros(times.size, dtype=int)
-    flags[:-1] = jump
-    return _RestartPlan(times=times, flags=flags, t=t, dt=steps(local),
-                        dw=steps(w), dz=steps(z), kinds=kinds, marks=marks,
-                        segments=segments)
+    flags[jump_from] = 1
+    return (pad(t), pad(steps(local)), pad(steps(w)), pad(steps(z)),
+            pad(kinds, _HOLD), pad(marks), np.split(times, row_end[:-1]),
+            np.split(flags, row_end[:-1]))
+
+
+def _solve_block(coeffs: CoefficientSet, x0: float, block: list) -> list:
+    t, dt, dw, dz, kinds, marks, times, flags = _restart_layout(block)
+    states, failed = _euler_loop(coeffs, np.full(len(block), float(x0)), t, dt, dw, dz,
+                                 kinds, marks)
+    grid = GridSpec(block[0][0].right, block[0][0].cells)
+    results = []
+    for r, (_, _, jumps) in enumerate(block):
+        if r in failed:
+            k, state = failed[r]
+            if kinds[r, k] == _JUMP:
+                results.append(BlowUpError(step=-1, time=t[r, k], state=state))
+            else:
+                results.append(BlowUpError(step=int(kinds[r, k]), time=times[r][k + 1],
+                                           state=state))
+            continue
+        results.append(SolutionPath(times=times[r], values=states[r, :times[r].size],
+                                    left_flags=flags[r], train=jumps, grid=grid))
+    return results
 
 
 def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
     """Jump-restart solves of many replicas through one step loop.
 
-    `drivers` holds one (W, BH, jumps) triple per replica.  Each replica's
-    segment solves and jump maps are laid on one step axis with exactly
-    the operations of a solve on its own, padded to the longest replica,
-    and all replicas advance together.  Returns one entry per replica: its
+    `drivers` is any iterable of (W, BH, jumps) triples, all on one grid;
+    it is consumed in blocks of _BLOCK replicas, so a generator draws each
+    block's drivers just before the block is solved.  A block's segment
+    solves and jump maps are laid on one step axis with exactly the
+    operations of a solve on its own, padded to its longest replica, and
+    its replicas advance together.  Returns one entry per replica: its
     SolutionPath, or the BlowUpError that stopped it; a blow-up freezes
-    only its own replica.  Entry r equals
-    solve_with_jumps(coeffs, x0, *drivers[r]) bit for bit.
+    only its own replica.  Entry r equals solve_with_jumps(coeffs, x0,
+    *triple_r) bit for bit.
     """
-    plans = [_restart_plan(W, BH, jumps) for W, BH, jumps in drivers]
-    rows = len(plans)
-    width = max((len(p.kinds) for p in plans), default=0)
-    t, dt, dw, dz, marks = (np.zeros((rows, width)) for _ in range(5))
-    kinds = np.full((rows, width), _HOLD)
-    for r, p in enumerate(plans):
-        k = len(p.kinds)
-        t[r, :k] = p.t
-        dt[r, :k] = p.dt
-        dw[r, :k] = p.dw
-        dz[r, :k] = p.dz
-        kinds[r, :k] = p.kinds
-        marks[r, :k] = p.marks
-    states, failed = _euler_loop(coeffs, np.full(rows, float(x0)), t, dt, dw, dz,
-                                 kinds, marks)
+    drivers = iter(drivers)
     results = []
-    for r, (p, (W, _, jumps)) in enumerate(zip(plans, drivers)):
-        if r in failed:
-            k, state = failed[r]
-            if p.kinds[k] == _JUMP:
-                results.append(BlowUpError(step=-1, time=p.t[k], state=state))
-            else:
-                results.append(BlowUpError(step=int(p.kinds[k]), time=p.times[k + 1],
-                                           state=state))
-            continue
-        values = states[r, :len(p.times)]
-        segments, first = [], 0
-        for s0, ts in p.segments:
-            segments.append((s0, ts, values[first:first + len(ts)]))
-            first += len(ts)
-        results.append(SolutionPath(times=p.times, values=values, left_flags=p.flags,
-                                    train=jumps, grid=GridSpec(W.right, W.cells),
-                                    segments=segments))
+    while block := list(itertools.islice(drivers, _BLOCK)):
+        results += _solve_block(coeffs, x0, block)
     return results
 
 

@@ -204,10 +204,6 @@ def test_lemma_validation():
                              FRAC, Seed(53), 3)
     with pytest.raises(ParameterError, match="4 paths"):
         verify_pathwise_lemma(tiny)
-    ok = simulate_ensemble(build_model("zero"), 1.0, GridSpec(1.0, 8),
-                           FRAC, Seed(53), 8)
-    with pytest.raises(ParameterError, match="train_fraction"):
-        verify_pathwise_lemma(ok, train_fraction=1.0)
 
 
 def test_kernel_estimates_pass_and_agree_at_large_rates():

@@ -239,6 +239,16 @@ def test_seed_override(tmp_path):
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def test_non_finite_kappa_scale_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", "[grid]\nsteps = 16\n[mc]\nreplicas = 12\n")
+    for value in ("nan", "inf", "-inf"):
+        out = tmp_path / value
+        assert cli.main(["verify", "selfsim", "--config", cfg,
+                         f"--kappa-scale={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --kappa-scale must be finite\n"
+        assert not any(out.glob("*"))
+
+
 def test_config_echo_excludes_output_directory(tmp_path):
     cfg = _write(tmp_path, "run.ini", SIM_CFG + "\n[output]\ndirectory = somewhere\n")
     d1, d2 = tmp_path / "e1", tmp_path / "e2"

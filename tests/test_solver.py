@@ -3,6 +3,7 @@ composition, forward-sum stochastic integrals, and the blow-up guard."""
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from mfsde.solver import (
     pathwise_bound_rhs,
     read_solution_csv,
     solve_with_jumps,
+    solve_with_jumps_batch,
 )
-from mfsde.solver import _DriverSampler, _segment_nodes
 
 EMPTY_TRAIN = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
 
@@ -269,7 +270,7 @@ def test_flow_composition_at_a_grid_node():
     first = euler_paths(coeffs, 1.0, half, w.values[:257], z.values[:257])
     w2 = w.values[256:] - w.values[256]
     z2 = z.values[256:] - z.values[256]
-    second = euler_paths(coeffs, float(first[-1]), half, w2, z2, offset=0.5)
+    second = euler_paths(coeffs, float(first[-1]), half, w2, z2)
     np.testing.assert_allclose(
         np.concatenate([first, second[1:]]), full, rtol=1e-12, atol=1e-13)
 
@@ -316,13 +317,46 @@ def test_euler_paths_batch_matches_single_solves():
             np.testing.assert_array_equal(batch[s], single)
 
 
+def _segment_nodes(length, dt):
+    """Local nodes for one segment: the usual spacing, plus a short final
+    step when the segment length is not a whole number of steps."""
+    if length <= 0.0:
+        return np.zeros(1)
+    k = int(math.floor(length / dt + 1e-9))
+    if k >= 1 and length - k * dt <= 1e-9 * dt:
+        return np.linspace(0.0, length, k + 1)
+    return np.concatenate([dt * np.arange(k + 1), [length]])
+
+
+class _DriverSampler:
+    """Reads a master path at arbitrary times; exact at its own nodes."""
+
+    def __init__(self, path):
+        self.times = path.nodes
+        self.values = path.values
+        self.dt = path.h
+        self.steps = path.cells
+
+    def at(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.rint(t / self.dt).astype(int), 0, self.steps)
+        out = self.values[k]
+        off = np.abs(t - self.times[k]) > 1e-9 * self.dt
+        if np.any(off):
+            out = out.copy()
+            out[off] = np.interp(t[off], self.times, self.values)
+        return out
+
+
 def _reference_solve(coeffs, x0, W, BH, jumps):
     """The jump-restart construction as a plain per-segment loop, one path
     and one Euler step at a time; the state is a 1-element array, like a
-    row of the batched solver."""
+    row of the batched solver.  The node and driver rules above are the
+    solver's, written out per segment.  Returns the output times, values
+    and (start, local nodes, values) segments."""
     w_s, z_s = _DriverSampler(W), _DriverSampler(BH)
     taus = list(jumps.times)
-    times, values = [], []
+    times, values, segments = [], [], []
     x = np.array([float(x0)])
     for j, (s0, s1) in enumerate(zip([0.0] + taus, taus + [W.right])):
         ts = _segment_nodes(s1 - s0, W.h)
@@ -339,35 +373,64 @@ def _reference_solve(coeffs, x0, W, BH, jumps):
             seg.append(x)
         times.append(nodes)
         values.append(np.concatenate(seg))
+        segments.append((s0, ts, values[-1]))
         if j < len(taus):
             x = x + coeffs.q(s1, x, jumps.marks[j])
             if not abs(x[0]) <= BLOWUP_LIMIT:
                 raise BlowUpError(step=-1, time=s1, state=float(x[0]))
-    return np.concatenate(times), np.concatenate(values)
+    return np.concatenate(times), np.concatenate(values), segments
+
+
+def _hand_trains(grid):
+    """Empty, on a grid node, within rounding of a node, two jumps inside
+    one cell, a jump at exactly the horizon (an empty last segment), one
+    just past it (within the solver's tolerance), jumps whose restart times
+    round, and many jumps."""
+    h, k, T = grid.dt, grid.steps // 3, grid.horizon
+    many = np.sort(Seed(49).generator().uniform(0.0, T, 40))
+    taus = [[], [k * h], [k * h * (1 + 1e-12)], [(k + 0.3) * h, (k + 0.7) * h],
+            [0.3 * T, T], [0.5 * T, T * (1 + 5e-13)], [0.1 * T, 0.2 * T, 0.9 * T],
+            list(many)]
+    return [JumpTrain(np.array(t), np.linspace(-0.4, 0.45, len(t)), 1.0, T * (1 + 1e-12))
+            for t in taus]
 
 
 def test_solve_with_jumps_matches_the_per_segment_loop():
-    grid = GridSpec(1.0, 64)
     steep = dataclasses.replace(build_model("linear"),
                                 q=lambda t, x, y: 1e6 * y * x ** 4)
+    # a jump map that moves the state to the jump time
+    timed = dataclasses.replace(build_model("linear"), q=lambda t, x, y: t - x)
     cases = [(build_model("trigonometric"), 1.0), (build_model("linear"), 1.0),
-             (build_model("explosive", scale=2.0), 0.9), (steep, 1.0)]
+             (build_model("explosive", scale=2.0), 0.9), (steep, 1.0),
+             (timed, 1.0)]
     outcomes = set()
-    for coeffs, x0 in cases:
-        for s in range(12):
-            w, z, train = _drivers(grid, 0.75, 4.0, Seed(40 + s))
-            try:
-                expect = _reference_solve(coeffs, x0, w, z, train)
-            except BlowUpError as err:
-                with pytest.raises(BlowUpError) as got:
-                    solve_with_jumps(coeffs, x0, w, z, train)
-                assert str(got.value) == str(err)
-                outcomes.add("jump" if err.step == -1 else "step")
-                continue
-            sol = solve_with_jumps(coeffs, x0, w, z, train)
-            np.testing.assert_array_equal(sol.times, expect[0])
-            np.testing.assert_array_equal(sol.values, expect[1])
-            outcomes.add("solved")
+    for grid in (GridSpec(1.0, 64), GridSpec(1.5, 10), GridSpec(1.0, 2048)):
+        # seeded trains, then hand-built ones on the same drivers; the
+        # whole list is also solved as one block
+        drivers = [_drivers(grid, 0.75, 4.0, Seed(40 + s)) for s in range(6)]
+        w, z, _ = drivers[0]
+        drivers += [(w, z, train) for train in _hand_trains(grid)]
+        for coeffs, x0 in cases:
+            block = solve_with_jumps_batch(coeffs, x0, drivers)
+            for (w, z, train), batched in zip(drivers, block):
+                try:
+                    times, values, segments = _reference_solve(coeffs, x0, w, z, train)
+                except BlowUpError as err:
+                    with pytest.raises(BlowUpError) as got:
+                        solve_with_jumps(coeffs, x0, w, z, train)
+                    assert str(got.value) == str(err)
+                    assert str(batched) == str(err)
+                    outcomes.add("jump" if err.step == -1 else "step")
+                    continue
+                for sol in (solve_with_jumps(coeffs, x0, w, z, train), batched):
+                    np.testing.assert_array_equal(sol.times, times)
+                    np.testing.assert_array_equal(sol.values, values)
+                    assert len(sol.segments) == len(segments) == train.count + 1
+                    for got, expect in zip(sol.segments, segments):
+                        assert got[0] == expect[0]
+                        np.testing.assert_array_equal(got[1], expect[1])
+                        np.testing.assert_array_equal(got[2], expect[2])
+                outcomes.add("solved")
     assert outcomes == {"solved", "step", "jump"}
 
 
@@ -386,3 +449,9 @@ def test_solve_with_jumps_validation():
         solve_with_jumps(coeffs, 1.0, shifted, shifted, EMPTY_TRAIN)
     with pytest.raises(GridMismatchError, match="start at 0"):
         solve_with_jumps(coeffs, 1.0, _zero_path(g1), shifted, EMPTY_TRAIN)
+    # one batch solves on one grid
+    for other in (GridSpec(1.0, 128), GridSpec(2.0, 64)):
+        mixed = [(_zero_path(g1), _zero_path(g1), EMPTY_TRAIN),
+                 (_zero_path(other), _zero_path(other), EMPTY_TRAIN)]
+        with pytest.raises(GridMismatchError, match="share one grid"):
+            solve_with_jumps_batch(coeffs, 1.0, mixed)
