@@ -66,7 +66,9 @@ from .norms import (
     evaluate_norms,
     grr_functional,
     norm_0_interval,
+    norm_0_interval_stack,
     norm_inf,
+    norm_inf_stack,
     norm_profile,
     norm_t,
     weighted_norms,
@@ -100,7 +102,8 @@ __all__ = [
     "evaluate_norms", "forward_sum_integral", "gen_driving_triple", "gen_fbm",
     "gen_jump_train", "gen_wiener", "gls_integral", "grr_functional",
     "integral_bound_rhs", "ito_integral_path", "load_config",
-    "norm_0_interval", "norm_inf", "norm_profile", "norm_t", "parse_config",
+    "norm_0_interval", "norm_0_interval_stack", "norm_inf", "norm_inf_stack",
+    "norm_profile", "norm_t", "parse_config",
     "pathwise_bound_rhs", "read_solution_csv", "rl_left_derivative",
     "rl_right_derivative", "serialize_config", "simulate_ensemble",
     "solve_with_jumps", "solve_with_jumps_batch", "tail_diagnostic",

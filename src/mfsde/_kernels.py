@@ -15,6 +15,8 @@ vanishing at the singular point.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 from scipy.signal import fftconvolve
 
@@ -70,41 +72,52 @@ def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndar
 
 def _abs_right_singular_total(
     d: np.ndarray, i: int, alpha: float, h: float, g1, g2, pow_neg, pow_pos
-) -> float:
-    """Integral over [t_0, t_i] of |d_lin(u)| (t_i - u)^(-1-alpha) du where
-    d_lin interpolates d[0..i] and d[i] == 0."""
+) -> np.ndarray:
+    """Row r: integral over [t_0, t_i] of |d_lin(u)| (t_i - u)^(-1-alpha) du
+    where d_lin interpolates d[r, 0..i] and d[r, i] == 0."""
+    rows = d.shape[0]
     if i == 0:
-        return 0.0
-    v = np.abs(d[: i + 1])
-    vj = v[:i]
-    vj1 = v[1:]
+        return np.zeros(rows)
+    v = np.abs(d[:, : i + 1])
+    vj = v[:, :i]
+    vj1 = v[:, 1:]
     slope = (vj - vj1) / h              # dv/dw, w = t_i - u
     g1r = g1[1 : i + 1][::-1]           # lag k = i - j aligned with j
     g2r = g2[1 : i + 1][::-1]
     w_lo = np.arange(i, dtype=float)[::-1] * h
     c = vj1 - slope * w_lo
-    total = float(np.dot(c, g1r) + np.dot(slope, g2r))
-    cross = np.nonzero(d[:i] * d[1 : i + 1] < 0.0)[0]
-    if cross.size:
-        j = cross
+    # one dot per row: a matrix-vector product sums in another order
+    total = (np.array(list(map(np.dot, c, repeat(g1r))))
+             + np.array(list(map(np.dot, slope, repeat(g2r)))))
+    row, j = np.divmod(np.flatnonzero(d[:, :i] * d[:, 1 : i + 1] < 0.0), i)
+    if j.size:
         k_lag = (i - j).astype(float)
         w_hi_c = k_lag * h
         w_lo_c = (k_lag - 1.0) * h
-        w_star = w_hi_c - h * vj[j] / (vj[j] + vj1[j])
+        v_hi = vj[row, j]
+        v_lo = vj1[row, j]
+        w_star = w_hi_c - h * v_hi / (v_hi + v_lo)
         hi_neg = pow_neg[i - j] * h**-alpha
         hi_pos = pow_pos[i - j] * h ** (1.0 - alpha)
         lo_neg = pow_neg[i - j - 1] * h**-alpha
         lo_pos = pow_pos[i - j - 1] * h ** (1.0 - alpha)
         st_neg = w_star**-alpha
         st_pos = w_star ** (1.0 - alpha)
-        sub_hi = vj[j] / (w_hi_c - w_star) * (
+        sub_hi = v_hi / (w_hi_c - w_star) * (
             (hi_pos - st_pos) / (1.0 - alpha) - w_star * (st_neg - hi_neg) / alpha
         )
-        sub_lo = vj1[j] / (w_star - w_lo_c) * (
+        sub_lo = v_lo / (w_star - w_lo_c) * (
             w_star * (lo_neg - st_neg) / alpha - (st_pos - lo_pos) / (1.0 - alpha)
         )
-        base = c[j] * g1r[j] + slope[j] * g2r[j]
-        total += float(np.sum(sub_hi + sub_lo - base))
+        base = c[row, j] * g1r[j] + slope[row, j] * g2r[j]
+        fix = sub_hi + sub_lo - base
+        # each row's corrections summed on their own by np.sum's reduction
+        # (np.add.reduce): it is pairwise, so its order depends on the term
+        # count from 8 terms on
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        ends = np.r_[starts[1:], row.size]
+        for r, lo, hi in zip(row[starts].tolist(), starts.tolist(), ends.tolist()):
+            total[r] += np.add.reduce(fix[lo:hi])
     return total
 
 
@@ -113,65 +126,67 @@ def abs_increment_kernel(values: np.ndarray, alpha: float, h: float, at: int) ->
     f = np.asarray(values, dtype=float)
     g1, g2, pow_neg, pow_pos = _power_tables(at, -alpha, 1.0 - alpha, h)
     d = f[at] - f[: at + 1]
-    return _abs_right_singular_total(d, at, alpha, h, g1, g2, pow_neg, pow_pos)
+    return float(_abs_right_singular_total(d[None], at, alpha, h, g1, g2, pow_neg, pow_pos)[0])
 
 
 def abs_increment_kernel_profile(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """abs_increment_kernel for every node, sharing the power tables."""
+    """abs_increment_kernel at every node of every row of an (R, n+1) value
+    stack, sharing the power tables; returns (R, n+1)."""
     f = np.asarray(values, dtype=float)
-    n = len(f) - 1
-    out = np.zeros(n + 1)
+    n = f.shape[-1] - 1
+    out = np.zeros(f.shape)
     if n == 0:
         return out
-    g1, g2, pow_neg, pow_pos = _power_tables(n, -alpha, 1.0 - alpha, h)
+    tables = _power_tables(n, -alpha, 1.0 - alpha, h)
     for i in range(1, n + 1):
-        d = f[i] - f[: i + 1]
-        out[i] = _abs_right_singular_total(d, i, alpha, h, g1, g2, pow_neg, pow_pos)
+        out[:, i] = _abs_right_singular_total(f[:, i : i + 1] - f[:, : i + 1], i, alpha, h, *tables)
     return out
 
 
-def abs_left_singular_cells(
-    values: np.ndarray, start: int, alpha: float, h: float, tables=None
-) -> np.ndarray:
-    """Per-cell integrals of |f(t_start) - f(z)| (z - t_start)^(alpha-2) dz.
+def abs_left_singular_cells(values: np.ndarray, start: int, alpha: float, h: float,
+                            tables) -> np.ndarray:
+    """Per-cell integrals of |f(t_start) - f(z)| (z - t_start)^(alpha-2) dz
+    for every row of an (R, n+1) value stack; `tables` are the
+    left-singular power tables `_power_tables(n - start, alpha - 1, alpha, h)`
+    or longer.
 
-    Entry k-1 covers [t_(start+k-1), t_(start+k)]; cumulative sums give the
-    integral up to any node right of `start`.
+    Entry [r, k-1] covers [t_(start+k-1), t_(start+k)]; cumulative sums
+    along a row give the integral up to any node right of `start`.
     """
     f = np.asarray(values, dtype=float)
-    n = len(f) - 1
-    m = n - start
+    m = f.shape[-1] - 1 - start
     if m <= 0:
-        return np.zeros(0)
-    q1, q2, pow_m1, pow_a = (tables if tables is not None
-                             else _power_tables(m, alpha - 1.0, alpha, h))
-    d = f[start:] - f[start]
+        return np.zeros((f.shape[0], 0))
+    q1, q2, pow_m1, pow_a = tables
+    d = f[:, start:] - f[:, start : start + 1]
     v = np.abs(d)
-    v_lo = v[:-1]                       # node start+k-1, at w = (k-1)h
-    v_hi = v[1:]                        # node start+k, at w = kh
+    v_lo = v[:, :-1]                    # node start+k-1, at w = (k-1)h
+    v_hi = v[:, 1:]                     # node start+k, at w = kh
     slope = (v_hi - v_lo) / h
     w_lo = np.arange(m, dtype=float) * h
     c = v_lo - slope * w_lo
     cells = c * q1[1 : m + 1] + slope * q2[1 : m + 1]
-    cross = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+    row, cross = np.divmod(np.flatnonzero(d[:, :-1] * d[:, 1:] < 0.0), m)
     if cross.size:
-        k = cross + 1.0                 # first cell (k=1) never crosses: d[0] == 0
+        k = cross + 1.0                 # first cell (k=1) never crosses: d[:, 0] == 0
         w_hi_c = k * h
         w_lo_c = (k - 1.0) * h
-        w_star = w_lo_c + h * v_lo[cross] / (v_lo[cross] + v_hi[cross])
+        lo = v_lo[row, cross]
+        hi = v_hi[row, cross]
+        w_star = w_lo_c + h * lo / (lo + hi)
         hi_m1 = pow_m1[cross + 1] * h ** (alpha - 1.0)
         hi_a = pow_a[cross + 1] * h**alpha
         lo_m1 = pow_m1[cross] * h ** (alpha - 1.0)
         lo_a = pow_a[cross] * h**alpha
         st_m1 = w_star ** (alpha - 1.0)
         st_a = w_star**alpha
-        sub_lo = v_lo[cross] / (w_star - w_lo_c) * (
+        sub_lo = lo / (w_star - w_lo_c) * (
             w_star * (lo_m1 - st_m1) / (1.0 - alpha) - (st_a - lo_a) / alpha
         )
-        sub_hi = v_hi[cross] / (w_hi_c - w_star) * (
+        sub_hi = hi / (w_hi_c - w_star) * (
             (hi_a - st_a) / alpha - w_star * (st_m1 - hi_m1) / (1.0 - alpha)
         )
-        cells[cross] = sub_lo + sub_hi
+        cells[row, cross] = sub_lo + sub_hi
     return cells
 
 

@@ -35,7 +35,7 @@ from .noise import (
     gen_fbm,
     gen_jump_train,
 )
-from .norms import capital_lambda, norm_0_interval, norm_inf
+from .norms import norm_0_interval_stack, norm_inf_stack
 from .solver import (
     CoefficientSet,
     ito_integral_path,
@@ -417,18 +417,19 @@ def verify_pathwise_lemma(ens: Ensemble,
     times = ens.grid.times
     lam_pow_exp = 1.0 / (1.0 - alpha)
 
-    lhs, lam, jb, kmin = [], [], [], []
+    xs, fbms, itos = [], [], []
     for rid, path in zip(ens.replica_ids, ens.paths):
         wiener, fbm, _ = ens.drivers(rid)
-        x = GridFunction(0.0, horizon, path.values)
-        lhs_i = norm_inf(x, horizon, alpha)
-        lam_i = capital_lambda(fbm, horizon, alpha)
+        xs.append(GridFunction(0.0, horizon, path.values))
+        fbms.append(fbm)
         b_vals = np.broadcast_to(ens.coeffs.b(times, path.values), times.shape)
-        jb_i = norm_inf(ito_integral_path(b_vals, wiener), horizon, alpha)
-        lhs.append(lhs_i)
-        lam.append(lam_i)
-        jb.append(jb_i)
-        kmin.append(_minimal_k(lhs_i, lam_i ** lam_pow_exp, jb_i))
+        itos.append(ito_integral_path(b_vals, wiener))
+    lhs = norm_inf_stack(xs, horizon, alpha).tolist()
+    # Lambda: the roughness norm floored at 1, as in capital_lambda
+    lam = np.maximum(norm_0_interval_stack(fbms, 0.0, horizon, alpha), 1.0).tolist()
+    jb = norm_inf_stack(itos, horizon, alpha).tolist()
+    kmin = [_minimal_k(lhs_i, lam_i ** lam_pow_exp, jb_i)
+            for lhs_i, lam_i, jb_i in zip(lhs, lam, jb)]
 
     n_train = round(ens.size / 2)
     envelope = np.maximum.accumulate(np.array(kmin[:n_train]))
@@ -631,6 +632,8 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
         raise ParameterError(f"alpha must lie in (1-H, 1/2), got {alpha}")
     if replicas < SELFSIM_MIN_REPLICAS:
         raise ParameterError(f"need at least {SELFSIM_MIN_REPLICAS} replicas, got {replicas}")
+    if not math.isfinite(kappa_scale):
+        raise ParameterError(f"kappa_scale must be finite, got {kappa_scale}")
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
     kappa_used = kappa_scale * kappa
     expo = 1.0 / (1.0 - alpha)
@@ -647,13 +650,15 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
             raise ParameterError(f"interval [{a}, {b}] must align with the grid")
         scale = (b - a) ** (-kappa_used)
         grid_ref = GridSpec(1.0, cells)
-        sample = np.empty(replicas)
-        reference = np.empty(replicas)
-        for r in range(replicas):
-            bh = gen_fbm(grid_full, hurst, seed.child(2 * k).child(r))
-            sample[r] = scale * norm_0_interval(bh, a, b, alpha) ** expo
-            ref = gen_fbm(grid_ref, hurst, seed.child(2 * k + 1).child(r))
-            reference[r] = norm_0_interval(ref, 0.0, 1.0, alpha) ** expo
+        bhs = [gen_fbm(grid_full, hurst, seed.child(2 * k).child(r)) for r in range(replicas)]
+        refs = [gen_fbm(grid_ref, hurst, seed.child(2 * k + 1).child(r))
+                for r in range(replicas)]
+        # Python float powers: numpy's array power differs from them in the
+        # last bit for some inputs
+        sample = np.array([scale * v ** expo
+                           for v in norm_0_interval_stack(bhs, a, b, alpha).tolist()])
+        reference = np.array([v ** expo
+                              for v in norm_0_interval_stack(refs, 0.0, 1.0, alpha).tolist()])
         pval = float(stats.ks_2samp(sample, reference).pvalue)
         rows.append((a, b, cells, pval))
     return SelfSimReport(hurst, alpha, kappa, kappa_scale, replicas,

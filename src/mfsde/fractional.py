@@ -141,6 +141,6 @@ def integral_bound_rhs(
     if roughness < 0:
         raise ParameterError("roughness factor must be nonnegative")
     term1 = weighted_abs_integral(f.values, alpha, f.h)
-    inner = abs_increment_kernel_profile(f.values, alpha, f.h)
+    inner = abs_increment_kernel_profile(f.values[None], alpha, f.h)[0]
     term2 = float(_trapezoid(inner, dx=f.h))
     return constant * roughness * (term1 + term2)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from mfsde.analysis import (
     Thresholds,
+    _minimal_k,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -22,8 +23,14 @@ from mfsde.analysis import (
 )
 from mfsde.errors import BlowUpError, ParameterError
 from mfsde.models import build_model
-from mfsde.noise import FracParams, GridSpec, Seed, TwoPointMarks
-from mfsde.solver import CoefficientSet, pathwise_bound_rhs, solve_with_jumps
+from mfsde.noise import FracParams, GridFunction, GridSpec, Seed, TwoPointMarks, gen_fbm
+from mfsde.norms import capital_lambda, norm_0_interval, norm_inf
+from mfsde.solver import (
+    CoefficientSet,
+    ito_integral_path,
+    pathwise_bound_rhs,
+    solve_with_jumps,
+)
 
 FRAC = FracParams(0.75, alpha=0.3)
 
@@ -206,6 +213,93 @@ def test_lemma_validation():
         verify_pathwise_lemma(tiny)
 
 
+def _reference_lemma_rows(ens):
+    # the suite's per-path loop as it stood before the norms were stacked
+    alpha = ens.frac.alpha
+    horizon = ens.grid.horizon
+    times = ens.grid.times
+    lhs, lam, jb, kmin = [], [], [], []
+    for rid, path in zip(ens.replica_ids, ens.paths):
+        wiener, fbm, _ = ens.drivers(rid)
+        x = GridFunction(0.0, horizon, path.values)
+        lhs_i = norm_inf(x, horizon, alpha)
+        lam_i = capital_lambda(fbm, horizon, alpha)
+        b_vals = np.broadcast_to(ens.coeffs.b(times, path.values), times.shape)
+        jb_i = norm_inf(ito_integral_path(b_vals, wiener), horizon, alpha)
+        lhs.append(lhs_i)
+        lam.append(lam_i)
+        jb.append(jb_i)
+        kmin.append(_minimal_k(lhs_i, lam_i ** (1.0 / (1.0 - alpha)), jb_i))
+    k_fit = float(np.max(kmin[:round(ens.size / 2)]))
+    satisfied = [lhs_i <= (pathwise_bound_rhs(lam_i, jb_i, alpha, k_fit) if k_fit > 0.0
+                           else 0.0) * (1.0 + 1e-9)
+                 for lhs_i, lam_i, jb_i in zip(lhs, lam, jb)]
+    return tuple(lhs), tuple(lam), tuple(jb), tuple(kmin), tuple(satisfied)
+
+
+@pytest.mark.parametrize("model, steps, replicas, alpha", [
+    ("linear", 64, 40, 0.3),
+    ("trigonometric", 33, 23, 0.27),
+    ("mixed_geometric", 128, 12, 0.3),
+    ("additive", 8, 9, 0.45),
+])
+def test_lemma_equals_the_per_path_loop(model, steps, replicas, alpha):
+    ens = simulate_ensemble(build_model(model), 1.0, GridSpec(1.5, steps),
+                            FracParams(0.75, alpha=alpha), Seed(11), replicas)
+    rep = verify_pathwise_lemma(ens)
+    got = (rep.lhs, rep.lam, rep.ito_norm, rep.k_min, rep.satisfied)
+    assert repr(got) == repr(_reference_lemma_rows(ens))
+
+
+def _reference_selfsim_samples(hurst, alpha, interval_list, replicas, seed, steps,
+                               kappa_scale):
+    # the suite's per-path loop as it stood before the norms were stacked
+    kappa = kappa_scale * (alpha + hurst - 1.0) / (1.0 - alpha)
+    expo = 1.0 / (1.0 - alpha)
+    out = []
+    for k, (a, b) in enumerate(interval_list):
+        cells = int(round((b - a) * steps))
+        scale = (b - a) ** (-kappa)
+        sample = np.empty(replicas)
+        reference = np.empty(replicas)
+        for r in range(replicas):
+            bh = gen_fbm(GridSpec(1.0, steps), hurst, seed.child(2 * k).child(r))
+            sample[r] = scale * norm_0_interval(bh, a, b, alpha) ** expo
+            ref = gen_fbm(GridSpec(1.0, cells), hurst, seed.child(2 * k + 1).child(r))
+            reference[r] = norm_0_interval(ref, 0.0, 1.0, alpha) ** expo
+        out.append((sample, reference))
+    return out
+
+
+@pytest.mark.parametrize("intervals, replicas, steps, kappa_scale", [
+    (((0.0, 0.25), (0.5, 1.0)), 40, 64, 1.0),
+    (((0.25, 0.75),), 25, 32, 2.0),
+    (((0.0, 1.0), (0.5, 0.75)), 12, 32, 0.5),
+])
+def test_self_similarity_equals_the_per_path_loop(monkeypatch, intervals, replicas,
+                                                  steps, kappa_scale):
+    # the KS p-values only see ranks, so the two samples the suite hands to
+    # the KS test are captured and compared bit for bit as well
+    seen = []
+    ks_2samp = stats.ks_2samp
+
+    def capture(sample, reference):
+        seen.append((sample.copy(), reference.copy()))
+        return ks_2samp(sample, reference)
+
+    monkeypatch.setattr(stats, "ks_2samp", capture)
+    rep = verify_self_similarity(0.75, 0.3, intervals, replicas, Seed(5), steps=steps,
+                                 kappa_scale=kappa_scale)
+    expected = _reference_selfsim_samples(0.75, 0.3, intervals, replicas, Seed(5), steps,
+                                          kappa_scale)
+    assert len(seen) == len(expected) == len(rep.rows)
+    for (sample, reference), (ref_sample, ref_reference), row in zip(seen, expected,
+                                                                     rep.rows):
+        assert sample.tobytes() == ref_sample.tobytes()
+        assert reference.tobytes() == ref_reference.tobytes()
+        assert row[3] == float(ks_2samp(ref_sample, ref_reference).pvalue)
+
+
 def test_kernel_estimates_pass_and_agree_at_large_rates():
     rep = verify_kernel_estimates(0.25, [1.0, 10.0, 100.0, 1000.0])
     assert rep.passed
@@ -275,6 +369,10 @@ def test_self_similarity_validation():
         verify_self_similarity(0.75, 0.3, [(0.0, 0.3)], 50, Seed(0), steps=64)
     with pytest.raises(ParameterError):
         verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 5, Seed(0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="kappa_scale must be finite"):
+            verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 50, Seed(0),
+                                   kappa_scale=bad)
 
 
 def test_jump_product_trivial_cases():

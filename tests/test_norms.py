@@ -3,8 +3,11 @@ rough ones, and the fitted-constant protocol for the modulus functional."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from mfsde._kernels import _power_tables, abs_increment_kernel_profile, abs_left_singular_cells
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import GridFunction
 from mfsde.noise import GridSpec, Seed, gen_fbm, gen_wiener
@@ -15,7 +18,9 @@ from mfsde.norms import (
     evaluate_norms,
     grr_functional,
     norm_0_interval,
+    norm_0_interval_stack,
     norm_inf,
+    norm_inf_stack,
     norm_profile,
     norm_t,
     weighted_norms,
@@ -202,3 +207,209 @@ def test_evaluate_norms_report_and_csv():
     assert np.isnan(rep2.xi_eta)
     assert all(np.isfinite(float(c)) or np.isnan(float(c))
                for c in rep2.csv_row().split(",")[1:])
+
+
+# ---------------------------------------------------------------------------
+# stacked norms against the one-path kernels they replaced
+#
+# The functions below are the one-path kernels as they stood before the
+# norms were stacked over paths, kept here unchanged as the reference: every
+# stacked row must equal them bit for bit.
+
+
+def _ref_right_total(d, i, alpha, h, g1, g2, pow_neg, pow_pos):
+    if i == 0:
+        return 0.0
+    v = np.abs(d[: i + 1])
+    vj = v[:i]
+    vj1 = v[1:]
+    slope = (vj - vj1) / h
+    g1r = g1[1 : i + 1][::-1]
+    g2r = g2[1 : i + 1][::-1]
+    w_lo = np.arange(i, dtype=float)[::-1] * h
+    c = vj1 - slope * w_lo
+    total = float(np.dot(c, g1r) + np.dot(slope, g2r))
+    cross = np.nonzero(d[:i] * d[1 : i + 1] < 0.0)[0]
+    if cross.size:
+        j = cross
+        k_lag = (i - j).astype(float)
+        w_hi_c = k_lag * h
+        w_lo_c = (k_lag - 1.0) * h
+        w_star = w_hi_c - h * vj[j] / (vj[j] + vj1[j])
+        hi_neg = pow_neg[i - j] * h**-alpha
+        hi_pos = pow_pos[i - j] * h ** (1.0 - alpha)
+        lo_neg = pow_neg[i - j - 1] * h**-alpha
+        lo_pos = pow_pos[i - j - 1] * h ** (1.0 - alpha)
+        st_neg = w_star**-alpha
+        st_pos = w_star ** (1.0 - alpha)
+        sub_hi = vj[j] / (w_hi_c - w_star) * (
+            (hi_pos - st_pos) / (1.0 - alpha) - w_star * (st_neg - hi_neg) / alpha
+        )
+        sub_lo = vj1[j] / (w_star - w_lo_c) * (
+            w_star * (lo_neg - st_neg) / alpha - (st_pos - lo_pos) / (1.0 - alpha)
+        )
+        base = c[j] * g1r[j] + slope[j] * g2r[j]
+        total += float(np.sum(sub_hi + sub_lo - base))
+    return total
+
+
+def _ref_profile(vals, alpha, h):
+    k = len(vals) - 1
+    prof = np.zeros(k + 1)
+    if k:
+        tables = _power_tables(k, -alpha, 1.0 - alpha, h)
+        for i in range(1, k + 1):
+            prof[i] = _ref_right_total(vals[i] - vals[: i + 1], i, alpha, h, *tables)
+    return prof
+
+
+def _ref_norm_inf(f, t, alpha):
+    k = int(round((t - f.left) / f.h))
+    vals = f.values[: k + 1]
+    return float(np.max(np.abs(vals))) + float(np.max(_ref_profile(vals, alpha, f.h)))
+
+
+def _ref_left_cells(f, start, alpha, h, tables):
+    m = len(f) - 1 - start
+    q1, q2, pow_m1, pow_a = tables
+    d = f[start:] - f[start]
+    v = np.abs(d)
+    v_lo = v[:-1]
+    v_hi = v[1:]
+    slope = (v_hi - v_lo) / h
+    w_lo = np.arange(m, dtype=float) * h
+    c = v_lo - slope * w_lo
+    cells = c * q1[1 : m + 1] + slope * q2[1 : m + 1]
+    cross = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+    if cross.size:
+        k = cross + 1.0
+        w_hi_c = k * h
+        w_lo_c = (k - 1.0) * h
+        w_star = w_lo_c + h * v_lo[cross] / (v_lo[cross] + v_hi[cross])
+        hi_m1 = pow_m1[cross + 1] * h ** (alpha - 1.0)
+        hi_a = pow_a[cross + 1] * h**alpha
+        lo_m1 = pow_m1[cross] * h ** (alpha - 1.0)
+        lo_a = pow_a[cross] * h**alpha
+        st_m1 = w_star ** (alpha - 1.0)
+        st_a = w_star**alpha
+        sub_lo = v_lo[cross] / (w_star - w_lo_c) * (
+            w_star * (lo_m1 - st_m1) / (1.0 - alpha) - (st_a - lo_a) / alpha
+        )
+        sub_hi = v_hi[cross] / (w_hi_c - w_star) * (
+            (hi_a - st_a) / alpha - w_star * (st_m1 - hi_m1) / (1.0 - alpha)
+        )
+        cells[cross] = sub_lo + sub_hi
+    return cells
+
+
+def _ref_norm_0_interval(f, s, t, alpha):
+    h = f.h
+    i0 = int(round((s - f.left) / h))
+    i1 = int(round((t - f.left) / h))
+    seg = f.values[i0 : i1 + 1]
+    m = i1 - i0
+    tables = _power_tables(m, alpha - 1.0, alpha, h)
+    spans_pow = (h * np.arange(1, m + 1)) ** (1.0 - alpha)
+    best = 0.0
+    for i in range(m):
+        integ = np.cumsum(_ref_left_cells(seg, i, alpha, h, tables))
+        cand = np.abs(seg[i + 1 :] - seg[i]) / spans_pow[: m - i] + integ
+        ci = float(np.max(cand))
+        if ci > best:
+            best = ci
+    return best
+
+
+def _max_crossings(values):
+    # most sign changes of f(t_i) - f(u), u in [t_0, t_i], over the anchors i
+    return max(int(np.sum((values[i] - values[:i])[:-1] * (values[i] - values[1:i]) < 0.0))
+               for i in range(1, len(values)))
+
+
+def _row(kind, n, rng):
+    if kind == "monotone":        # f(t_i) - f(u) never changes sign
+        return np.cumsum(rng.uniform(0.1, 1.0, n + 1))
+    if kind == "zigzag":          # many crossings inside cells
+        return (-1.0) ** np.arange(n + 1) + rng.uniform(-0.5, 0.5, n + 1)
+    if kind == "ties":            # equal node values: zeros at nodes
+        return rng.integers(-2, 3, n + 1).astype(float)
+    return rng.standard_normal(n + 1) * rng.uniform(0.01, 100.0)
+
+
+def _check_stacked_norms(rows, left, right, alpha, i0, i1):
+    paths = [GridFunction(left, right, v) for v in rows]
+    # the kernels at every node: a maximum would hide a wrong non-maximal entry
+    h = paths[0].h
+    stack = np.array(rows)
+    profile = abs_increment_kernel_profile(stack, alpha, h)
+    for r, p in enumerate(paths):
+        assert profile[r].tobytes() == _ref_profile(p.values, alpha, h).tobytes()
+        assert profile[r].tobytes() == norm_profile(p, p.nodes[-1], alpha).tobytes()
+    m = i1 - i0
+    tables = _power_tables(m, alpha - 1.0, alpha, h)
+    for start in range(m):
+        cells = abs_left_singular_cells(stack[:, i0 : i1 + 1], start, alpha, h, tables)
+        for r, v in enumerate(rows):
+            expected = _ref_left_cells(v[i0 : i1 + 1], start, alpha, h, tables)
+            assert cells[r].tobytes() == expected.tobytes()
+    t = paths[0].nodes[-1]
+    s_node, t_node = paths[0].nodes[i0], paths[0].nodes[i1]
+    stacked = norm_inf_stack(paths, t, alpha)
+    assert stacked.shape == (len(paths),)
+    assert stacked.tobytes() == np.array([norm_inf(p, t, alpha) for p in paths]).tobytes()
+    assert stacked.tobytes() == np.array([_ref_norm_inf(p, t, alpha) for p in paths]).tobytes()
+    stacked = norm_0_interval_stack(paths, s_node, t_node, alpha)
+    width_one = [norm_0_interval(p, s_node, t_node, alpha) for p in paths]
+    assert stacked.tobytes() == np.array(width_one).tobytes()
+    reference = [_ref_norm_0_interval(p, s_node, t_node, alpha) for p in paths]
+    assert stacked.tobytes() == np.array(reference).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+       kinds=st.lists(st.sampled_from(("monotone", "zigzag", "ties", "random")),
+                      min_size=1, max_size=8),
+       alpha=st.floats(0.01, 0.49), left=st.sampled_from((0.0, -0.4, 2.5)),
+       length=st.floats(0.1, 3.0), data=st.data())
+def test_stacked_norms_equal_width_one_calls_bitwise(seed, n, kinds, alpha, left,
+                                                     length, data):
+    rng = np.random.default_rng(seed)
+    rows = [_row(kind, n, rng) for kind in kinds]
+    i0 = data.draw(st.integers(0, n - 1), label="i0")
+    i1 = data.draw(st.integers(i0 + 1, n), label="i1")
+    _check_stacked_norms(rows, left, left + length, alpha, i0, i1)
+
+
+def test_stacked_norms_cover_crossing_counts():
+    # the three regimes the row-wise crossing sums must keep apart: none,
+    # a few inside cells, and more than 8 (numpy's pairwise-sum block)
+    rng = np.random.default_rng(7)
+    rows = [_row("monotone", 40, rng), _row("random", 40, rng),
+            np.array([0.0, 1.0, -1.0] + [0.5] * 38), _row("zigzag", 40, rng)]
+    counts = [_max_crossings(v) for v in rows]
+    assert counts[0] == 0 and 0 < counts[2] <= 2 and counts[3] > 8
+    _check_stacked_norms(rows, 0.0, 1.0, 0.3, 0, 40)
+    _check_stacked_norms(rows, 0.0, 1.0, 0.3, 5, 33)
+
+
+def test_stacked_norms_span_several_blocks():
+    # 300 paths cross two block boundaries of the stacked entries
+    rng = np.random.default_rng(11)
+    kinds = ("monotone", "zigzag", "ties", "random")
+    rows = [_row(kinds[r % 4], 6, rng) for r in range(300)]
+    _check_stacked_norms(rows, 0.0, 1.0, 0.35, 1, 5)
+
+
+def test_stacked_norms_need_one_grid():
+    f = GridFunction(0.0, 1.0, np.arange(9.0))
+    for other in (GridFunction(0.0, 1.0, np.arange(17.0)),
+                  GridFunction(0.0, 2.0, np.arange(9.0)),
+                  GridFunction(0.5, 1.5, np.arange(9.0))):
+        with pytest.raises(GridMismatchError, match="one grid"):
+            norm_inf_stack([f, other], 1.0, 0.3)
+        with pytest.raises(GridMismatchError, match="one grid"):
+            norm_0_interval_stack([f, other], 0.0, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="at least one path"):
+        norm_inf_stack([], 1.0, 0.3)
+    with pytest.raises(ParameterError, match="at least one path"):
+        norm_0_interval_stack(iter(()), 0.0, 1.0, 0.3)
