@@ -60,18 +60,11 @@ from .noise import (
     gen_wiener,
 )
 from .norms import (
-    NormParams,
-    NormReport,
     capital_lambda,
-    evaluate_norms,
-    grr_functional,
     norm_0_interval,
     norm_0_interval_stack,
     norm_inf,
     norm_inf_stack,
-    norm_profile,
-    norm_t,
-    weighted_norms,
 )
 from .solver import (
     AssumptionReport,
@@ -94,19 +87,19 @@ __all__ = [
     "Ensemble", "FracParams",
     "GaussianMarks", "GridFunction", "GridMismatchError", "GridSpec",
     "JumpMomentReport", "JumpTrain", "KernelReport", "LemmaReport", "MODELS",
-    "MarkLaw", "MomentTable", "NormParams", "NormReport", "ParameterError",
+    "MarkLaw", "MomentTable", "ParameterError",
     "RunConfig", "RunFailure", "SamplingBox", "Seed",
     "SelfSimReport", "SolutionPath", "TailReport", "Thresholds",
     "TwoPointMarks", "UniformMarks", "build_mark_law", "build_model",
     "capital_lambda", "check_assumptions", "estimate_moments", "euler_paths",
-    "evaluate_norms", "forward_sum_integral", "gen_driving_triple", "gen_fbm",
-    "gen_jump_train", "gen_wiener", "gls_integral", "grr_functional",
+    "forward_sum_integral", "gen_driving_triple", "gen_fbm",
+    "gen_jump_train", "gen_wiener", "gls_integral",
     "integral_bound_rhs", "ito_integral_path", "load_config",
     "norm_0_interval", "norm_0_interval_stack", "norm_inf", "norm_inf_stack",
-    "norm_profile", "norm_t", "parse_config",
+    "parse_config",
     "pathwise_bound_rhs", "read_solution_csv", "rl_left_derivative",
     "rl_right_derivative", "serialize_config", "simulate_ensemble",
     "solve_with_jumps", "solve_with_jumps_batch", "tail_diagnostic",
     "verify_jump_product_moment", "verify_kernel_estimates",
-    "verify_pathwise_lemma", "verify_self_similarity", "weighted_norms",
+    "verify_pathwise_lemma", "verify_self_similarity",
 ]

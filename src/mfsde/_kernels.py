@@ -121,17 +121,10 @@ def _abs_right_singular_total(
     return total
 
 
-def abs_increment_kernel(values: np.ndarray, alpha: float, h: float, at: int) -> float:
-    """Integral over [t_0, t_at] of |f(t_at) - f(u)| (t_at - u)^(-1-alpha) du."""
-    f = np.asarray(values, dtype=float)
-    g1, g2, pow_neg, pow_pos = _power_tables(at, -alpha, 1.0 - alpha, h)
-    d = f[at] - f[: at + 1]
-    return float(_abs_right_singular_total(d[None], at, alpha, h, g1, g2, pow_neg, pow_pos)[0])
-
-
 def abs_increment_kernel_profile(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """abs_increment_kernel at every node of every row of an (R, n+1) value
-    stack, sharing the power tables; returns (R, n+1)."""
+    """Integral over [t_0, t_i] of |f(t_i) - f(u)| (t_i - u)^(-1-alpha) du
+    at every node i of every row of an (R, n+1) value stack, sharing the
+    power tables; returns (R, n+1)."""
     f = np.asarray(values, dtype=float)
     n = f.shape[-1] - 1
     out = np.zeros(f.shape)

@@ -18,7 +18,6 @@ from .analysis import Thresholds
 from .errors import ParameterError
 from .models import build_model
 from .noise import CSV_FLOAT_FMT, FracParams, GridSpec, MarkLaw, Seed, build_mark_law
-from .norms import NormParams
 from .solver import CoefficientSet
 
 _DEFAULTS = {
@@ -69,9 +68,6 @@ class RunConfig:
 
     def build_coeffs(self) -> CoefficientSet:
         return build_model(self.model_name, **self.model_params)
-
-    def norm_params(self) -> NormParams:
-        return NormParams(self.frac.alpha, self.lam, self.eta)
 
     def seed(self) -> Seed:
         return Seed(self.seed_root)
@@ -190,10 +186,10 @@ def parse_config(text: str) -> RunConfig:
             _fail(text, "frac", "alpha", msg)
     lam = _get_float(text, frac_sec, "frac", "lambda")
     eta = _get_float(text, frac_sec, "frac", "eta") if frac_sec["eta"] else None
-    try:
-        NormParams(frac.alpha, lam, eta)
-    except ParameterError as exc:
-        _fail(text, "frac", "eta" if eta is not None else "lambda", str(exc))
+    if lam < 0.0:
+        _fail(text, "frac", "lambda", "lam must be nonnegative")
+    if eta is not None and not 0.0 < eta < 0.5 - frac.alpha:
+        _fail(text, "frac", "eta", "eta must lie in (0, 1/2 - alpha)")
 
     mc_sec = merged["mc"]
     replicas = _get_int(text, mc_sec, "mc", "replicas")

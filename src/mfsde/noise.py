@@ -15,7 +15,7 @@ run can be regenerated in isolation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
@@ -175,6 +175,10 @@ class JumpTrain:
         self.marks = np.asarray(self.marks, dtype=float)
         if self.times.shape != self.marks.shape:
             raise ParameterError("times and marks must have equal length")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.marks))):
+            raise ParameterError("jump times and marks must be finite")
         if self.times.size and (
             np.any(self.times <= 0.0)
             or np.any(self.times > self.horizon)
@@ -209,6 +213,12 @@ class MarkLaw:
 
     name = "abstract"
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ParameterError(f"mark {field.name} must be finite, got {value}")
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -224,6 +234,7 @@ class GaussianMarks(MarkLaw):
     name = "gaussian"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.std <= 0:
             raise ParameterError("mark std must be positive")
 
@@ -249,6 +260,7 @@ class TwoPointMarks(MarkLaw):
     name = "two_point"
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.p_low <= 1.0:
             raise ParameterError("p_low must lie in [0, 1]")
 
@@ -266,6 +278,7 @@ class UniformMarks(MarkLaw):
     name = "uniform"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.high > self.low:
             raise ParameterError("uniform marks need high > low")
 
@@ -383,8 +396,8 @@ def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> J
     times on (0, horizon), i.i.d. marks."""
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ParameterError(f"horizon must be positive and finite, got {horizon}")
     rng = seed.generator()
     count = int(rng.poisson(rate * horizon))
     times = np.sort(rng.uniform(0.0, horizon, size=count))

@@ -73,7 +73,6 @@ def test_empty_config_takes_defaults():
     assert cfg.thresholds == Thresholds()
     assert cfg.seed_root == 0 and cfg.out_dir == "out"
     assert cfg.build_coeffs().name == "additive"
-    assert cfg.norm_params().alpha == 0.375
 
 
 def test_full_config_and_exact_round_trip():
@@ -257,12 +256,16 @@ def test_non_finite_and_out_of_range_numbers_are_rejected(text, spot):
 
 
 def test_frac_weight_validation():
-    with pytest.raises(ParameterError) as exc:
-        parse_config("[frac]\nlambda = -1\n")
-    assert "[frac] lambda" in str(exc.value)
-    with pytest.raises(ParameterError) as exc:
-        parse_config("[frac]\nalpha = 0.3\neta = 0.4\n")
-    assert "[frac] eta" in str(exc.value)
+    for text, spot in [
+        ("[frac]\nlambda = -1\n", "line 2: [frac] lambda"),
+        # a bad lambda is blamed on lambda even when eta is set
+        ("[frac]\nlambda = -1\neta = 0.1\n", "line 2: [frac] lambda"),
+        ("[frac]\nalpha = 0.3\neta = 0.4\n", "line 3: [frac] eta"),
+        ("[frac]\neta = 0\n", "line 2: [frac] eta"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            parse_config(text)
+        assert spot in str(exc.value)
 
 
 def test_syntax_error_is_wrapped():

@@ -95,6 +95,25 @@ def test_jump_train_invariants_and_csv():
     assert np.array_equal(train.marks, back.marks)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: JumpTrain(np.array([_NAN]), np.array([0.1]), 1.0, 1.0),
+    lambda: JumpTrain(np.array([0.5]), np.array([_NAN]), 1.0, 1.0),
+    lambda: JumpTrain(np.array([0.5]), np.array([_INF]), 1.0, 1.0),
+    lambda: JumpTrain(np.array([0.5]), np.array([-_INF]), 1.0, 1.0),
+    lambda: JumpTrain(np.array([0.5]), np.array([0.1]), 1.0, _NAN),
+    lambda: JumpTrain(np.array([0.5]), np.array([0.1]), 1.0, _INF),
+    lambda: JumpTrain(np.empty(0), np.empty(0), 1.0, 0.0),
+    lambda: JumpTrain.from_csv(io.StringIO("tau,mark\nnan,0.2\n"), rate=1.0, horizon=1.0),
+], ids=["nan-time", "nan-mark", "inf-mark", "-inf-mark", "nan-horizon", "inf-horizon",
+        "zero-horizon", "csv-nan-time"])
+def test_jump_train_refuses_non_finite_input(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 def test_seed_determinism_bytes():
     g = GridSpec(1.0, 32)
     for make in (lambda s: gen_wiener(g, s.child(0)),
@@ -255,3 +274,21 @@ def test_mark_laws():
         build_mark_law("two_point", widthh=1.0)
     with pytest.raises(ParameterError):
         UniformMarks(2.0, -2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussianMarks(std=_NAN),
+    lambda: GaussianMarks(mean=_NAN),
+    lambda: GaussianMarks(std=_INF),
+    lambda: TwoPointMarks(low=_INF),
+    lambda: TwoPointMarks(high=_NAN),
+    lambda: UniformMarks(low=-_INF),
+    lambda: UniformMarks(high=_INF),
+    lambda: gen_jump_train(1.0, TwoPointMarks(), _NAN, Seed(0)),
+    lambda: gen_jump_train(1.0, TwoPointMarks(), _INF, Seed(0)),
+], ids=["gaussian-std-nan", "gaussian-mean-nan", "gaussian-std-inf", "two-point-low-inf",
+        "two-point-high-nan", "uniform-low-inf", "uniform-high-inf", "train-horizon-nan",
+        "train-horizon-inf"])
+def test_mark_laws_and_jump_trains_refuse_non_finite_constants(make):
+    with pytest.raises(ParameterError, match="finite"):
+        make()

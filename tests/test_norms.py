@@ -1,5 +1,5 @@
 """Path norms: closed forms on polynomial paths, quadrature oracles on
-rough ones, and the fitted-constant protocol for the modulus functional."""
+rough ones, and the stacked norms against the one-path kernels."""
 
 import numpy as np
 import pytest
@@ -10,20 +10,13 @@ from scipy import integrate
 from mfsde._kernels import _power_tables, abs_increment_kernel_profile, abs_left_singular_cells
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import GridFunction
-from mfsde.noise import GridSpec, Seed, gen_fbm, gen_wiener
+from mfsde.noise import GridSpec, Seed, gen_fbm
 from mfsde.norms import (
-    NormParams,
-    NormReport,
     capital_lambda,
-    evaluate_norms,
-    grr_functional,
     norm_0_interval,
     norm_0_interval_stack,
     norm_inf,
     norm_inf_stack,
-    norm_profile,
-    norm_t,
-    weighted_norms,
 )
 
 
@@ -31,60 +24,45 @@ def _linear(n, slope=1.0, a=0.0, b=1.0):
     return GridFunction(a, b, slope * np.linspace(a, b, n + 1))
 
 
+def _profile(f, alpha):
+    """Increment integral of f at every node (the inner sup of norm_inf)."""
+    return abs_increment_kernel_profile(f.values[None], alpha, f.h)[0]
+
+
+# The norm_t tests check the increment integral at one anchor node, read
+# off the profile.
+
 def test_norm_t_constant_and_left_end():
     f = GridFunction(0.0, 1.0, np.full(129, 4.2))
-    assert norm_t(f, 1.0, 0.25) == 0.0
-    assert norm_t(f, 0.0, 0.25) == 0.0
+    assert np.all(_profile(f, 0.25) == 0.0)
+    assert _profile(_linear(64), 0.25)[0] == 0.0     # empty integral at the left end
     with pytest.raises(GridMismatchError):
-        norm_t(f, 0.123, 0.25)
+        norm_inf(f, 0.123, 0.25)
 
 
 def test_norm_t_linear_closed_form():
     # integrand (1 - s)(1 - s)^(-1.25) integrates to 1 / 0.75
     f = _linear(4096)
-    assert norm_t(f, 1.0, 0.25) == pytest.approx(4.0 / 3.0, rel=1e-3)
+    assert _profile(f, 0.25)[-1] == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
 def test_norm_t_rough_path_vs_quadrature():
+    nodes = np.linspace(0.0, 1.0, 65)
     for s in range(10):
         p = gen_fbm(GridSpec(1.0, 64), 0.75, Seed(60 + s).child(1))
-        val = norm_t(p, 1.0, 0.25)
-        nodes = np.linspace(0.0, 1.0, 65)
-        terminal = p.values[-1]
-        fn = lambda u: (abs(terminal - np.interp(u, nodes, p.values))
-                        * (1.0 - u) ** -1.25)
-        oracle, _ = integrate.quad(fn, 0.0, 1.0, points=list(nodes[1:-1]),
-                                   limit=800, epsabs=1e-9, epsrel=1e-9)
-        assert abs(val - oracle) / abs(oracle) < 1e-6
-
-
-def test_norm_profile_matches_pointwise():
-    p = gen_fbm(GridSpec(1.0, 128), 0.7, Seed(3).child(1))
-    prof = norm_profile(p, 1.0, 0.3)
-    ks = (0, 1, 17, 64, 128)
-    vals = [norm_t(p, k / 128.0, 0.3) for k in ks]
-    np.testing.assert_allclose(prof[list(ks)], vals, rtol=1e-12)
-
-
-def test_weighted_norms_flat_and_matched_exponential():
-    one = GridFunction(0.0, 1.0, np.ones(257))
-    a, b = weighted_norms(one, 2.0, 1.0, 0.25)
-    assert a == 1.0 and b == 0.0
-
-    lam = 2.0
-    s = np.linspace(0.0, 1.0, 257)
-    f = GridFunction(0.0, 1.0, np.exp(lam * s))
-    a, _ = weighted_norms(f, lam, 1.0, 0.25)
-    assert a == pytest.approx(1.0, rel=1e-12)
-
-    with pytest.raises(ParameterError):
-        weighted_norms(one, -0.5, 1.0, 0.25)
+        prof = _profile(p, 0.25)
+        for k in (17, 32, 64):
+            anchor = p.values[k]
+            fn = lambda u: (abs(anchor - np.interp(u, nodes, p.values))
+                            * (nodes[k] - u) ** -1.25)
+            oracle, _ = integrate.quad(fn, 0.0, nodes[k], points=list(nodes[1:k]),
+                                       limit=800, epsabs=1e-9, epsrel=1e-9)
+            assert abs(prof[k] - oracle) / abs(oracle) < 1e-6
 
 
 def test_norm_inf_decomposition_and_linear_value():
     p = gen_fbm(GridSpec(1.0, 128), 0.75, Seed(5).child(1))
-    a, b = weighted_norms(p, 0.0, 1.0, 0.3)
-    assert norm_inf(p, 1.0, 0.3) == a + b
+    assert norm_inf(p, 1.0, 0.3) == np.max(np.abs(p.values)) + np.max(_profile(p, 0.3))
 
     # sup|f| = 1 and the increment integral peaks at t = 1 with value 4/3
     f = _linear(4096)
@@ -120,41 +98,6 @@ def test_norm_0_interval_moments_finite():
     assert np.isfinite(m8) and m8 > 0.0
 
 
-def test_grr_constant_and_linear():
-    c = GridFunction(0.0, 1.0, np.full(129, 2.0))
-    assert grr_functional(c, 0.2, 1.0) == 0.0
-    # linear path: double integral of |x - y|^5 equals 2 / 42
-    f = _linear(256)
-    exact = (1.0 / 21.0) ** 0.1
-    assert grr_functional(f, 0.2, 1.0) == pytest.approx(exact, rel=1e-3)
-    with pytest.raises(ParameterError):
-        grr_functional(f, 0.6, 1.0)
-    with pytest.raises(ParameterError):
-        grr_functional(f, 0.2, 1.0, alpha=0.4)
-
-
-def test_grr_controls_holder_quotients():
-    # the modulus functional dominates the (1/2 - eta)-Holder seminorm up
-    # to a constant fitted on half the seeds and validated on the rest
-    eta = 0.1
-    grid = GridSpec(1.0, 256)
-    nodes = grid.times
-    dt = np.abs(nodes[:, None] - nodes[None, :])
-    mask = dt > 0
-    denom = dt[mask] ** (0.5 - eta)
-    ratios = []
-    for s in range(100):
-        w = gen_wiener(grid, Seed(77).child(3 + s).child(0))
-        xi = grr_functional(w, eta, 1.0)
-        dv = np.abs(w.values[:, None] - w.values[None, :])
-        ratios.append(np.max(dv[mask] / denom) / xi)
-    ratios = np.array(ratios)
-    assert np.all(np.isfinite(ratios))
-    assert ratios.max() / ratios.min() < 2.0
-    c_fit = ratios[:50].max()
-    assert np.mean(ratios[50:] <= c_fit) >= 0.9
-
-
 def test_capital_lambda_floor_and_linear():
     c = GridFunction(0.0, 1.0, np.full(65, 2.0))
     assert capital_lambda(c, 1.0, 0.25) == 1.0
@@ -169,44 +112,8 @@ def test_smooth_path_grid_refinement():
     vals = []
     for n in (512, 1024):
         xs = np.linspace(0.0, 1.0, n + 1)
-        f = GridFunction(0.0, 1.0, np.sin(3.0 * xs))
-        vals.append(norm_t(f, 1.0, 0.25))
+        vals.append(_profile(GridFunction(0.0, 1.0, np.sin(3.0 * xs)), 0.25)[-1])
     assert abs(vals[1] - vals[0]) / abs(vals[1]) < 1e-2
-
-
-def test_norm_params_validation():
-    NormParams(alpha=0.3, lam=1.0, eta=0.1)
-    with pytest.raises(ParameterError, match="alpha"):
-        NormParams(alpha=0.6)
-    with pytest.raises(ParameterError, match="alpha"):
-        NormParams(alpha=0.0)
-    with pytest.raises(ParameterError, match="lam"):
-        NormParams(alpha=0.3, lam=-1.0)
-    with pytest.raises(ParameterError, match="eta"):
-        NormParams(alpha=0.3, eta=0.25)
-
-
-def test_evaluate_norms_report_and_csv():
-    p = gen_fbm(GridSpec(1.0, 128), 0.75, Seed(21).child(1))
-    params = NormParams(alpha=0.3, lam=1.5, eta=0.1)
-    rep = evaluate_norms(p, params, path_id="p0")
-    assert rep.t == 1.0 and rep.s == 0.0 and rep.path_id == "p0"
-    assert rep.norm_t == norm_t(p, 1.0, 0.3)
-    assert rep.norm_0_interval == norm_0_interval(p, 0.0, 1.0, 0.3)
-    assert rep.xi_eta == grr_functional(p, 0.1, 1.0, 0.3)
-
-    header_cols = NormReport.HEADER.split(",")
-    row_cols = rep.csv_row().split(",")
-    assert len(header_cols) == len(row_cols) == 12
-    assert row_cols[0] == "p0"
-    parsed = [float(c) for c in row_cols[1:]]
-    assert parsed[5] == rep.norm_t
-
-    # without eta the functional column is nan but the row still parses
-    rep2 = evaluate_norms(p, NormParams(alpha=0.3))
-    assert np.isnan(rep2.xi_eta)
-    assert all(np.isfinite(float(c)) or np.isnan(float(c))
-               for c in rep2.csv_row().split(",")[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +251,6 @@ def _check_stacked_norms(rows, left, right, alpha, i0, i1):
     profile = abs_increment_kernel_profile(stack, alpha, h)
     for r, p in enumerate(paths):
         assert profile[r].tobytes() == _ref_profile(p.values, alpha, h).tobytes()
-        assert profile[r].tobytes() == norm_profile(p, p.nodes[-1], alpha).tobytes()
     m = i1 - i0
     tables = _power_tables(m, alpha - 1.0, alpha, h)
     for start in range(m):
