@@ -54,8 +54,10 @@ from .noise import (
     TwoPointMarks,
     UniformMarks,
     build_mark_law,
+    gen_driving_stack,
     gen_driving_triple,
     gen_fbm,
+    gen_fbm_stack,
     gen_jump_train,
     gen_wiener,
 )
@@ -78,6 +80,7 @@ from .solver import (
     read_solution_csv,
     solve_with_jumps,
     solve_with_jumps_batch,
+    solve_with_jumps_stack,
 )
 
 __version__ = "0.1.0"
@@ -92,14 +95,15 @@ __all__ = [
     "SelfSimReport", "SolutionPath", "TailReport", "Thresholds",
     "TwoPointMarks", "UniformMarks", "build_mark_law", "build_model",
     "capital_lambda", "check_assumptions", "estimate_moments", "euler_paths",
-    "forward_sum_integral", "gen_driving_triple", "gen_fbm",
-    "gen_jump_train", "gen_wiener", "gls_integral",
+    "forward_sum_integral", "gen_driving_stack", "gen_driving_triple", "gen_fbm",
+    "gen_fbm_stack", "gen_jump_train", "gen_wiener", "gls_integral",
     "integral_bound_rhs", "ito_integral_path", "load_config",
     "norm_0_interval", "norm_0_interval_stack", "norm_inf", "norm_inf_stack",
     "parse_config",
     "pathwise_bound_rhs", "read_solution_csv", "rl_left_derivative",
     "rl_right_derivative", "serialize_config", "simulate_ensemble",
-    "solve_with_jumps", "solve_with_jumps_batch", "tail_diagnostic",
+    "solve_with_jumps", "solve_with_jumps_batch", "solve_with_jumps_stack",
+    "tail_diagnostic",
     "verify_jump_product_moment", "verify_kernel_estimates",
     "verify_pathwise_lemma", "verify_self_similarity",
 ]

@@ -31,8 +31,9 @@ from .noise import (
     MarkLaw,
     Seed,
     TwoPointMarks,
+    gen_driving_stack,
     gen_driving_triple,
-    gen_fbm,
+    gen_fbm_stack,
     gen_jump_train,
 )
 from .norms import norm_0_interval_stack, norm_inf_stack
@@ -40,7 +41,7 @@ from .solver import (
     CoefficientSet,
     ito_integral_path,
     pathwise_bound_rhs,
-    solve_with_jumps_batch,
+    solve_with_jumps_stack,
 )
 
 
@@ -100,6 +101,11 @@ def _batch_se(x: np.ndarray) -> float:
 # ensembles
 
 
+def _replica_seeds(seed: Seed, replicas) -> list:
+    """The driver seeds of the given replica indices."""
+    return [seed.child(REPLICA_STREAM_BASE + r) for r in replicas]
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Replicated solves plus everything needed to regenerate them.
@@ -144,9 +150,9 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                       rate: float = 0.0, marks: MarkLaw | None = None) -> Ensemble:
     """Solve `replicas` independent copies of the equation.
 
-    The replicas go through one batched jump-restart solve
-    (`solve_with_jumps_batch`), which draws each block's drivers just
-    before solving it.  Each path equals the width-1 solve
+    The replicas' drivers are drawn as one stack (`gen_driving_stack`)
+    and go through one batched jump-restart solve
+    (`solve_with_jumps_stack`).  Each path equals the width-1 solve
     `solve_with_jumps(coeffs, x0, *ens.drivers(r))` bit for bit.  A
     blown-up replica is excluded and recorded with its BlowUpError text,
     and the rest carry on; the moment suite flags any nonzero exclusion
@@ -158,11 +164,10 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
         marks = TwoPointMarks()
-    drivers = (gen_driving_triple(grid, frac.hurst, rate, marks,
-                                  seed.child(REPLICA_STREAM_BASE + r))
-               for r in range(replicas))
+    W, B, trains = gen_driving_stack(grid, frac.hurst, rate, marks,
+                                     _replica_seeds(seed, range(replicas)))
     ids, paths, excluded = [], [], []
-    for r, sol in enumerate(solve_with_jumps_batch(coeffs, x0, drivers)):
+    for r, sol in enumerate(solve_with_jumps_stack(coeffs, x0, grid, W, B, trains)):
         if isinstance(sol, BlowUpError):
             excluded.append((r, str(sol)))
             continue
@@ -417,13 +422,14 @@ def verify_pathwise_lemma(ens: Ensemble,
     times = ens.grid.times
     lam_pow_exp = 1.0 / (1.0 - alpha)
 
-    xs, fbms, itos = [], [], []
-    for rid, path in zip(ens.replica_ids, ens.paths):
-        wiener, fbm, _ = ens.drivers(rid)
+    wieners, fbm_values, _ = gen_driving_stack(ens.grid, ens.frac.hurst, ens.rate, ens.marks,
+                                               _replica_seeds(ens.seed, ens.replica_ids))
+    fbms = [GridFunction(0.0, horizon, v) for v in fbm_values]
+    xs, itos = [], []
+    for w, path in zip(wieners, ens.paths):
         xs.append(GridFunction(0.0, horizon, path.values))
-        fbms.append(fbm)
         b_vals = np.broadcast_to(ens.coeffs.b(times, path.values), times.shape)
-        itos.append(ito_integral_path(b_vals, wiener))
+        itos.append(ito_integral_path(b_vals, GridFunction(0.0, horizon, w)))
     lhs = norm_inf_stack(xs, horizon, alpha).tolist()
     # Lambda: the roughness norm floored at 1, as in capital_lambda
     lam = np.maximum(norm_0_interval_stack(fbms, 0.0, horizon, alpha), 1.0).tolist()
@@ -650,9 +656,10 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
             raise ParameterError(f"interval [{a}, {b}] must align with the grid")
         scale = (b - a) ** (-kappa_used)
         grid_ref = GridSpec(1.0, cells)
-        bhs = [gen_fbm(grid_full, hurst, seed.child(2 * k).child(r)) for r in range(replicas)]
-        refs = [gen_fbm(grid_ref, hurst, seed.child(2 * k + 1).child(r))
-                for r in range(replicas)]
+        bhs = [GridFunction(0.0, 1.0, v) for v in gen_fbm_stack(
+            grid_full, hurst, [seed.child(2 * k).child(r) for r in range(replicas)])]
+        refs = [GridFunction(0.0, 1.0, v) for v in gen_fbm_stack(
+            grid_ref, hurst, [seed.child(2 * k + 1).child(r) for r in range(replicas)])]
         # Python float powers: numpy's array power differs from them in the
         # last bit for some inputs
         sample = np.array([scale * v ** expo

@@ -37,8 +37,14 @@ from .analysis import (
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .errors import BlowUpError, ParameterError, RunFailure
 from .models import MODELS
-from .noise import CSV_FLOAT_FMT, REPLICA_STREAM_BASE, GridFunction, GridSpec, gen_driving_triple
-from .solver import euler_paths, solve_with_jumps, solve_with_jumps_batch
+from .noise import (
+    CSV_FLOAT_FMT,
+    REPLICA_STREAM_BASE,
+    GridSpec,
+    gen_driving_stack,
+    gen_driving_triple,
+)
+from .solver import euler_paths, solve_with_jumps, solve_with_jumps_stack
 
 SUITES = ("kernel", "lemma", "selfsim", "moments", "jumps")
 # replicas a suite needs; the kernel suite draws none
@@ -247,7 +253,7 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     All levels of one seed subsample the same finest-grid drivers, so the
     closed form is evaluated once per seed from the shared terminal
     driver values.  Each level is one batched solve: euler_paths without
-    jumps, solve_with_jumps_batch with them.
+    jumps, solve_with_jumps_stack with them.
     """
     if refinements < 3:
         raise ParameterError(f"refinements must be >= 3, got {refinements}")
@@ -262,17 +268,12 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     fine = GridSpec(cfg.grid.horizon, levels[-1])
     m = cfg.replicas
 
-    w_fine = np.empty((m, fine.steps + 1))
-    z_fine = np.empty((m, fine.steps + 1))
-    trains = []
+    w_fine, z_fine, trains = gen_driving_stack(
+        fine, cfg.hurst, cfg.rate, cfg.marks,
+        [seed.child(REPLICA_STREAM_BASE + s) for s in range(m)])
     targets = np.empty(m)
-    for s in range(m):
-        wiener, fbm, train = gen_driving_triple(fine, cfg.hurst, cfg.rate, cfg.marks,
-                                                seed.child(REPLICA_STREAM_BASE + s))
-        w_fine[s] = wiener.values
-        z_fine[s] = fbm.values
-        trains.append(train)
-        targets[s] = coeffs.closed_form(cfg.x0, wiener.values[-1], fbm.values[-1], train)
+    for s, train in enumerate(trains):
+        targets[s] = coeffs.closed_form(cfg.x0, w_fine[s, -1], z_fine[s, -1], train)
 
     errors = np.empty((m, len(levels)))
     for j, steps in enumerate(levels):
@@ -282,11 +283,9 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
         if cfg.rate == 0.0:
             terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1]
         else:
-            drivers = ((GridFunction(0.0, grid_j.horizon, w_j[s]),
-                        GridFunction(0.0, grid_j.horizon, z_j[s]), trains[s])
-                       for s in range(m))
             terminal = np.empty(m)
-            for s, sol in enumerate(solve_with_jumps_batch(coeffs, cfg.x0, drivers)):
+            for s, sol in enumerate(solve_with_jumps_stack(coeffs, cfg.x0, grid_j,
+                                                           w_j, z_j, trains)):
                 if isinstance(sol, BlowUpError):
                     raise sol
                 terminal[s] = sol.terminal

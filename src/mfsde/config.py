@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from .analysis import Thresholds
 from .errors import ParameterError
 from .models import build_model
-from .noise import CSV_FLOAT_FMT, FracParams, GridSpec, MarkLaw, Seed, build_mark_law
+from .noise import (
+    CSV_FLOAT_FMT,
+    MAX_JUMP_MEAN,
+    FracParams,
+    GridSpec,
+    MarkLaw,
+    Seed,
+    build_mark_law,
+)
 from .solver import CoefficientSet
 
 _DEFAULTS = {
@@ -170,6 +178,9 @@ def parse_config(text: str) -> RunConfig:
                         _get_int(text, grid_sec, "grid", "steps"))
     except ParameterError as exc:
         _fail(text, "grid", None, str(exc))
+    if rate * grid.horizon > MAX_JUMP_MEAN:
+        _fail(text, "noise", "rate",
+              f"rate * horizon must be at most {MAX_JUMP_MEAN:.6g} (the Poisson draw limit)")
 
     frac_sec = merged["frac"]
     alpha = _get_float(text, frac_sec, "frac", "alpha") if frac_sec["alpha"] else None

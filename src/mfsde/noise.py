@@ -10,10 +10,19 @@ run can be regenerated in isolation:
     1  fractional Brownian motion
     2  jump train
     3+ ensemble replicas (replica r uses stream 3 + r, then 0/1/2 below it)
+
+Ensembles draw their drivers as stacks: gen_fbm_stack and
+gen_driving_stack return (R, n+1) path arrays, one row per seed, each row
+drawn from its own seed's stream in the same order as a path drawn alone.
+The fBm comes from circulant embedding, whose eigenvalues are cached per
+(n, H); the spectral noise of a chunk of rows goes through one FFT.
+gen_wiener, gen_fbm and gen_driving_triple are the width-1 calls of the
+stacks, so regenerating one replica reproduces its row bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -32,6 +41,9 @@ REPLICA_STREAM_BASE = 3
 CSV_FLOAT_FMT = "%.17g"
 
 ALPHA_RANGE_MESSAGE = "alpha must lie in (1-H, 1/2)"
+
+# largest Poisson mean numpy's Generator.poisson draws from
+MAX_JUMP_MEAN = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -324,71 +336,111 @@ def _circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.fft.fft(first_row).real
 
 
-def _hermitian_noise(rng: np.random.Generator, n: int):
-    """Fixed-order Gaussian draws for one spectral synthesis of length 2n."""
-    v0 = rng.standard_normal()
-    vn = rng.standard_normal()
-    vre = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    vim = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
-    return v0, vn, vre, vim
-
-
-def _spectral_transform(noise, eigs: np.ndarray, n: int) -> np.ndarray:
-    """Turn Hermitian spectral noise into n stationary Gaussian increments."""
-    v0, vn, vre, vim = noise
+def _amplitudes(eigs: np.ndarray, n: int) -> tuple:
+    """Spectral amplitudes at frequency 0, at n and at 1..n-1 of the
+    length-2n circulant with eigenvalues `eigs` (negatives clipped)."""
     m = 2 * n
     lam = np.clip(eigs, 0.0, None)
-    w = np.zeros(m, dtype=complex)
-    w[0] = math.sqrt(lam[0] / m) * v0
-    w[n] = math.sqrt(lam[n] / m) * vn
+    return math.sqrt(lam[0] / m), math.sqrt(lam[n] / m), np.sqrt(lam[1:n] / (2.0 * m))
+
+
+@functools.lru_cache(maxsize=64)
+def _fgn_spectrum(n: int, hurst: float) -> tuple:
+    """Autocovariance at lags 0..n, circulant eigenvalues and spectral
+    amplitudes of unit-spacing fractional Gaussian noise, cached read-only
+    per (n, H)."""
+    gamma = _fgn_autocov(n, hurst)
+    eigs = _circulant_eigenvalues(gamma)
+    amps = _amplitudes(eigs, n)
+    gamma.flags.writeable = eigs.flags.writeable = amps[2].flags.writeable = False
+    return gamma, eigs, amps
+
+
+def _spectral_rows(draws: np.ndarray, amps: tuple, n: int) -> np.ndarray:
+    """Turn rows of Hermitian spectral noise into rows of n stationary
+    Gaussian increments, all through one FFT.
+
+    A row of `draws` holds 2n standard normals in drawing order: v0, vn,
+    then n - 1 real and n - 1 imaginary parts.
+    """
+    a0, an, amp = amps
+    w = np.zeros((len(draws), 2 * n), dtype=complex)
+    w[:, 0] = a0 * draws[:, 0]
+    w[:, n] = an * draws[:, 1]
     if n > 1:
-        amp = np.sqrt(lam[1:n] / (2.0 * m))
-        w[1:n] = amp * (vre + 1j * vim)
-        w[n + 1 :] = np.conj(w[1:n][::-1])
-    return np.fft.fft(w).real[:n]
+        w[:, 1:n] = amp * (draws[:, 2 : n + 1] + 1j * draws[:, n + 1 :])
+        w[:, n + 1 :] = np.conj(w[:, n - 1 : 0 : -1])
+    return np.fft.fft(w, axis=-1).real[:, :n]
 
 
 _EMBED_TOL = 1e-12
+
+# complex elements of spectral workspace per synthesis chunk: the rows of a
+# chunk share one FFT call, and the workspace stays about 1 MB at any n
+_CHUNK = 65536
 
 
 def _embedding_ok(eigs: np.ndarray) -> bool:
     return eigs.min() >= -_EMBED_TOL * max(float(eigs.max()), 1.0)
 
 
-def _fgn(rng: np.random.Generator, n: int, hurst: float):
-    """n unit-spacing fractional Gaussian noise increments, plus a function
-    giving the white noise made from the same draws.
+def _fgn_chunks(n: int, hurst: float, seeds: list, white: bool = False):
+    """Yield (first row, fgn, white noise) per chunk of `seeds`: rows of n
+    unit-spacing fractional Gaussian noise increments, each drawn from its
+    own seed's stream, and with `white` the white noise rows made from the
+    same draws (else None).
 
     Synthesis is circulant embedding of the increment covariance, with a
     dense Cholesky factor when the embedding is not nonnegative definite.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    gamma = _fgn_autocov(n, hurst)
-    eigs = _circulant_eigenvalues(gamma)
+    gamma, eigs, amps = _fgn_spectrum(n, hurst)
     if _embedding_ok(eigs):
-        draws = _hermitian_noise(rng, n)
-        white = lambda: _spectral_transform(draws, np.ones(2 * n), n)
-        return _spectral_transform(draws, eigs, n), white
-    draws = rng.standard_normal(n)
-    return np.linalg.cholesky(toeplitz(gamma[:n])) @ draws, lambda: draws
+        rows = max(_CHUNK // (2 * n), 1)
+        for a in range(0, len(seeds), rows):
+            chunk = seeds[a : a + rows]
+            draws = np.empty((len(chunk), 2 * n))
+            for row, seed in zip(draws, chunk):
+                seed.generator().standard_normal(out=row)
+            yield (a, _spectral_rows(draws, amps, n),
+                   _spectral_rows(draws, _amplitudes(np.ones(2 * n), n), n) if white else None)
+        return
+    factor = np.linalg.cholesky(toeplitz(gamma[:n]))
+    for a, seed in enumerate(seeds):
+        draws = seed.generator().standard_normal(n)
+        yield a, (factor @ draws)[None, :], draws[None, :] if white else None
 
 
-def _path(grid: GridSpec, increments: np.ndarray) -> GridFunction:
-    """The path on `grid` started at 0 with the given increments."""
-    return GridFunction(0.0, grid.horizon, np.concatenate([[0.0], np.cumsum(increments)]))
+def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
+    """Exact fractional Brownian motion on the grid for each seed, as an
+    (R, n+1) array of paths started at 0; row r draws from seeds[r] alone."""
+    seeds = list(seeds)
+    out = np.zeros((len(seeds), grid.steps + 1))
+    scale = grid.dt**hurst
+    for a, fgn, _ in _fgn_chunks(grid.steps, hurst, seeds):
+        np.cumsum(fgn * scale, axis=1, out=out[a : a + len(fgn), 1:])
+    return out
+
+
+def _wiener_stack(grid: GridSpec, seeds: list) -> np.ndarray:
+    """Standard Wiener paths on the grid, one (n+1)-row per seed."""
+    out = np.zeros((len(seeds), grid.steps + 1))
+    for row, seed in zip(out, seeds):
+        seed.generator().standard_normal(out=row[1:])
+    out[:, 1:] *= math.sqrt(grid.dt)
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    return out
 
 
 def gen_fbm(grid: GridSpec, hurst: float, seed: Seed) -> GridFunction:
     """Exact fractional Brownian motion on the grid, started at 0."""
-    fgn, _ = _fgn(seed.generator(), grid.steps, hurst)
-    return _path(grid, fgn * grid.dt**hurst)
+    return GridFunction(0.0, grid.horizon, gen_fbm_stack(grid, hurst, [seed])[0])
 
 
 def gen_wiener(grid: GridSpec, seed: Seed) -> GridFunction:
     """Standard Wiener path on the grid, started at 0."""
-    rng = seed.generator()
-    return _path(grid, rng.standard_normal(grid.steps) * math.sqrt(grid.dt))
+    return GridFunction(0.0, grid.horizon, _wiener_stack(grid, [seed])[0])
 
 
 def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> JumpTrain:
@@ -398,6 +450,9 @@ def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> J
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+    if rate * horizon > MAX_JUMP_MEAN:
+        raise ParameterError(f"rate * horizon must be at most {MAX_JUMP_MEAN:.6g},"
+                             f" got {rate * horizon:.6g}")
     rng = seed.generator()
     count = int(rng.poisson(rate * horizon))
     times = np.sort(rng.uniform(0.0, horizon, size=count))
@@ -406,6 +461,19 @@ def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> J
         times = np.sort(rng.uniform(0.0, horizon, size=count))
     mark_values = marks.sample(rng, count)
     return JumpTrain(times, mark_values, float(rate), float(horizon))
+
+
+def gen_driving_stack(grid: GridSpec, hurst: float, rate: float, marks: MarkLaw,
+                      seeds) -> tuple:
+    """(W, B, trains) for a sequence of seeds: the (R, n+1) Wiener and fBm
+    path stacks and the R jump trains.  Row r draws from substreams 0/1/2
+    of seeds[r] alone, so it equals gen_driving_triple(grid, hurst, rate,
+    marks, seeds[r]) bit for bit."""
+    seeds = list(seeds)
+    trains = [gen_jump_train(rate, marks, grid.horizon, s.child(JUMP_STREAM)) for s in seeds]
+    wiener = _wiener_stack(grid, [s.child(WIENER_STREAM) for s in seeds])
+    fbm = gen_fbm_stack(grid, hurst, [s.child(FBM_STREAM) for s in seeds])
+    return wiener, fbm, trains
 
 
 def gen_driving_triple(
@@ -419,18 +487,22 @@ def gen_driving_triple(
     """(Wiener, fBm, jump train) from substreams 0/1/2 of `seed`.
 
     dependence="independent" (default) draws the three components from
-    disjoint substreams.  dependence="coupled" is experimental: the Wiener
-    and fBm paths are built from one shared spectral draw (stream 1), which
-    keeps both marginal laws exact but makes them dependent.  The jump train
-    is always independent.
+    disjoint substreams; it is the width-1 call of gen_driving_stack.
+    dependence="coupled" is experimental: the Wiener and fBm paths are
+    built from one shared spectral draw (stream 1), which keeps both
+    marginal laws exact but makes them dependent.  The jump train is
+    always independent.
     """
     if dependence not in ("independent", "coupled"):
         raise ParameterError(f"unknown dependence model {dependence!r}")
-    train = gen_jump_train(rate, marks, grid.horizon, seed.child(JUMP_STREAM))
     if dependence == "independent":
-        wiener = gen_wiener(grid, seed.child(WIENER_STREAM))
-        fbm = gen_fbm(grid, hurst, seed.child(FBM_STREAM))
-        return wiener, fbm, train
-    fgn, white = _fgn(seed.child(FBM_STREAM).generator(), grid.steps, hurst)
-    return (_path(grid, white() * math.sqrt(grid.dt)),
-            _path(grid, fgn * grid.dt**hurst), train)
+        wiener, fbm, trains = gen_driving_stack(grid, hurst, rate, marks, [seed])
+        return (GridFunction(0.0, grid.horizon, wiener[0]),
+                GridFunction(0.0, grid.horizon, fbm[0]), trains[0])
+    train = gen_jump_train(rate, marks, grid.horizon, seed.child(JUMP_STREAM))
+    [(_, fgn, white)] = _fgn_chunks(grid.steps, hurst, [seed.child(FBM_STREAM)], white=True)
+    paths = np.zeros((2, grid.steps + 1))
+    np.cumsum(white * math.sqrt(grid.dt), axis=1, out=paths[:1, 1:])
+    np.cumsum(fgn * grid.dt**hurst, axis=1, out=paths[1:, 1:])
+    return (GridFunction(0.0, grid.horizon, paths[0]),
+            GridFunction(0.0, grid.horizon, paths[1]), train)

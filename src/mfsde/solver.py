@@ -37,6 +37,7 @@ __all__ = [
     "SolutionPath",
     "solve_with_jumps",
     "solve_with_jumps_batch",
+    "solve_with_jumps_stack",
     "read_solution_csv",
     "ito_integral_path",
     "pathwise_bound_rhs",
@@ -266,13 +267,18 @@ def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
         ok = np.abs(new) <= BLOWUP_LIMIT
         if not ok.all():
             bad = ~ok
-            for r in np.flatnonzero(bad):
+            for r in np.flatnonzero(bad if frozen is None else bad & ~frozen):
                 failed[int(r)] = (k, float(new[r]))
             new[bad] = x[bad]
             frozen = bad if frozen is None else frozen | bad
         out[:, k + 1] = new
         x = new
     return out, failed
+
+
+def _check_start(x0) -> None:
+    if not np.all(np.isfinite(x0)):
+        raise ParameterError(f"x0 must be finite, got {x0}")
 
 
 def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
@@ -282,6 +288,7 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
     x0 may be a scalar or one start per path).  A blow-up in any path
     raises BlowUpError for the earliest one.  Used by the ensemble
     experiments."""
+    _check_start(x0)
     w = np.asarray(wiener_values, dtype=float)
     z = np.asarray(frac_values, dtype=float)
     if w.shape != z.shape or w.shape[-1] != grid.steps + 1:
@@ -403,33 +410,30 @@ def read_solution_csv(file) -> tuple:
     return data[:, 0], data[:, 1], data[:, 2].astype(int)
 
 
-def _restart_layout(block: list) -> tuple:
+def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
+                    trains: list) -> tuple:
     """Lay a block of jump-restart solves on one padded step axis.
 
-    `block` holds (W, BH, jumps) triples on one grid.  Transition k of row
-    r takes output node k to node k + 1: within a segment an Euler step
-    (kind: its step number within the segment) on the drivers shifted to
-    the segment origin, at a jump the jump map (kind _JUMP, t the jump
-    time, dt = dw = dz = 0), and after the row's last node a hold.  A
-    driver value within 1e-9 h of a grid node is that node's value, any
-    other is the linear interpolation np.interp computes, so a row's
-    arrays do not depend on its block.  Returns the (rows, K) arrays t,
-    dt, dw, dz, kinds and marks, and per row its output times and
-    left-limit flags.
+    Row r of the (rows, n+1) driver stacks W and BH holds replica r's
+    driver values at the nodes of `grid`, and trains[r] its jumps.
+    Transition k of row r takes output node k to node k + 1: within a
+    segment an Euler step (kind: its step number within the segment) on
+    the drivers shifted to the segment origin, at a jump the jump map
+    (kind _JUMP, t the jump time, dt = dw = dz = 0), and after the row's
+    last node a hold.  A driver value within 1e-9 h of a grid node is that
+    node's value, any other is the linear interpolation np.interp
+    computes, so a row's arrays do not depend on its block.  Returns the
+    (rows, K) arrays t, dt, dw, dz, kinds and marks, and per row its
+    output times and left-limit flags.
     """
-    T, n = float(block[0][0].right), block[0][0].cells
-    for W, BH, _ in block:
-        if W.left != 0.0 or BH.left != 0.0:
-            raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
-        if not (W.right, W.cells) == (BH.right, BH.cells) == (T, n):
-            raise GridMismatchError("drivers must share one grid")
-    taus = np.concatenate([jumps.times for _, _, jumps in block])
+    T, n = grid.horizon, grid.steps
+    taus = np.concatenate([jumps.times for jumps in trains])
     if taus.size and taus.max() > T * (1 + 1e-12):
         raise ParameterError("jump train extends beyond the driver horizon")
     h = T / n
 
     # segments in row order: a row's last one ends at T, the others at a jump
-    last_seg = np.cumsum([jumps.count + 1 for _, _, jumps in block]) - 1
+    last_seg = np.cumsum([jumps.count + 1 for jumps in trains]) - 1
     inner = np.ones(last_seg[-1] + 1, dtype=bool)
     inner[last_seg] = False
     starts = np.zeros(inner.size)
@@ -441,7 +445,7 @@ def _restart_layout(block: list) -> tuple:
     times = np.repeat(starts, counts) + local
     row_end = np.cumsum(counts)[last_seg]
     sizes = np.diff(row_end, prepend=0)
-    row = np.repeat(np.arange(len(block)), sizes)
+    row = np.repeat(np.arange(len(trains)), sizes)
 
     # drivers read at every output node, shifted to each segment origin
     nodes = np.linspace(0.0, T, n + 1)
@@ -457,8 +461,8 @@ def _restart_layout(block: list) -> tuple:
                             (f1 - f0) / (nodes[j + 1] - nodes[j]) * (t_off - nodes[j]) + f0)
         return out - out[first]
 
-    w = sample(np.array([W.values for W, _, _ in block]))
-    z = sample(np.array([BH.values for _, BH, _ in block]))
+    w = sample(W)
+    z = sample(BH)
 
     # per node, the transition that leaves it
     jump_from = (np.cumsum(counts) - 1)[inner]
@@ -467,7 +471,7 @@ def _restart_layout(block: list) -> tuple:
     t = times.copy()
     t[jump_from] = taus
     marks = np.zeros(times.size)
-    marks[jump_from] = np.concatenate([jumps.marks for _, _, jumps in block])
+    marks[jump_from] = np.concatenate([jumps.marks for jumps in trains])
 
     def steps(values):
         d = np.append(values[1:] - values[:-1], 0.0)
@@ -490,13 +494,13 @@ def _restart_layout(block: list) -> tuple:
             np.split(flags, row_end[:-1]))
 
 
-def _solve_block(coeffs: CoefficientSet, x0: float, block: list) -> list:
-    t, dt, dw, dz, kinds, marks, times, flags = _restart_layout(block)
-    states, failed = _euler_loop(coeffs, np.full(len(block), float(x0)), t, dt, dw, dz,
+def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
+                 BH: np.ndarray, trains: list) -> list:
+    t, dt, dw, dz, kinds, marks, times, flags = _restart_layout(grid, W, BH, trains)
+    states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), t, dt, dw, dz,
                                  kinds, marks)
-    grid = GridSpec(block[0][0].right, block[0][0].cells)
     results = []
-    for r, (_, _, jumps) in enumerate(block):
+    for r, jumps in enumerate(trains):
         if r in failed:
             k, state = failed[r]
             if kinds[r, k] == _JUMP:
@@ -510,23 +514,56 @@ def _solve_block(coeffs: CoefficientSet, x0: float, block: list) -> list:
     return results
 
 
-def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
-    """Jump-restart solves of many replicas through one step loop.
+def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec,
+                           W: np.ndarray, BH: np.ndarray, trains) -> list:
+    """Jump-restart solves of a stack of replicas through one step loop.
 
-    `drivers` is any iterable of (W, BH, jumps) triples, all on one grid;
-    it is consumed in blocks of _BLOCK replicas, so a generator draws each
-    block's drivers just before the block is solved.  A block's segment
-    solves and jump maps are laid on one step axis with exactly the
-    operations of a solve on its own, padded to its longest replica, and
-    its replicas advance together.  Returns one entry per replica: its
-    SolutionPath, or the BlowUpError that stopped it; a blow-up freezes
-    only its own replica.  Entry r equals solve_with_jumps(coeffs, x0,
-    *triple_r) bit for bit.
+    Row r of the (R, n+1) arrays W and BH holds replica r's Wiener and
+    rough driver values at the nodes of `grid`, and trains[r] its jumps,
+    as gen_driving_stack returns them.  The replicas go through in blocks
+    of _BLOCK: a block's segment solves and jump maps are laid on one step
+    axis with exactly the operations of a solve on its own, padded to its
+    longest replica, and its replicas advance together.  Returns one entry
+    per replica: its SolutionPath, or the BlowUpError that stopped it; a
+    blow-up freezes only its own replica.  Entry r equals
+    solve_with_jumps(coeffs, x0, W_r, BH_r, trains[r]) bit for bit.
     """
+    _check_start(x0)
+    W = np.asarray(W, dtype=float)
+    BH = np.asarray(BH, dtype=float)
+    trains = list(trains)
+    if W.shape != BH.shape or W.shape != (len(trains), grid.steps + 1):
+        raise GridMismatchError("driver stacks must have shape (len(trains), steps+1)")
+    results = []
+    for a in range(0, len(trains), _BLOCK):
+        b = a + _BLOCK
+        results += _solve_block(coeffs, x0, grid, W[a:b], BH[a:b], trains[a:b])
+    return results
+
+
+def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
+    """solve_with_jumps_stack for any iterable of (W, BH, jumps) triples of
+    GridFunction drivers on one grid starting at 0.
+
+    The iterable is consumed in blocks of _BLOCK triples, each stacked
+    once, so a generator draws each block's drivers just before the block
+    is solved.  Entry r equals solve_with_jumps(coeffs, x0, *triple_r)
+    bit for bit.
+    """
+    _check_start(x0)
     drivers = iter(drivers)
     results = []
     while block := list(itertools.islice(drivers, _BLOCK)):
-        results += _solve_block(coeffs, x0, block)
+        T, n = float(block[0][0].right), block[0][0].cells
+        for W, BH, _ in block:
+            if W.left != 0.0 or BH.left != 0.0:
+                raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
+            if not (W.right, W.cells) == (BH.right, BH.cells) == (T, n):
+                raise GridMismatchError("drivers must share one grid")
+        results += _solve_block(coeffs, x0, GridSpec(T, n),
+                                np.array([W.values for W, _, _ in block]),
+                                np.array([BH.values for _, BH, _ in block]),
+                                [jumps for _, _, jumps in block])
     return results
 
 

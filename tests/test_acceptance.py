@@ -36,6 +36,7 @@ from mfsde.noise import (
     UniformMarks,
     gen_driving_triple,
     gen_fbm,
+    gen_fbm_stack,
 )
 from mfsde.solver import euler_paths, solve_with_jumps
 
@@ -56,9 +57,8 @@ def test_c01_fbm_covariance_law(capsys):
     for hurst in (0.6, 0.75, 0.9):
         exact = 0.5 * (t[:, None] ** (2 * hurst) + t[None, :] ** (2 * hurst)
                        - np.abs(t[:, None] - t[None, :]) ** (2 * hurst))
-        vals = np.empty((m, t.size))
-        for r in range(m):
-            vals[r] = gen_fbm(grid, hurst, Seed(0).child(3 + r).child(1)).values[1:]
+        vals = gen_fbm_stack(grid, hurst, [Seed(0).child(3 + r).child(1)
+                                           for r in range(m)])[:, 1:]
         emp = vals.T @ vals / m
         diag = np.diag(exact)
         se = np.sqrt((exact ** 2 + np.outer(diag, diag)) / m)

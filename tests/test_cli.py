@@ -66,6 +66,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2
 
 
+def test_start_and_rate_edges(tmp_path, capsys):
+    # a jump rate past numpy's Poisson limit is a config error: exit 2, and
+    # nothing is written
+    huge = _write(tmp_path, "huge.ini", "[noise]\nrate = 1e30\n")
+    assert cli.main(["simulate", "--config", huge, "--out", str(tmp_path / "h")]) == 2
+    assert "[noise] rate" in capsys.readouterr().err
+    assert not (tmp_path / "h").exists()
+    # a start outside the trust region blows up at the first step
+    far = _write(tmp_path, "far.ini", "[model]\nx0 = 1e13\n")
+    assert cli.main(["simulate", "--config", far, "--out", str(tmp_path / "f")]) == 1
+    assert "state blew up at step 1 (t=0.00390625)" in capsys.readouterr().err
+
+
 def test_verify_kernel_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["verify", "kernel", "--out", str(out)]) == 0

@@ -241,6 +241,9 @@ def test_grid_seed_rate_validation():
     ("[model]\nx0 = nan\n", "line 2: [model] x0"),
     ("[model]\nx0 = inf\n", "line 2: [model] x0"),
     ("[noise]\nrate = inf\n", "line 2: [noise] rate"),
+    # past the largest Poisson mean numpy draws from
+    ("[noise]\nrate = 1e19\n", "line 2: [noise] rate"),
+    ("[grid]\nhorizon = 1e10\n[noise]\nrate = 1e9\n", "line 4: [noise] rate"),
     ("[mc]\njump_power = nan\n", "line 2: [mc] jump_power"),
     ("[frac]\nlambda = nan\n", "line 2: [frac] lambda"),
     ("[model]\nname = linear\ntheta = nan\n", "line 3: [model] theta"),

@@ -212,6 +212,10 @@ def test_jump_train_law():
         gen_jump_train(-1.0, TwoPointMarks(), 1.0, Seed(0))
     with pytest.raises(ParameterError):
         gen_jump_train(float("inf"), TwoPointMarks(), 1.0, Seed(0))
+    # past the largest Poisson mean numpy draws from
+    for rate, horizon in ((1e19, 1.0), (1e30, 1.0), (1e10, 1e9)):
+        with pytest.raises(ParameterError, match="rate \\* horizon"):
+            gen_jump_train(rate, TwoPointMarks(), horizon, Seed(0))
 
 
 def test_interarrival_law():

@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from mfsde.analysis import simulate_ensemble
 from mfsde.errors import BlowUpError, GridMismatchError, ParameterError
 from mfsde.models import build_model
 from mfsde.noise import (
+    FracParams,
     GridFunction,
     GridSpec,
     JumpTrain,
@@ -284,6 +286,43 @@ def test_blow_up_error_carries_location():
     assert err.step >= 1
     assert 0.0 < err.time <= 1.0
     assert not np.isfinite(err.state) or abs(err.state) > 1e12
+
+
+def _start_outcomes(entry, x0):
+    """Error texts of one solve entry started at x0: the raised error, or
+    one exclusion reason per replica of an ensemble that kept none."""
+    grid = GridSpec(1.0, 8)
+    coeffs = build_model("linear")
+    w, z, train = _drivers(grid, 0.75, 0.0, Seed(3))
+    try:
+        if entry == "euler_paths":
+            euler_paths(coeffs, x0, grid, w.values, z.values)
+        elif entry == "solve_with_jumps":
+            solve_with_jumps(coeffs, x0, w, z, train)
+        else:
+            ens = simulate_ensemble(coeffs, x0, grid, FracParams(0.75), Seed(3), 4)
+            assert ens.size == 0
+            return [reason for _, reason in ens.excluded]
+    except (ParameterError, BlowUpError) as err:
+        return [f"{type(err).__name__}: {err}"]
+    raise AssertionError(f"{entry} accepted x0 = {x0}")
+
+
+@pytest.mark.parametrize("entry", ["euler_paths", "solve_with_jumps", "simulate_ensemble"])
+@pytest.mark.parametrize("x0, expected", [
+    (math.nan, "ParameterError: x0 must be finite"),
+    (math.inf, "ParameterError: x0 must be finite"),
+    # a finite start outside the trust region fails at its first transition
+    (1e13, "state blew up at step 1 (t=0.125)"),
+], ids=["nan", "inf", "1e13"])
+def test_starts_outside_the_trust_region(entry, x0, expected):
+    outcomes = _start_outcomes(entry, x0)
+    if entry == "simulate_ensemble" and math.isfinite(x0):
+        assert len(outcomes) == 4
+    else:
+        assert len(outcomes) == 1
+        expected = expected if not math.isfinite(x0) else "BlowUpError: " + expected
+    assert all(text.startswith(expected) for text in outcomes), outcomes
 
 
 def test_solution_csv_roundtrip():
