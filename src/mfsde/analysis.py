@@ -150,10 +150,11 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                       rate: float = 0.0, marks: MarkLaw | None = None) -> Ensemble:
     """Solve `replicas` independent copies of the equation.
 
-    The replicas' drivers are drawn as one stack (`gen_driving_stack`)
-    and go through one batched jump-restart solve
-    (`solve_with_jumps_stack`).  Each path equals the width-1 solve
-    `solve_with_jumps(coeffs, x0, *ens.drivers(r))` bit for bit.  A
+    The replicas go through one batched jump-restart solve
+    (`solve_with_jumps_stack`), which draws each block's drivers as one
+    `gen_driving_stack` just before solving it.  Each path equals the
+    width-1 solve `solve_with_jumps(coeffs, x0, *ens.drivers(r))` bit for
+    bit.  A
     blown-up replica is excluded and recorded with its BlowUpError text,
     and the rest carry on; the moment suite flags any nonzero exclusion
     rate.
@@ -164,10 +165,10 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
         marks = TwoPointMarks()
-    W, B, trains = gen_driving_stack(grid, frac.hurst, rate, marks,
-                                     _replica_seeds(seed, range(replicas)))
+    seeds = _replica_seeds(seed, range(replicas))
+    draw = lambda rows: gen_driving_stack(grid, frac.hurst, rate, marks, seeds[rows])
     ids, paths, excluded = [], [], []
-    for r, sol in enumerate(solve_with_jumps_stack(coeffs, x0, grid, W, B, trains)):
+    for r, sol in enumerate(solve_with_jumps_stack(coeffs, x0, grid, draw, replicas)):
         if isinstance(sol, BlowUpError):
             excluded.append((r, str(sol)))
             continue

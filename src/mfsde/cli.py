@@ -283,9 +283,9 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
         if cfg.rate == 0.0:
             terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1]
         else:
+            draw = lambda rows: (w_j[rows], z_j[rows], trains[rows])
             terminal = np.empty(m)
-            for s, sol in enumerate(solve_with_jumps_stack(coeffs, cfg.x0, grid_j,
-                                                           w_j, z_j, trains)):
+            for s, sol in enumerate(solve_with_jumps_stack(coeffs, cfg.x0, grid_j, draw, m)):
                 if isinstance(sol, BlowUpError):
                     raise sol
                 terminal[s] = sol.terminal

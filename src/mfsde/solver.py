@@ -514,30 +514,35 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
     return results
 
 
-def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec,
-                           W: np.ndarray, BH: np.ndarray, trains) -> list:
-    """Jump-restart solves of a stack of replicas through one step loop.
+def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, draw,
+                           replicas: int) -> list:
+    """Jump-restart solves of `replicas` replicas whose drivers come as
+    stacks, drawn block by block.
 
-    Row r of the (R, n+1) arrays W and BH holds replica r's Wiener and
-    rough driver values at the nodes of `grid`, and trains[r] its jumps,
-    as gen_driving_stack returns them.  The replicas go through in blocks
-    of _BLOCK: a block's segment solves and jump maps are laid on one step
-    axis with exactly the operations of a solve on its own, padded to its
-    longest replica, and its replicas advance together.  Returns one entry
-    per replica: its SolutionPath, or the BlowUpError that stopped it; a
-    blow-up freezes only its own replica.  Entry r equals
-    solve_with_jumps(coeffs, x0, W_r, BH_r, trains[r]) bit for bit.
+    draw(rows) returns the drivers of the replicas in the slice `rows` as
+    gen_driving_stack does: (k, n+1) arrays W and BH of Wiener and rough
+    driver values at the nodes of `grid`, and the k jump trains.  It is
+    called once per block of _BLOCK replicas, just before the block is
+    solved, so only one block's drivers need exist at a time.  A block's
+    segment solves and jump maps are laid on one step axis with exactly
+    the operations of a solve on its own, padded to its longest replica,
+    and its replicas advance together.  Returns one entry per replica:
+    its SolutionPath, or the BlowUpError that stopped it; a blow-up
+    freezes only its own replica.  Entry r equals
+    solve_with_jumps(coeffs, x0, W_r, BH_r, trains_r) bit for bit.
     """
     _check_start(x0)
-    W = np.asarray(W, dtype=float)
-    BH = np.asarray(BH, dtype=float)
-    trains = list(trains)
-    if W.shape != BH.shape or W.shape != (len(trains), grid.steps + 1):
-        raise GridMismatchError("driver stacks must have shape (len(trains), steps+1)")
     results = []
-    for a in range(0, len(trains), _BLOCK):
-        b = a + _BLOCK
-        results += _solve_block(coeffs, x0, grid, W[a:b], BH[a:b], trains[a:b])
+    for a in range(0, replicas, _BLOCK):
+        rows = slice(a, min(a + _BLOCK, replicas))
+        W, BH, trains = draw(rows)
+        W = np.asarray(W, dtype=float)
+        BH = np.asarray(BH, dtype=float)
+        trains = list(trains)
+        if not W.shape == BH.shape == (rows.stop - a, grid.steps + 1) or len(trains) != len(W):
+            raise GridMismatchError("a drawn block must hold one (steps+1)-row of W and BH"
+                                    " and one train per replica")
+        results += _solve_block(coeffs, x0, grid, W, BH, trains)
     return results
 
 

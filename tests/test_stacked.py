@@ -208,7 +208,14 @@ def test_stacked_solve_equals_per_triple_solves(coeffs, x0):
     grid = GridSpec(1.0, 16)
     seeds = [Seed(23).child(3 + r) for r in range(150)]
     W, B, trains = gen_driving_stack(grid, 0.75, 3.0, TwoPointMarks(), seeds)
-    stacked = solve_with_jumps_stack(coeffs, x0, grid, W, B, trains)
+    drawn = []
+
+    def draw(rows):
+        drawn.append(rows)
+        return W[rows], B[rows], trains[rows]
+
+    stacked = solve_with_jumps_stack(coeffs, x0, grid, draw, len(seeds))
+    assert drawn == [slice(0, 128), slice(128, 150)]
     triples = [(GridFunction(0.0, 1.0, w), GridFunction(0.0, 1.0, z), t)
                for w, z, t in zip(W, B, trains)]
     batched = solve_with_jumps_batch(coeffs, x0, triples)
@@ -231,15 +238,17 @@ def test_stacked_solve_validation():
     grid = GridSpec(1.0, 8)
     W, B, trains = gen_driving_stack(grid, 0.75, 1.0, TwoPointMarks(), [Seed(1), Seed(2)])
     coeffs = build_model("linear")
+    for bad in (lambda rows: (W, B, trains),                    # too many rows
+                lambda rows: (W[rows], B[rows, :5], trains[rows]),
+                lambda rows: (W[rows], B[rows], [])):
+        with pytest.raises(GridMismatchError):
+            solve_with_jumps_stack(coeffs, 1.0, grid, bad, 1)
     with pytest.raises(GridMismatchError):
-        solve_with_jumps_stack(coeffs, 1.0, GridSpec(1.0, 16), W, B, trains)
-    with pytest.raises(GridMismatchError):
-        solve_with_jumps_stack(coeffs, 1.0, grid, W, B[:1], trains)
-    with pytest.raises(GridMismatchError):
-        solve_with_jumps_stack(coeffs, 1.0, grid, W, B, trains[:1])
+        solve_with_jumps_stack(coeffs, 1.0, GridSpec(1.0, 16),
+                               lambda rows: (W[rows], B[rows], trains[rows]), 2)
     with pytest.raises(ParameterError, match="x0"):
-        solve_with_jumps_stack(coeffs, math.nan, grid, W, B, trains)
-    assert solve_with_jumps_stack(coeffs, 1.0, grid, W[:0], B[:0], []) == []
+        solve_with_jumps_stack(coeffs, math.nan, grid, lambda rows: 1 / 0, 2)
+    assert solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, 0) == []
 
 
 # ---------------------------------------------------------------------------
