@@ -17,7 +17,10 @@ drawn from its own seed's stream in the same order as a path drawn alone.
 The fBm comes from circulant embedding, whose eigenvalues are cached per
 (n, H); the spectral noise of a chunk of rows goes through one FFT.
 gen_wiener, gen_fbm and gen_driving_triple are the width-1 calls of the
-stacks, so regenerating one replica reproduces its row bit for bit.
+stacks, so regenerating one replica reproduces its row bit for bit.  A
+stack of seeds gets its Philox keys from numpy's SeedSequence hash run
+over all seeds at once, and one Philox re-keyed per seed; the draws are
+those of Seed.generator().
 """
 
 from __future__ import annotations
@@ -63,6 +66,99 @@ class Seed:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.root, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
+# hash-constant seeds and multipliers, mix multipliers, xor shift
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+# fewest seeds worth hashing in bulk; below it, SeedSequence one by one
+# is faster
+_BULK_MIN = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before and after each of `count` hashes."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    out = np.array(consts, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each column of `values` in turn, column j
+    hashed under consts[j] (which consts[j + 1] follows)."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(...).generate_state(2, np.uint64), the key Philox takes
+    from a SeedSequence, for every row of assembled entropy words at once:
+    (R, L) uint32 words in, (R, 2) uint64 keys out.  Uint32 arithmetic
+    wraps as the C code's does."""
+    rows, width = entropy.shape
+    hashes = _POOL * _POOL + _POOL * max(width - _POOL, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, hashes)
+    first = np.zeros((rows, _POOL), dtype=np.uint32)
+    first[:, : min(width, _POOL)] = entropy[:, :_POOL]
+    pool = _hashmix(first, consts[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        mixed = _hashmix(pool[:, src : src + 1], consts[k : k + _POOL])
+        pool[:, dst] = _mix(pool[:, dst], mixed)
+        k += _POOL - 1
+    for src in range(_POOL, width):
+        pool = _mix(pool, _hashmix(entropy[:, src : src + 1], consts[k : k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(pool, _hash_constants(_INIT_B, _MULT_B, _POOL)).astype(np.uint64)
+    # little-endian pairs of words, as generate_state forms them
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _streams(seeds: list):
+    """Yield, seed by seed, a Generator that draws exactly what
+    seed.generator() draws.
+
+    A run of at least _BULK_MIN seeds whose root and stream entries are
+    32-bit nonnegative integers has its SeedSequence keys hashed in bulk,
+    and one Philox is re-keyed per seed through its state setter (a fresh
+    counter and buffer, as a new Philox has).  Each Generator yielded is
+    then the same object, so it must be used up before the next is taken.
+    """
+    words = None
+    if len(seeds) >= _BULK_MIN:
+        # root padded to the pool size when a spawn key follows, as
+        # SeedSequence assembles its entropy
+        try:
+            words = np.array([(s.root, 0, 0, 0, *s.stream) if s.stream else (s.root,)
+                              for s in seeds])
+        except (ValueError, OverflowError):
+            pass
+    if (words is None or words.ndim != 2 or words.dtype.kind not in "iu"
+            or words.min() < 0 or words.max() > 0xFFFFFFFF):
+        yield from (s.generator() for s in seeds)
+        return
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key in _philox_keys(words.astype(np.uint32)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -396,19 +492,19 @@ def _fgn_chunks(n: int, hurst: float, seeds: list, white: bool = False):
     if not 0.0 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
     gamma, eigs, amps = _fgn_spectrum(n, hurst)
+    streams = _streams(seeds)
     if _embedding_ok(eigs):
         rows = max(_CHUNK // (2 * n), 1)
         for a in range(0, len(seeds), rows):
-            chunk = seeds[a : a + rows]
-            draws = np.empty((len(chunk), 2 * n))
-            for row, seed in zip(draws, chunk):
-                seed.generator().standard_normal(out=row)
+            draws = np.empty((min(rows, len(seeds) - a), 2 * n))
+            for row, rng in zip(draws, streams):
+                rng.standard_normal(out=row)
             yield (a, _spectral_rows(draws, amps, n),
                    _spectral_rows(draws, _amplitudes(np.ones(2 * n), n), n) if white else None)
         return
     factor = np.linalg.cholesky(toeplitz(gamma[:n]))
-    for a, seed in enumerate(seeds):
-        draws = seed.generator().standard_normal(n)
+    for a, rng in enumerate(streams):
+        draws = rng.standard_normal(n)
         yield a, (factor @ draws)[None, :], draws[None, :] if white else None
 
 
@@ -426,8 +522,8 @@ def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
 def _wiener_stack(grid: GridSpec, seeds: list) -> np.ndarray:
     """Standard Wiener paths on the grid, one (n+1)-row per seed."""
     out = np.zeros((len(seeds), grid.steps + 1))
-    for row, seed in zip(out, seeds):
-        seed.generator().standard_normal(out=row[1:])
+    for row, rng in zip(out, _streams(seeds)):
+        rng.standard_normal(out=row[1:])
     out[:, 1:] *= math.sqrt(grid.dt)
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
@@ -446,6 +542,11 @@ def gen_wiener(grid: GridSpec, seed: Seed) -> GridFunction:
 def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> JumpTrain:
     """Compound-Poisson jump train: Poisson(rate * horizon) many jumps, uniform
     times on (0, horizon), i.i.d. marks."""
+    _check_jump_mean(rate, horizon)
+    return _draw_train(seed.generator(), rate, marks, horizon)
+
+
+def _check_jump_mean(rate: float, horizon: float) -> None:
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
     if not (math.isfinite(horizon) and horizon > 0):
@@ -453,7 +554,10 @@ def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> J
     if rate * horizon > MAX_JUMP_MEAN:
         raise ParameterError(f"rate * horizon must be at most {MAX_JUMP_MEAN:.6g},"
                              f" got {rate * horizon:.6g}")
-    rng = seed.generator()
+
+
+def _draw_train(rng: np.random.Generator, rate: float, marks: MarkLaw,
+                horizon: float) -> JumpTrain:
     count = int(rng.poisson(rate * horizon))
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     # ties and exact zeros have probability zero; redraw defensively
@@ -470,7 +574,9 @@ def gen_driving_stack(grid: GridSpec, hurst: float, rate: float, marks: MarkLaw,
     of seeds[r] alone, so it equals gen_driving_triple(grid, hurst, rate,
     marks, seeds[r]) bit for bit."""
     seeds = list(seeds)
-    trains = [gen_jump_train(rate, marks, grid.horizon, s.child(JUMP_STREAM)) for s in seeds]
+    _check_jump_mean(rate, grid.horizon)
+    trains = [_draw_train(rng, rate, marks, grid.horizon)
+              for rng in _streams([s.child(JUMP_STREAM) for s in seeds])]
     wiener = _wiener_stack(grid, [s.child(WIENER_STREAM) for s in seeds])
     fbm = gen_fbm_stack(grid, hurst, [s.child(FBM_STREAM) for s in seeds])
     return wiener, fbm, trains

@@ -140,6 +140,7 @@ _STACK_CASES = dict(
     root=st.integers(0, 2**31 - 1),
     replicas=st.integers(1, 7),
     chunk_rows=st.integers(1, 3),
+    bulk_min=st.integers(1, 8),
     horizon=st.sampled_from([1.0, 2.5]),
 )
 
@@ -147,20 +148,23 @@ _STACK_CASES = dict(
 @settings(max_examples=40, deadline=None)
 @given(**_STACK_CASES)
 def test_stacks_equal_per_replica_draws(steps, hurst, rate, law, root, replicas,
-                                        chunk_rows, horizon):
-    # chunks of a few rows, so most draws cross a chunk boundary
+                                        chunk_rows, bulk_min, horizon):
+    # chunks of a few rows, so most draws cross a chunk boundary, and short
+    # runs of seeds hashed in bulk or one by one
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noise, "_CHUNK", 2 * steps * chunk_rows)
+        mp.setattr(noise, "_BULK_MIN", bulk_min)
         _check_stacks(steps, hurst, rate, law, root, replicas, horizon)
 
 
 @settings(max_examples=15, deadline=None)
 @given(**_STACK_CASES)
 def test_stacks_equal_per_replica_draws_on_the_cholesky_branch(
-        steps, hurst, rate, law, root, replicas, chunk_rows, horizon):
+        steps, hurst, rate, law, root, replicas, chunk_rows, bulk_min, horizon):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noise, "_embedding_ok", lambda eigs: False)
         mp.setattr(noise, "_CHUNK", 2 * steps * chunk_rows)
+        mp.setattr(noise, "_BULK_MIN", bulk_min)
         _check_stacks(steps, hurst, rate, law, root, replicas, horizon)
 
 
@@ -186,6 +190,61 @@ def test_empty_stacks_and_bad_hurst():
     for hurst in (0.0, 1.0, math.nan):
         with pytest.raises(ParameterError, match="hurst"):
             gen_fbm_stack(grid, hurst, [Seed(0)])
+
+
+# ---------------------------------------------------------------------------
+# seed streams derived in bulk
+
+
+def _words(value):
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _assembled_entropy(root, spawn_key):
+    # SeedSequence's entropy words: root words, zero-padded to the pool
+    # size when a spawn key follows, then the spawn key's words
+    run = _words(root)
+    spawn = [w for k in spawn_key for w in _words(k)]
+    if spawn and len(run) < 4:
+        run += [0] * (4 - len(run))
+    return run + spawn
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**96), st.lists(st.integers(0, 2**70), max_size=5)),
+                min_size=1, max_size=40))
+def test_bulk_keys_equal_seed_sequence(cases):
+    # multi-word roots and spawn keys included; rows of one width at a time
+    by_width = {}
+    for root, key in cases:
+        by_width.setdefault(len(_assembled_entropy(root, key)), []).append((root, key))
+    for group in by_width.values():
+        entropy = np.array([_assembled_entropy(r, k) for r, k in group], dtype=np.uint32)
+        want = [np.random.SeedSequence(r, spawn_key=tuple(k)).generate_state(2, np.uint64)
+                for r, k in group]
+        assert _same(noise._philox_keys(entropy), np.array(want))
+
+
+@pytest.mark.parametrize("seeds", [
+    [Seed(2**31 - 1).child(3 + r).child(r % 3) for r in range(40)],
+    [Seed(r).child(5) for r in range(20)],
+    [Seed(7 + r) for r in range(16)],
+    # not hashed in bulk: too few, ragged spawn keys, a 64-bit entry
+    [Seed(1).child(r) for r in range(5)],
+    [Seed(1).child(r) if r % 2 else Seed(1).child(r).child(1) for r in range(20)],
+    [Seed(2**40 + r).child(1) for r in range(20)],
+], ids=["deep", "one-level", "no-key", "few", "ragged", "wide-root"])
+def test_streams_draw_what_each_seed_draws(seeds):
+    for seed, rng in zip(seeds, noise._streams(seeds)):
+        fresh = seed.generator()
+        for draw in (lambda g: g.standard_normal(7), lambda g: g.poisson(3.0, 2),
+                     lambda g: g.uniform(0.0, 2.0, 3), lambda g: g.random(1)):
+            assert _same(draw(rng), draw(fresh))
 
 
 # ---------------------------------------------------------------------------
