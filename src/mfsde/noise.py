@@ -81,7 +81,7 @@ _XSHIFT = np.uint32(16)
 _BULK_MIN = 16
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """The hash constant before and after each of `count` hashes."""
     consts = [init]
