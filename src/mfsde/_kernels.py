@@ -15,10 +15,10 @@ vanishing at the singular point.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 def _power_tables(n: int, a: float, b: float, h: float):
@@ -44,28 +44,51 @@ def _power_tables(n: int, a: float, b: float, h: float):
     return t1, t2, pow_a, pow_b
 
 
+@functools.lru_cache(maxsize=16)
+def _kernel_spectra(n: int, alpha: float, h: float):
+    """The kernel side of increment_kernel_sums on n cells: the FFT length,
+    cumsum(G1) and the rfft spectra of G1, k G1 and G2 at that length.
+
+    Every seed of a grid level reuses them, so they are cached, read-only.
+    The length is the one scipy's fftconvolve picks for the same
+    convolutions, which keeps the sums bit for bit those of fftconvolve.
+    """
+    from scipy import fft
+
+    g1, g2, _, _ = _power_tables(n, -alpha, 1.0 - alpha, h)
+    size = fft.next_fast_len(2 * n, True)
+    kg1 = np.arange(n + 1, dtype=float) * g1
+    arrays = (np.cumsum(g1), *(fft.rfft(g, size) for g in (g1, kg1, g2)))
+    for a in arrays:
+        a.flags.writeable = False
+    return (size, *arrays)
+
+
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """I[i] = integral over [t_0, t_i] of (f(t_i) - f(u)) (t_i - u)^(-1-alpha) du
     for every node i, with f the piecewise-linear interpolant of `values`.
 
-    Uniform spacing makes the cell sums convolutions, evaluated by FFT.
+    Uniform spacing makes the cell sums convolutions, evaluated by FFT
+    against the cached kernel spectra.
     """
+    from scipy import fft
+
     f = np.asarray(values, dtype=float)
     n = len(f) - 1
-    out = np.zeros(n + 1)
     if n == 0:
-        return out
-    g1, g2, _, _ = _power_tables(n, -alpha, 1.0 - alpha, h)
-    df = np.diff(f)
-    kg1 = np.arange(n + 1, dtype=float) * g1
-    cg1 = np.cumsum(g1)
+        return np.zeros(1)
+    size, cg1, spec_g1, spec_kg1, spec_g2 = _kernel_spectra(n, alpha, h)
+    spec_f = fft.rfft(f[1:], size)
+    spec_df = fft.rfft(np.diff(f), size)
+
+    def conv(spec_in, spec_kernel):
+        return fft.irfft(spec_in * spec_kernel, size)[: n + 1]
+
     # cell j at lag k = i - j contributes c_j G1[k] + slope_j G2[k] with
-    # slope_j = df[j]/h and c_j = f_i - f[j+1] - df[j] (k - 1)
-    conv_f_g1 = fftconvolve(f[1:], g1)[: n + 1]        # index i -> sum f[j+1] G1[i-j]
-    conv_df_g1 = fftconvolve(df, g1)[: n + 1]
-    conv_df_kg1 = fftconvolve(df, kg1)[: n + 1]
-    conv_df_g2 = fftconvolve(df, g2)[: n + 1]
-    out = f * cg1 - conv_f_g1 - conv_df_kg1 + conv_df_g1 + conv_df_g2 / h
+    # slope_j = df[j]/h and c_j = f_i - f[j+1] - df[j] (k - 1); the three df
+    # convolutions stay apart, since merging them by linearity moves the sums
+    out = (f * cg1 - conv(spec_f, spec_g1)          # index i -> sum f[j+1] G1[i-j]
+           - conv(spec_df, spec_kg1) + conv(spec_df, spec_g1) + conv(spec_df, spec_g2) / h)
     out[0] = 0.0
     return out
 

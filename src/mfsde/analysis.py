@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from .errors import BlowUpError, ParameterError, RunFailure
 from .noise import (
@@ -398,10 +397,12 @@ class LemmaReport:
 
 def _minimal_k(lhs: float, lam_pow: float, jb: float) -> float:
     # smallest K with K*exp(K*lam_pow)*(1+jb) = lhs, via W0
+    from scipy.special import lambertw
+
     ratio = lhs / (1.0 + jb)
     if ratio <= 0.0:
         return 0.0
-    return float(special.lambertw(ratio * lam_pow).real / lam_pow)
+    return float(lambertw(ratio * lam_pow).real / lam_pow)
 
 
 def verify_pathwise_lemma(ens: Ensemble,
@@ -464,7 +465,9 @@ def verify_pathwise_lemma(ens: Ensemble,
 
 
 def _quad_checked(fn, lo: float, hi: float, issues: list, label: str, **kw) -> float:
-    res = integrate.quad(fn, lo, hi, full_output=1, limit=200, **kw)
+    from scipy.integrate import quad
+
+    res = quad(fn, lo, hi, full_output=1, limit=200, **kw)
     if len(res) > 3:
         issues.append(f"{label}: {res[3].splitlines()[0]}")
     return float(res[0])
@@ -554,7 +557,9 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
                 best, best_s = ratio, float(s)
         weighted_rows.append((lam, best, best_s))
 
-    beta_factor = special.beta(1.0 - alpha, 2.0 * alpha)
+    from scipy.special import beta
+
+    beta_factor = beta(1.0 - alpha, 2.0 * alpha)
     fracs = np.linspace(1.0, grid_size, grid_size) / (grid_size + 1.0)
     t_vals = np.linspace(1.0 / grid_size, 1.0, grid_size)
     beta_best, beta_arg = -math.inf, (math.nan, math.nan)
@@ -646,6 +651,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     expo = 1.0 / (1.0 - alpha)
     grid_full = GridSpec(1.0, steps)
     dt = grid_full.dt
+    from scipy.stats import ks_2samp
 
     rows = []
     for k, (a, b) in enumerate(interval_list):
@@ -667,7 +673,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
                            for v in norm_0_interval_stack(bhs, a, b, alpha).tolist()])
         reference = np.array([v ** expo
                               for v in norm_0_interval_stack(refs, 0.0, 1.0, alpha).tolist()])
-        pval = float(stats.ks_2samp(sample, reference).pvalue)
+        pval = float(ks_2samp(sample, reference).pvalue)
         rows.append((a, b, cells, pval))
     return SelfSimReport(hurst, alpha, kappa, kappa_scale, replicas,
                          tuple(rows), thresholds.ks_pvalue_min)

@@ -12,7 +12,6 @@ uniform-grid path type (defined in `noise`, re-exported here).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from ._kernels import (
     abs_increment_kernel_profile,
@@ -50,11 +49,13 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     evaluated by product integration, exact for piecewise-linear f.  The
     node x = a is undefined (NaN).
     """
+    from scipy.special import gamma
+
     _check_order(alpha)
     kern = increment_kernel_sums(f.values, alpha, f.h)
     x = f.nodes - f.left
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (f.values * x**-alpha + alpha * kern) / _gamma_fn(1.0 - alpha)
+        vals = (f.values * x**-alpha + alpha * kern) / gamma(1.0 - alpha)
     vals[0] = np.nan
     return GridFunction(f.left, f.right, vals)
 
@@ -66,6 +67,8 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     Computed by reflecting the grid and reusing the left-derivative kernel at
     order 1 - alpha.  The node x = b is undefined (NaN).
     """
+    from scipy.special import gamma
+
     _check_order(alpha)
     order = 1.0 - alpha
     shifted = g.values - g.values[-1]
@@ -73,7 +76,7 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     kern = increment_kernel_sums(rev, order, g.h)
     y = np.arange(rev.size, dtype=float) * g.h
     with np.errstate(divide="ignore", invalid="ignore"):
-        rev_vals = (rev * y**-order + order * kern) / _gamma_fn(alpha)
+        rev_vals = (rev * y**-order + order * kern) / gamma(alpha)
     rev_vals[0] = np.nan
     vals = rev_vals[::-1].copy()
     return GridFunction(g.left, g.right, vals)

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import toeplitz
 
 from .errors import ParameterError
 
@@ -354,7 +352,9 @@ class GaussianMarks(MarkLaw):
         dens = lambda y: math.exp(-0.5 * ((y - self.mean) / self.std) ** 2) / (
             self.std * math.sqrt(2 * math.pi)
         )
-        val, _ = integrate.quad(lambda y: fn(y) * dens(y), lo, hi, limit=200)
+        from scipy.integrate import quad
+
+        val, _ = quad(lambda y: fn(y) * dens(y), lo, hi, limit=200)
         return val
 
 
@@ -395,7 +395,9 @@ class UniformMarks(MarkLaw):
 
     def expect(self, fn):
         width = self.high - self.low
-        val, _ = integrate.quad(lambda y: fn(y) / width, self.low, self.high, limit=200)
+        from scipy.integrate import quad
+
+        val, _ = quad(lambda y: fn(y) / width, self.low, self.high, limit=200)
         return val
 
 
@@ -502,6 +504,8 @@ def _fgn_chunks(n: int, hurst: float, seeds: list, white: bool = False):
             yield (a, _spectral_rows(draws, amps, n),
                    _spectral_rows(draws, _amplitudes(np.ones(2 * n), n), n) if white else None)
         return
+    from scipy.linalg import toeplitz
+
     factor = np.linalg.cholesky(toeplitz(gamma[:n]))
     for a, rng in enumerate(streams):
         draws = rng.standard_normal(n)

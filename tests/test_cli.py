@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mfsde import cli
+from mfsde.config import parse_config, serialize_config
+from mfsde.noise import MARK_LAWS
 from mfsde.solver import read_solution_csv
 
 SIM_CFG = """\
@@ -252,14 +254,60 @@ def test_seed_override(tmp_path):
                      "--out", str(tmp_path / "x")]) == 2
 
 
-def test_non_finite_kappa_scale_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.ini", "[grid]\nsteps = 16\n[mc]\nreplicas = 12\n")
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _non_finite_cases():
+    """id -> (command, config lines, line to replace, where the error points).
+
+    The keys come from the echoed default config under each mark law, so a
+    key added to the config is covered by itself.  An empty value is an
+    optional number ([frac] eta).
+    """
+    cases = {}
+    for law in MARK_LAWS:
+        lines = serialize_config(parse_config(f"[noise]\nmarks = {law}\n")).splitlines()
+        section = None
+        for i, line in enumerate(lines):
+            key, sep, value = line.partition(" = ")
+            if line.startswith("["):
+                section = line[1:-1]
+            elif sep and all(map(_is_number, value.split())):
+                cases.setdefault(f"{section}.{key}", (["simulate"], lines, i,
+                                                      f"[{section}] {key}"))
+    cases["verify.kappa-scale"] = (["verify", "selfsim", "--kappa-scale={}"],
+                                   serialize_config(parse_config("")).splitlines(), None,
+                                   "--kappa-scale must be finite")
+    return cases
+
+
+_NON_FINITE = _non_finite_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
+    command, lines, index, spot = _NON_FINITE[case]
     for value in ("nan", "inf", "-inf"):
+        text = list(lines)
+        if index is not None:
+            text[index] = text[index].partition(" = ")[0] + f" = {value}"
+        cfg = _write(tmp_path, "run.ini", "\n".join(text) + "\n")
         out = tmp_path / value
-        assert cli.main(["verify", "selfsim", "--config", cfg,
-                         f"--kappa-scale={value}", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --kappa-scale must be finite\n"
-        assert not any(out.glob("*"))
+        argv = [arg.format(value) for arg in command]
+        assert cli.main(argv + ["--config", cfg, "--out", str(out)]) == 2, value
+        assert spot in capsys.readouterr().err, value
+        assert not out.exists(), value
+
+
+def test_non_finite_table_covers_the_config():
+    # a change to the echo format would otherwise empty the table silently
+    assert {"model.x0", "noise.rate", "noise.mark_std", "frac.eta", "mc.p_list",
+            "grid.steps", "verify.kappa-scale"} <= set(_NON_FINITE)
 
 
 def test_config_echo_excludes_output_directory(tmp_path):

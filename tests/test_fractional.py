@@ -6,8 +6,12 @@ each test; the implementation under test never feeds its own oracle.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy.signal import fftconvolve
 
+from mfsde._kernels import _kernel_spectra, _power_tables, increment_kernel_sums
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
@@ -206,3 +210,57 @@ def test_integral_bound_dominates_pairing_on_rough_paths():
     assert np.all(np.isfinite(ratios))
     c_fit = ratios[:50].max()
     assert np.mean(ratios[50:] <= c_fit) >= 0.9
+
+
+def _fftconvolve_kernel_sums(values, alpha, h):
+    """increment_kernel_sums as computed before its kernel spectra were
+    cached: four scipy.signal.fftconvolve calls."""
+    f = np.asarray(values, dtype=float)
+    n = len(f) - 1
+    if n == 0:
+        return np.zeros(1)
+    g1, g2, _, _ = _power_tables(n, -alpha, 1.0 - alpha, h)
+    df = np.diff(f)
+    kg1 = np.arange(n + 1, dtype=float) * g1
+    out = (f * np.cumsum(g1) - fftconvolve(f[1:], g1)[: n + 1]
+           - fftconvolve(df, kg1)[: n + 1] + fftconvolve(df, g1)[: n + 1]
+           + fftconvolve(df, g2)[: n + 1] / h)
+    out[0] = 0.0
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 400),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       horizon=st.floats(0.1, 10.0),
+       kind=st.sampled_from(["random", "piecewise"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4096, alpha=0.45, horizon=1.0, kind="random", seed=0)
+@example(n=32768, alpha=0.55, horizon=1.0, kind="piecewise", seed=1)
+def test_kernel_sums_equal_fftconvolve_bit_for_bit(n, alpha, horizon, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        values = rng.standard_normal(n + 1)
+    else:
+        # piecewise-linear data whose interpolant changes sign inside most cells
+        values = rng.uniform(0.1, 2.0, n + 1) * np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+        values[rng.random(n + 1) < 0.2] *= -1.0
+    h = horizon / n
+    expected = _fftconvolve_kernel_sums(values, alpha, h)
+    first = increment_kernel_sums(values, alpha, h)
+    np.testing.assert_array_equal(first, expected)
+    # the second call reads the cached spectra
+    np.testing.assert_array_equal(increment_kernel_sums(values, alpha, h), first)
+    size, *arrays = _kernel_spectra(n, alpha, h)
+    assert size >= 2 * n
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_kernel_spectra_cache_is_bounded():
+    maxsize = _kernel_spectra.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for n in range(1, maxsize + 10):
+        _kernel_spectra(n, 0.3, 1.0 / n)
+    assert _kernel_spectra.cache_info().currsize == maxsize
