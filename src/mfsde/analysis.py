@@ -16,7 +16,7 @@ functions of their stated inputs and rerun bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class Ensemble:
 
     Replicas whose solve blew up are kept out of `paths` and recorded in
     `excluded` as (replica index, reason); `replica_ids` aligns the kept
-    paths with their driver substreams.
+    paths with their driver substreams.  sup|X| of each kept path is taken
+    once, when the ensemble is built.
     """
 
     coeffs: CoefficientSet
@@ -124,6 +125,12 @@ class Ensemble:
     replica_ids: tuple
     paths: tuple
     excluded: tuple
+    _sups: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sups = np.array([np.abs(p.values).max() for p in self.paths], dtype=float)
+        sups.flags.writeable = False
+        object.__setattr__(self, "_sups", sups)
 
     @property
     def size(self) -> int:
@@ -140,8 +147,9 @@ class Ensemble:
                                   self.marks, child)
 
     def sup_values(self) -> np.ndarray:
-        """sup over nodes of |X| per kept path; left limits included."""
-        return np.array([float(np.max(np.abs(p.values))) for p in self.paths])
+        """sup over nodes of |X| per kept path, left limits included, as a
+        read-only array."""
+        return self._sups
 
 
 def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,

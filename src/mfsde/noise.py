@@ -16,7 +16,9 @@ gen_driving_stack return (R, n+1) path arrays, one row per seed, each row
 drawn from its own seed's stream in the same order as a path drawn alone.
 The fBm comes from circulant embedding, whose eigenvalues are cached per
 (n, H); the spectral noise of a chunk of rows goes through one FFT.
-gen_wiener, gen_fbm and gen_driving_triple are the width-1 calls of the
+A stack's jump trains are drawn stream by stream and checked once as a
+whole; at rate 0 no jump stream is keyed.  gen_wiener, gen_fbm,
+gen_jump_train and gen_driving_triple are the width-1 calls of the
 stacks, so regenerating one replica reproduces its row bit for bit.  A
 stack of seeds gets its Philox keys from numpy's SeedSequence hash run
 over all seeds at once, and one Philox re-keyed per seed; the draws are
@@ -294,6 +296,15 @@ class JumpTrain:
         if not (self.rate >= 0.0 and math.isfinite(self.rate)):
             raise ParameterError(f"rate must be finite and nonnegative, got {self.rate}")
 
+    @classmethod
+    def _trusted(cls, times: np.ndarray, marks: np.ndarray, rate: float,
+                 horizon: float) -> "JumpTrain":
+        """A train of float arrays that already pass every check of
+        __post_init__ (a checked draw), built without repeating them."""
+        train = cls.__new__(cls)
+        train.times, train.marks, train.rate, train.horizon = times, marks, rate, horizon
+        return train
+
     @property
     def count(self) -> int:
         return int(self.times.size)
@@ -546,8 +557,7 @@ def gen_wiener(grid: GridSpec, seed: Seed) -> GridFunction:
 def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> JumpTrain:
     """Compound-Poisson jump train: Poisson(rate * horizon) many jumps, uniform
     times on (0, horizon), i.i.d. marks."""
-    _check_jump_mean(rate, horizon)
-    return _draw_train(seed.generator(), rate, marks, horizon)
+    return _draw_trains(rate, marks, horizon, [seed])[0]
 
 
 def _check_jump_mean(rate: float, horizon: float) -> None:
@@ -560,15 +570,43 @@ def _check_jump_mean(rate: float, horizon: float) -> None:
                              f" got {rate * horizon:.6g}")
 
 
-def _draw_train(rng: np.random.Generator, rate: float, marks: MarkLaw,
-                horizon: float) -> JumpTrain:
-    count = int(rng.poisson(rate * horizon))
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    # ties and exact zeros have probability zero; redraw defensively
-    while count and (times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
-        times = np.sort(rng.uniform(0.0, horizon, size=count))
-    mark_values = marks.sample(rng, count)
-    return JumpTrain(times, mark_values, float(rate), float(horizon))
+def _draw_trains(rate: float, marks: MarkLaw, horizon: float, seeds: list) -> list:
+    """One jump train per seed, each drawn from its own seed's stream as a
+    train drawn alone: the count, the times (redrawn on a tie or a zero),
+    then the marks.
+
+    The stack's times and marks are checked once, as JumpTrain checks a
+    train, and each train is built without checking it again.  At rate 0
+    no stream is keyed and the trains are empty.
+    """
+    _check_jump_mean(rate, horizon)
+    if rate == 0.0 or not seeds:
+        return [JumpTrain._trusted(np.empty(0), np.empty(0), float(rate), float(horizon))
+                for _ in seeds]
+    times, values = [], []
+    for rng in _streams(seeds):
+        count = int(rng.poisson(rate * horizon))
+        taus = np.sort(rng.uniform(0.0, horizon, size=count))
+        # ties and exact zeros have probability zero; redraw defensively
+        while count and (taus[0] <= 0.0 or (taus[1:] <= taus[:-1]).any()):
+            taus = np.sort(rng.uniform(0.0, horizon, size=count))
+        ys = np.asarray(marks.sample(rng, count), dtype=float)
+        if ys.shape != taus.shape:
+            raise ParameterError("times and marks must have equal length")
+        times.append(taus)
+        values.append(ys)
+    flat = np.concatenate(times)
+    if not (np.isfinite(flat).all() and np.isfinite(np.concatenate(values)).all()):
+        raise ParameterError("jump times and marks must be finite")
+    if flat.size:
+        rising = np.diff(flat) > 0.0
+        # a train's first time may lie below the last time of the train before
+        ends = np.cumsum([t.size for t in times[:-1]], dtype=int)
+        rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True
+        if flat.min() <= 0.0 or flat.max() > horizon or not rising.all():
+            raise ParameterError("jump times must be strictly increasing within (0, horizon]")
+    rate, horizon = float(rate), float(horizon)
+    return [JumpTrain._trusted(t, y, rate, horizon) for t, y in zip(times, values)]
 
 
 def gen_driving_stack(grid: GridSpec, hurst: float, rate: float, marks: MarkLaw,
@@ -578,9 +616,7 @@ def gen_driving_stack(grid: GridSpec, hurst: float, rate: float, marks: MarkLaw,
     of seeds[r] alone, so it equals gen_driving_triple(grid, hurst, rate,
     marks, seeds[r]) bit for bit."""
     seeds = list(seeds)
-    _check_jump_mean(rate, grid.horizon)
-    trains = [_draw_train(rng, rate, marks, grid.horizon)
-              for rng in _streams([s.child(JUMP_STREAM) for s in seeds])]
+    trains = _draw_trains(rate, marks, grid.horizon, [s.child(JUMP_STREAM) for s in seeds])
     wiener = _wiener_stack(grid, [s.child(WIENER_STREAM) for s in seeds])
     fbm = gen_fbm_stack(grid, hurst, [s.child(FBM_STREAM) for s in seeds])
     return wiener, fbm, trains

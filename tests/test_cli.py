@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, manifests, exit codes, overrides."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mfsde import cli
 from mfsde.config import parse_config, serialize_config
+from mfsde.models import MODELS
 from mfsde.noise import MARK_LAWS
 from mfsde.solver import read_solution_csv
 
@@ -265,9 +267,10 @@ def _is_number(token):
 def _non_finite_cases():
     """id -> (command, config lines, line to replace, where the error points).
 
-    The keys come from the echoed default config under each mark law, so a
-    key added to the config is covered by itself.  An empty value is an
-    optional number ([frac] eta).
+    The keys come from the echoed default config under each mark law and
+    from each model builder's signature ([model] constants), so a key added
+    to the config or a constant added to a model is covered by itself.  An
+    empty value is an optional number ([frac] eta).
     """
     cases = {}
     for law in MARK_LAWS:
@@ -280,6 +283,14 @@ def _non_finite_cases():
             elif sep and all(map(_is_number, value.split())):
                 cases.setdefault(f"{section}.{key}", (["simulate"], lines, i,
                                                       f"[{section}] {key}"))
+    for name, builder in MODELS.items():
+        params = inspect.signature(builder).parameters.values()
+        lines = serialize_config(parse_config(f"[model]\nname = {name}\n" + "".join(
+            f"{p.name} = {p.default}\n" for p in params))).splitlines()
+        model_keys = [line.partition(" = ")[0] for line in lines[:lines.index("")]]
+        for p in params:
+            cases[f"model.{name}.{p.name}"] = (["simulate"], lines, model_keys.index(p.name),
+                                                f"[model] {p.name}")
     cases["verify.kappa-scale"] = (["verify", "selfsim", "--kappa-scale={}"],
                                    serialize_config(parse_config("")).splitlines(), None,
                                    "--kappa-scale must be finite")
@@ -307,7 +318,8 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, case):
 def test_non_finite_table_covers_the_config():
     # a change to the echo format would otherwise empty the table silently
     assert {"model.x0", "noise.rate", "noise.mark_std", "frac.eta", "mc.p_list",
-            "grid.steps", "verify.kappa-scale"} <= set(_NON_FINITE)
+            "grid.steps", "verify.kappa-scale", "model.trigonometric.b0",
+            "model.logistic_drift.rate"} <= set(_NON_FINITE)
 
 
 def test_config_echo_excludes_output_directory(tmp_path):

@@ -203,10 +203,10 @@ def test_wiener_law():
 def test_jump_train_law():
     assert gen_jump_train(0.0, TwoPointMarks(), 1.0, Seed(0).child(2)).count == 0
     m = 100_000
-    counts = np.empty(m)
-    for r in range(m):
-        counts[r] = gen_jump_train(3.0, TwoPointMarks(), 2.0,
-                                   Seed(6).child(3 + r).child(2)).count
+    # one stack of trains, each drawn as gen_jump_train draws it alone
+    trains = noise._draw_trains(3.0, TwoPointMarks(), 2.0,
+                                [Seed(6).child(3 + r).child(2) for r in range(m)])
+    counts = np.array([train.count for train in trains])
     assert abs(counts.mean() - 6.0) < 4.0 * np.sqrt(6.0 / m)
     with pytest.raises(ParameterError):
         gen_jump_train(-1.0, TwoPointMarks(), 1.0, Seed(0))

@@ -36,6 +36,7 @@ from mfsde.noise import (
     gen_driving_triple,
     gen_fbm,
     gen_fbm_stack,
+    gen_jump_train,
 )
 from mfsde.norms import capital_lambda, norm_0_interval, norm_inf
 from mfsde.solver import (
@@ -88,8 +89,8 @@ def _ref_wiener(grid, seed):
     return _ref_path(seed.generator().standard_normal(grid.steps) * math.sqrt(grid.dt))
 
 
-def _ref_train(rate, marks, horizon, seed):
-    rng = seed.generator()
+def _ref_train(rate, marks, horizon, seed, rng=None):
+    rng = rng or seed.generator()
     count = int(rng.poisson(rate * horizon))
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     while count and (times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
@@ -106,7 +107,13 @@ def _ref_triple(grid, hurst, rate, marks, seed):
 
 def _same(a, b):
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_train(got, want):
+    return (_same(got.times, want.times) and _same(got.marks, want.marks)
+            and repr((got.count, got.rate, got.horizon))
+            == repr((want.count, want.rate, want.horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +135,15 @@ def _check_stacks(steps, hurst, rate, law, root, replicas, horizon):
         assert _same(B[r], z.values) and _same(B[r], ref_z.values)
         assert _same(fbm[r], gen_fbm(grid, hurst, seed.child(7)).values)
         assert _same(fbm[r], _ref_fbm(grid, hurst, seed.child(7)))
-        for got in (trains[r], train):
-            assert _same(got.times, ref_train.times) and _same(got.marks, ref_train.marks)
+        alone = gen_jump_train(rate, marks, horizon, seed.child(2))
+        for got in (trains[r], train, alone):
+            assert _same_train(got, ref_train)
 
 
 _STACK_CASES = dict(
     steps=st.integers(1, 300),
     hurst=st.one_of(st.floats(0.501, 0.999), st.just(0.3)),
-    rate=st.floats(0.0, 5.0),
+    rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
     law=st.integers(0, len(MARK_LAWS) - 1),
     root=st.integers(0, 2**31 - 1),
     replicas=st.integers(1, 7),
@@ -173,6 +181,69 @@ def test_stacks_cross_the_chunk_budget(steps, replicas):
     # the real chunk budget: 128 rows at n = 256, 109 at n = 300, 16 at 2048
     assert replicas > noise._CHUNK // (2 * steps)
     _check_stacks(steps, 0.75, 2.0, 2, 17, replicas, 1.0)
+
+
+@pytest.mark.parametrize("width", [1, noise._BULK_MIN - 1, noise._BULK_MIN, 41])
+@pytest.mark.parametrize("rate, law", [(0, 0), (3.0, 1), (50, 2)])
+def test_train_stacks_equal_per_seed_draws(width, rate, law):
+    # the real _BULK_MIN: the narrower stacks key each stream on its own
+    seeds = [Seed(29).child(3 + r).child(2) for r in range(width)]
+    marks = MARK_LAWS[law]
+    trains = noise._draw_trains(rate, marks, 2.5, seeds)
+    assert len(trains) == width
+    for got, seed in zip(trains, seeds):
+        want = _ref_train(rate, marks, 2.5, seed)
+        assert _same_train(got, want) and _same_train(gen_jump_train(rate, marks, 2.5, seed), want)
+
+
+class _TiedTimes:
+    """A generator whose first draw of jump times is spoiled: an exact zero
+    and a tie among the first two times, so the draw must take the redraw
+    branch; every draw still comes from the wrapped stream."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.time_draws = 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high, size):
+        out = self.rng.uniform(low, high, size)
+        self.time_draws += 1
+        if self.time_draws == 1 and size:
+            out[:2] = 0.0
+        return out
+
+
+def test_train_stack_takes_the_redraw_branch_as_one_train_does(monkeypatch):
+    seeds = [Seed(31).child(3 + r).child(2) for r in range(12)]
+    stubs = []
+
+    def streams(seeds):
+        for seed in seeds:
+            stubs.append(_TiedTimes(seed.generator()))
+            yield stubs[-1]
+
+    monkeypatch.setattr(noise, "_streams", streams)
+    trains = noise._draw_trains(3.0, MARK_LAWS[0], 1.0, seeds)
+    redrawn = 0
+    for got, seed, stub in zip(trains, seeds, stubs):
+        want = _ref_train(3.0, MARK_LAWS[0], 1.0, seed, rng=_TiedTimes(seed.generator()))
+        assert _same_train(got, want)
+        redrawn += stub.time_draws > 1
+    assert redrawn >= 10
+
+
+@pytest.mark.parametrize("width", [1, 20])
+def test_infinite_marks_are_refused_from_a_stack(width):
+    # normal marks of std 1e308 overflow to inf at a draw beyond 1.8 std
+    seeds = [Seed(6).child(3 + r) for r in range(width)]
+    marks = GaussianMarks(0.0, 1e308)
+    with pytest.raises(ParameterError, match="jump times and marks must be finite"):
+        gen_driving_stack(GridSpec(1.0, 4), 0.75, 50.0, marks, seeds)
+    with pytest.raises(ParameterError, match="jump times and marks must be finite"):
+        gen_jump_train(50.0, marks, 1.0, seeds[0].child(2))
 
 
 def test_spectrum_is_cached_read_only():
@@ -329,6 +400,17 @@ def test_ensemble_equals_the_per_replica_loop(model, x0, rate, replicas):
     assert ens.replica_ids == tuple(r for r, _ in kept) and not ens.excluded
     for path, (_, single) in zip(ens.paths, kept):
         assert _same(path.times, single.times) and _same(path.values, single.values)
+
+
+def test_ensemble_sups_are_taken_once_per_path():
+    grid, frac = GridSpec(1.0, 32), FracParams(0.75)
+    ens = simulate_ensemble(build_model("trigonometric"), 1.0, grid, frac, Seed(12), 20,
+                            rate=3.0, marks=UniformMarks(-0.5, 0.5))
+    sups = ens.sup_values()
+    assert _same(sups, np.array([float(np.max(np.abs(p.values))) for p in ens.paths]))
+    assert ens.sup_values() is sups
+    with pytest.raises(ValueError):
+        sups[0] = 0.0
 
 
 def _ref_convergence(cfg, refinements):
