@@ -38,7 +38,6 @@ from .errors import (
 from .fractional import (
     forward_sum_integral,
     gls_integral,
-    integral_bound_rhs,
     rl_left_derivative,
     rl_right_derivative,
 )
@@ -79,7 +78,6 @@ from .solver import (
     pathwise_bound_rhs,
     read_solution_csv,
     solve_with_jumps,
-    solve_with_jumps_batch,
     solve_with_jumps_stack,
 )
 
@@ -97,12 +95,12 @@ __all__ = [
     "capital_lambda", "check_assumptions", "estimate_moments", "euler_paths",
     "forward_sum_integral", "gen_driving_stack", "gen_driving_triple", "gen_fbm",
     "gen_fbm_stack", "gen_jump_train", "gen_wiener", "gls_integral",
-    "integral_bound_rhs", "ito_integral_path", "load_config",
+    "ito_integral_path", "load_config",
     "norm_0_interval", "norm_0_interval_stack", "norm_inf", "norm_inf_stack",
     "parse_config",
     "pathwise_bound_rhs", "read_solution_csv", "rl_left_derivative",
     "rl_right_derivative", "serialize_config", "simulate_ensemble",
-    "solve_with_jumps", "solve_with_jumps_batch", "solve_with_jumps_stack",
+    "solve_with_jumps", "solve_with_jumps_stack",
     "tail_diagnostic",
     "verify_jump_product_moment", "verify_kernel_estimates",
     "verify_pathwise_lemma", "verify_self_similarity",

@@ -218,40 +218,3 @@ def weighted_linear_integral(psi: np.ndarray, alpha: float, h: float) -> float:
     r2 = (p2[1:] - p2[:-1]) / (2.0 - alpha) - y_lo * r1
     slope = np.diff(psi) / h
     return float(np.dot(psi[:-1], r1) + np.dot(slope, r2))
-
-
-def weighted_abs_integral(values: np.ndarray, alpha: float, h: float) -> float:
-    """Integral of y^(-alpha) |f_lin(y)| over [0, m h], exact for the
-    piecewise-linear interpolant of `values` (cells split at sign changes)."""
-    f = np.asarray(values, dtype=float)
-    m = len(f) - 1
-    v = np.abs(f)
-    j = np.arange(m + 1, dtype=float)
-    y = j * h
-    p1 = y ** (1.0 - alpha)
-    p2 = y ** (2.0 - alpha)
-    r1 = (p1[1:] - p1[:-1]) / (1.0 - alpha)
-    base_slope = np.diff(v) / h
-    r2 = (p2[1:] - p2[:-1]) / (2.0 - alpha) - y[:-1] * r1
-    total = float(np.dot(v[:-1], r1) + np.dot(base_slope, r2))
-    cross = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
-    if cross.size:
-        y_lo = y[cross]
-        y_hi = y[cross + 1]
-        y_star = y_lo + h * v[cross] / (v[cross] + v[cross + 1])
-        st1 = y_star ** (1.0 - alpha)
-        st2 = y_star ** (2.0 - alpha)
-
-        def piece(vp, vq, yp, yq, p1p, p1q, p2p, p2q):
-            # linear v with v(yp)=vp, v(yq)=vq against y^(-alpha) on [yp, yq]
-            slope = (vq - vp) / (yq - yp)
-            c = vp - slope * yp
-            i1 = (p1q - p1p) / (1.0 - alpha)
-            i2 = (p2q - p2p) / (2.0 - alpha)
-            return c * i1 + slope * i2
-
-        sub = piece(v[cross], 0.0, y_lo, y_star, p1[cross], st1, p2[cross], st2)
-        sub += piece(0.0, v[cross + 1], y_star, y_hi, st1, p1[cross + 1], st2, p2[cross + 1])
-        base = v[cross] * r1[cross] + base_slope[cross] * r2[cross]
-        total += float(np.sum(sub - base))
-    return total

@@ -551,8 +551,8 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
     gamma_factor = math.gamma(1.0 - alpha)
     for lam in lambda_list:
         lam = float(lam)
-        if lam <= 0:
-            raise ParameterError(f"lambda values must be positive, got {lam}")
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ParameterError(f"lambda values must be positive and finite, got {lam}")
         bound = gamma_factor * lam ** (alpha - 1.0)
         s_lo = min(0.01 / lam, 0.25)
         best, best_s = -math.inf, math.nan
@@ -746,6 +746,8 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     """
     if not (rate >= 0.0 and math.isfinite(rate)):
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
+    if not math.isfinite(p):
+        raise ParameterError(f"p must be finite, got {p}")
     if replicas < JUMPS_MIN_REPLICAS:
         raise ParameterError(f"need at least {JUMPS_MIN_REPLICAS} replicas, got {replicas}")
     power = 4.0 * float(p)

@@ -13,16 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import (
-    abs_increment_kernel_profile,
-    increment_kernel_sums,
-    weighted_abs_integral,
-    weighted_linear_integral,
-)
+from ._kernels import increment_kernel_sums, weighted_linear_integral
 from .errors import GridMismatchError, ParameterError
 from .noise import GridFunction
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _check_order(alpha: float) -> None:
@@ -126,24 +119,3 @@ def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:
     """Forward Riemann-Stieltjes sum: sum of f(t_k) (g(t_{k+1}) - g(t_k))."""
     shared_grid(f, g)
     return float(np.dot(f.values[:-1], np.diff(g.values)))
-
-
-def integral_bound_rhs(
-    f: GridFunction, roughness: float, alpha: float, constant: float = 1.0
-) -> float:
-    """Majorant for the fractional-pairing integral driven by a rough path:
-
-        constant * roughness * integral_a^b [ |f(s)| (s-a)^(-alpha)
-            + integral_a^s |f(s) - f(u)| (s-u)^(-1-alpha) du ] ds
-
-    The weighted |f| term is integrated exactly for piecewise-linear f; the
-    increment term is evaluated per node and integrated by the trapezoid rule
-    (it vanishes at s = a).
-    """
-    _check_order(alpha)
-    if roughness < 0:
-        raise ParameterError("roughness factor must be nonnegative")
-    term1 = weighted_abs_integral(f.values, alpha, f.h)
-    inner = abs_increment_kernel_profile(f.values[None], alpha, f.h)[0]
-    term2 = float(_trapezoid(inner, dx=f.h))
-    return constant * roughness * (term1 + term2)

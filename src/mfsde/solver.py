@@ -16,7 +16,6 @@ equals the same replica solved in a batch bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +35,6 @@ __all__ = [
     "euler_paths",
     "SolutionPath",
     "solve_with_jumps",
-    "solve_with_jumps_batch",
     "solve_with_jumps_stack",
     "read_solution_csv",
     "ito_integral_path",
@@ -45,8 +43,6 @@ __all__ = [
 
 # abort threshold for the state; protects moment experiments from overflow
 BLOWUP_LIMIT = 1e12
-
-_DEFAULT_KAPPA = 0.4
 
 
 @dataclass(frozen=True)
@@ -316,21 +312,6 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
 _BLOCK = 128
 
 
-def _holder_quotient(ts: np.ndarray, vals: np.ndarray, kappa: float) -> float:
-    """Max discrete Holder quotient over dyadic lags."""
-    n = len(ts) - 1
-    best = 0.0
-    lag = 1
-    while lag <= n:
-        dv = np.abs(vals[lag:] - vals[:-lag])
-        dt = ts[lag:] - ts[:-lag]
-        q = float(np.max(dv / dt ** kappa)) if dv.size else 0.0
-        if q > best:
-            best = q
-        lag *= 2
-    return best
-
-
 def _local_nodes(lengths: np.ndarray, h: float) -> tuple:
     """Node counts and concatenated local nodes of segments of the given
     lengths: spacing h plus a short final step when a length is not a whole
@@ -368,7 +349,7 @@ class SolutionPath:
     @property
     def segments(self) -> list:
         """One (start, local times, values) triple per between-jumps
-        segment, for cadlag resampling and Holder diagnostics."""
+        segment, for cadlag resampling."""
         bounds = np.concatenate([[0], np.flatnonzero(self.left_flags) + 1,
                                  [self.times.size]])
         starts = self.times[bounds[:-1]]
@@ -392,10 +373,6 @@ class SolutionPath:
             local = min(max(t - s0, 0.0), ts[-1])
             out[i] = np.interp(local, ts, vals)
         return GridFunction(0.0, grid.horizon, out)
-
-    def holder_constants(self, kappa: float = _DEFAULT_KAPPA) -> list:
-        """Per-segment discrete Holder quotients at the given order."""
-        return [_holder_quotient(ts, vals, kappa) for _, ts, vals in self.segments]
 
     def to_csv(self, file) -> None:
         data = np.column_stack([self.times, self.values,
@@ -546,32 +523,6 @@ def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, dr
     return results
 
 
-def solve_with_jumps_batch(coeffs: CoefficientSet, x0: float, drivers) -> list:
-    """solve_with_jumps_stack for any iterable of (W, BH, jumps) triples of
-    GridFunction drivers on one grid starting at 0.
-
-    The iterable is consumed in blocks of _BLOCK triples, each stacked
-    once, so a generator draws each block's drivers just before the block
-    is solved.  Entry r equals solve_with_jumps(coeffs, x0, *triple_r)
-    bit for bit.
-    """
-    _check_start(x0)
-    drivers = iter(drivers)
-    results = []
-    while block := list(itertools.islice(drivers, _BLOCK)):
-        T, n = float(block[0][0].right), block[0][0].cells
-        for W, BH, _ in block:
-            if W.left != 0.0 or BH.left != 0.0:
-                raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
-            if not (W.right, W.cells) == (BH.right, BH.cells) == (T, n):
-                raise GridMismatchError("drivers must share one grid")
-        results += _solve_block(coeffs, x0, GridSpec(T, n),
-                                np.array([W.values for W, _, _ in block]),
-                                np.array([BH.values for _, BH, _ in block]),
-                                [jumps for _, _, jumps in block])
-    return results
-
-
 def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: GridFunction,
                      BH: GridFunction, jumps: JumpTrain) -> SolutionPath:
     """Advance the equation through its jumps by restarted segment solves.
@@ -580,10 +531,16 @@ def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: GridFunction,
     started at the previous jump (drivers shifted to the segment origin,
     linearly interpolated at off-grid jump times); at each jump time the
     jump map is applied to the left limit.  Output is cadlag with stored
-    left limits.  This is the width-1 call of solve_with_jumps_batch, so
-    it regenerates any replica of a batched ensemble bit for bit.
+    left limits.  This is the width-1 call of solve_with_jumps_stack, so
+    it regenerates any replica of a stacked ensemble bit for bit.
     """
-    result = solve_with_jumps_batch(coeffs, x0, [(W, BH, jumps)])[0]
+    if W.left != 0.0 or BH.left != 0.0:
+        raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
+    if (W.right, W.cells) != (BH.right, BH.cells):
+        raise GridMismatchError("drivers must share one grid")
+    result = solve_with_jumps_stack(coeffs, x0, GridSpec(float(W.right), W.cells),
+                                    lambda rows: (W.values[None], BH.values[None], [jumps]),
+                                    1)[0]
     if isinstance(result, BlowUpError):
         raise result
     return result

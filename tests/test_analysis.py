@@ -332,8 +332,9 @@ def test_kernel_single_point_inequality():
 def test_kernel_validation():
     with pytest.raises(ParameterError):
         verify_kernel_estimates(0.6, [1.0])
-    with pytest.raises(ParameterError):
-        verify_kernel_estimates(0.25, [0.0])
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            verify_kernel_estimates(0.25, [bad])
     with pytest.raises(ParameterError):
         verify_kernel_estimates(0.25, [1.0], grid_size=1)
 
@@ -401,6 +402,10 @@ def test_jump_product_two_point_closed_form():
     with pytest.raises(ParameterError):
         verify_jump_product_moment(1.0, TwoPointMarks(), gain, 0.25, 1.0,
                                    8, Seed(0))
+    for p in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="p must be finite"):
+            verify_jump_product_moment(1.0, TwoPointMarks(), gain, p, 1.0,
+                                       64, Seed(0))
 
 
 def test_thresholds_are_explicit_conventions():

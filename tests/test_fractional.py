@@ -17,12 +17,10 @@ from mfsde.fractional import (
     GridFunction,
     forward_sum_integral,
     gls_integral,
-    integral_bound_rhs,
     rl_left_derivative,
     rl_right_derivative,
 )
 from mfsde.noise import GridSpec, Seed, gen_fbm
-from mfsde.norms import capital_lambda
 
 
 def _grid_fn(fn, n, a=0.0, b=1.0):
@@ -181,35 +179,6 @@ def test_forward_sum_examples():
     parts = (forward_sum_integral(f.subgrid(0, n // 2), g.subgrid(0, n // 2))
              + forward_sum_integral(f.subgrid(n // 2, n), g.subgrid(n // 2, n)))
     assert whole == parts
-
-
-def test_integral_bound_rhs_closed_forms():
-    f0 = _grid_fn(lambda x: 0.0 * x, 256)
-    assert integral_bound_rhs(f0, 1.0, 0.25) == 0.0
-    n = 4096
-    one = _grid_fn(lambda x: 1.0 + 0.0 * x, n)
-    val = integral_bound_rhs(one, 1.0, 0.25)
-    assert abs(val - 4.0 / 3.0) / (4.0 / 3.0) < 1e-6
-    with pytest.raises(ParameterError):
-        integral_bound_rhs(one, -1.0, 0.25)
-
-
-def test_integral_bound_dominates_pairing_on_rough_paths():
-    # a single constant fitted on half the seeds covers the other half
-    hold = lambda x: 2.0 * x + np.abs(x - 0.4) ** 0.6
-    n = 512
-    f = _grid_fn(hold, n)
-    ratios = []
-    for s in range(100):
-        p = gen_fbm(GridSpec(1.0, n), 0.75, Seed(40 + s).child(1))
-        g = GridFunction(0.0, 1.0, p.values)
-        lam = capital_lambda(p, 1.0, 0.375)
-        rhs = integral_bound_rhs(f, lam, 0.375)
-        ratios.append(abs(gls_integral(f, g, 0.375, refine=4)) / rhs)
-    ratios = np.array(ratios)
-    assert np.all(np.isfinite(ratios))
-    c_fit = ratios[:50].max()
-    assert np.mean(ratios[50:] <= c_fit) >= 0.9
 
 
 def _fftconvolve_kernel_sums(values, alpha, h):

@@ -32,7 +32,7 @@ from mfsde.solver import (
     pathwise_bound_rhs,
     read_solution_csv,
     solve_with_jumps,
-    solve_with_jumps_batch,
+    solve_with_jumps_stack,
 )
 
 EMPTY_TRAIN = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
@@ -250,18 +250,6 @@ def test_successive_grid_differences_shrink_per_path():
     assert mono >= 0.9
 
 
-def test_holder_constants_per_segment():
-    grid = GridSpec(1.0, 512)
-    w, z, train = _drivers(grid, 0.75, 2.0, Seed(9))
-    sol = solve_with_jumps(build_model("mixed_geometric"), 1.0, w, z, train)
-    qs = sol.holder_constants()
-    assert len(qs) == len(sol.segments) == train.count + 1
-    assert all(np.isfinite(q) and q >= 0.0 for q in qs)
-    # a lower order can only increase the quotient on a unit-length segment
-    qs_low = sol.holder_constants(kappa=0.2)
-    assert all(np.isfinite(q) for q in qs_low)
-
-
 def test_flow_composition_at_a_grid_node():
     coeffs = build_model("linear")
     grid = GridSpec(1.0, 512)
@@ -449,8 +437,15 @@ def test_solve_with_jumps_matches_the_per_segment_loop():
         drivers = [_drivers(grid, 0.75, 4.0, Seed(40 + s)) for s in range(6)]
         w, z, _ = drivers[0]
         drivers += [(w, z, train) for train in _hand_trains(grid)]
+        W = np.array([w.values for w, _, _ in drivers])
+        Z = np.array([z.values for _, z, _ in drivers])
+        trains = [train for _, _, train in drivers]
+
+        def draw(rows):
+            return W[rows], Z[rows], trains[rows]
+
         for coeffs, x0 in cases:
-            block = solve_with_jumps_batch(coeffs, x0, drivers)
+            block = solve_with_jumps_stack(coeffs, x0, grid, draw, len(drivers))
             for (w, z, train), batched in zip(drivers, block):
                 try:
                     times, values, segments = _reference_solve(coeffs, x0, w, z, train)
@@ -476,9 +471,6 @@ def test_solve_with_jumps_matches_the_per_segment_loop():
 def test_solve_with_jumps_validation():
     g1 = GridSpec(1.0, 64)
     coeffs = build_model("zero")
-    with pytest.raises(GridMismatchError):
-        solve_with_jumps(coeffs, 1.0, _zero_path(g1),
-                         _zero_path(GridSpec(1.0, 128)), EMPTY_TRAIN)
     late = JumpTrain(np.array([1.5]), np.array([0.1]), 1.0, 2.0)
     with pytest.raises(ParameterError):
         solve_with_jumps(coeffs, 1.0, _zero_path(g1), _zero_path(g1), late)
@@ -488,9 +480,7 @@ def test_solve_with_jumps_validation():
         solve_with_jumps(coeffs, 1.0, shifted, shifted, EMPTY_TRAIN)
     with pytest.raises(GridMismatchError, match="start at 0"):
         solve_with_jumps(coeffs, 1.0, _zero_path(g1), shifted, EMPTY_TRAIN)
-    # one batch solves on one grid
+    # both drivers live on one grid
     for other in (GridSpec(1.0, 128), GridSpec(2.0, 64)):
-        mixed = [(_zero_path(g1), _zero_path(g1), EMPTY_TRAIN),
-                 (_zero_path(other), _zero_path(other), EMPTY_TRAIN)]
         with pytest.raises(GridMismatchError, match="share one grid"):
-            solve_with_jumps_batch(coeffs, 1.0, mixed)
+            solve_with_jumps(coeffs, 1.0, _zero_path(g1), _zero_path(other), EMPTY_TRAIN)

@@ -43,7 +43,6 @@ from mfsde.solver import (
     euler_paths,
     ito_integral_path,
     solve_with_jumps,
-    solve_with_jumps_batch,
     solve_with_jumps_stack,
 )
 
@@ -348,18 +347,16 @@ def test_stacked_solve_equals_per_triple_solves(coeffs, x0):
     assert drawn == [slice(0, 128), slice(128, 150)]
     triples = [(GridFunction(0.0, 1.0, w), GridFunction(0.0, 1.0, z), t)
                for w, z, t in zip(W, B, trains)]
-    batched = solve_with_jumps_batch(coeffs, x0, triples)
     outcomes = set()
-    for got, again, triple in zip(stacked, batched, triples):
+    for got, triple in zip(stacked, triples):
         try:
             single = solve_with_jumps(coeffs, x0, *triple)
         except BlowUpError as err:
-            assert str(got) == str(again) == str(err)
+            assert str(got) == str(err)
             outcomes.add("blow-up")
             continue
-        for sol in (got, again):
-            assert _same(sol.times, single.times) and _same(sol.values, single.values)
-            assert _same(sol.left_flags, single.left_flags)
+        assert _same(got.times, single.times) and _same(got.values, single.values)
+        assert _same(got.left_flags, single.left_flags)
         outcomes.add("solved")
     assert "solved" in outcomes
 
