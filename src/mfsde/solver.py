@@ -7,11 +7,13 @@ path is advanced segment by segment between jump times, the drivers are
 shifted to each segment's origin, and the jump map is applied at the
 boundary.  Everything is deterministic given the drivers.
 
-One step loop serves every solve.  A replica's segments and jumps are laid
-on a single step axis, replicas are padded to a common length and advance
-together, and a replica that blows up is frozen and reported on its own.
-The state is an array at every batch width, so a replica solved alone
-equals the same replica solved in a batch bit for bit.
+One time-major step loop serves every solve: step k reads and writes one
+contiguous row.  A replica's segments and jumps lie on one step axis, an
+event table names the rows that jump at each step, and a block's replicas
+are ranked longest first, so those that have ended are a row suffix that
+holds.  A replica that blows up is frozen and reported on its own.  The
+state is an array at every batch width, so a replica solved alone equals
+it solved in a batch bit for bit.
 """
 
 from __future__ import annotations
@@ -212,54 +214,41 @@ def check_assumptions(coeffs: CoefficientSet, box: SamplingBox = SamplingBox(),
 # ---------------------------------------------------------------------------
 # the Euler step loop
 
-# transition kinds besides an Euler step, which carries its positive step
-# number within its segment
+# the kind of a jump transition; an Euler step's is its step number
 _JUMP = -1
-_HOLD = 0
 
 
 def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
                 dt: np.ndarray, dw: np.ndarray, dz: np.ndarray,
-                kinds: np.ndarray | None = None,
-                marks: np.ndarray | None = None) -> tuple:
+                active: list | None = None, jumps: dict | None = None) -> tuple:
     """The one step loop behind every solve; it advances all rows at once.
 
-    Row r goes from column k to column k + 1 of the returned (rows, K + 1)
-    states by the forward Euler step x + a(t, x) dt + b(t, x) dw
-    + c(t, x) dz, with t, dt, dw, dz read at [r, k] from arrays of shape
-    (rows, K) or (1, K).  `kinds` (rows, K) may mark a transition _JUMP,
-    which applies the jump map x + q(t, x, mark) instead, or _HOLD, which
-    keeps the value (padding after a row's last transition); that work is
-    done only at columns where some row needs it.  The state stays an
-    array at every width, so each elementwise operation is the same for a
-    row alone as in a batch.
-
-    A row whose state leaves the trust region is frozen at its last finite
-    value and the other rows carry on.  The second result maps each such
-    row to (k, state) of its first bad transition, in order of k.
+    Step k takes [k, r] to [k + 1, r] of the returned (K + 1, rows) states
+    by the forward Euler step x + a(t, x) dt + b(t, x) dw + c(t, x) dz,
+    with t, dt, dw, dz read at [k, r] from (K, rows) or (K, 1) arrays.
+    `jumps` maps k to the (row indices, marks) that take the jump map
+    x + q(t, x, mark) instead, and the rows from active[k] on hold their
+    value (rows ranked longest first end in a suffix).  The state is an
+    array at every width, so a row alone sees the same operations as in a
+    batch.  A row whose state leaves the trust region is frozen at its last
+    finite value; the second result maps each such row to (k, state) of its
+    first bad transition, in order of k.
     """
-    x = x0
-    rows, steps = x.size, dw.shape[1]
-    out = np.empty((rows, steps + 1))
-    out[:, 0] = x
-    special = ([False] * steps if kinds is None
-               else (kinds <= _HOLD).any(axis=0).tolist())
-    frozen = None
-    failed = {}
+    x, steps = x0, dw.shape[0]
+    out = np.empty((steps + 1, x.size))
+    out[0] = x
+    jumps, frozen, failed = jumps or {}, None, {}
     for k in range(steps):
-        tk = t[:, k]
-        new = (x + coeffs.a(tk, x) * dt[:, k] + coeffs.b(tk, x) * dw[:, k]
-               + coeffs.c(tk, x) * dz[:, k])
-        hold = frozen
-        if special[k]:
-            kind = kinds[:, k]
-            jump = kind == _JUMP
-            if jump.any():
-                new[jump] = x[jump] + coeffs.q(tk[jump], x[jump], marks[jump, k])
-            pad = kind == _HOLD
-            hold = pad if hold is None else hold | pad
-        if hold is not None:
-            new[hold] = x[hold]
+        tk = t[k]
+        new = (x + coeffs.a(tk, x) * dt[k] + coeffs.b(tk, x) * dw[k]
+               + coeffs.c(tk, x) * dz[k])
+        if k in jumps:
+            r, marks = jumps[k]
+            new[r] = x[r] + coeffs.q(tk[r], x[r], marks)
+        if active is not None:
+            new[active[k]:] = x[active[k]:]
+        if frozen is not None:
+            new[frozen] = x[frozen]
         ok = np.abs(new) <= BLOWUP_LIMIT
         if not ok.all():
             bad = ~ok
@@ -267,7 +256,7 @@ def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
                 failed[int(r)] = (k, float(new[r]))
             new[bad] = x[bad]
             frozen = bad if frozen is None else frozen | bad
-        out[:, k + 1] = new
+        out[k + 1] = new
         x = new
     return out, failed
 
@@ -282,25 +271,31 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
     """Batched jump-free solve: driver value arrays of shape (m, n+1) give
     an (m, n+1) state array in one pass (shape (n+1,) for a single path;
     x0 may be a scalar or one start per path).  A blow-up in any path
-    raises BlowUpError for the earliest one.  Used by the ensemble
-    experiments."""
+    raises BlowUpError for the earliest one, the lowest path at a tie.
+    Used by the convergence study."""
     _check_start(x0)
     w = np.asarray(wiener_values, dtype=float)
     z = np.asarray(frac_values, dtype=float)
     if w.shape != z.shape or w.shape[-1] != grid.steps + 1:
         raise GridMismatchError("driver arrays must share shape (..., steps+1)")
-    shape = np.broadcast_shapes(np.shape(x0), w.shape[:-1])
-    n = grid.steps
-    ts = grid.times
-    dw = np.broadcast_to(np.diff(w, axis=-1), shape + (n,)).reshape(-1, n)
-    dz = np.broadcast_to(np.diff(z, axis=-1), shape + (n,)).reshape(-1, n)
+    try:
+        shape = np.broadcast_shapes(np.shape(x0), w.shape[:-1])
+    except ValueError:
+        raise ParameterError(f"x0 of shape {np.shape(x0)} does not broadcast against"
+                             f" driver arrays of shape {w.shape}") from None
+    n, ts = grid.steps, grid.times
+    dw, dz = np.empty((2, n) + shape)
+    for d, values in ((dw, w), (dz, z)):
+        # time-major increments, one column per start
+        v = np.moveaxis(np.broadcast_to(values, shape + (n + 1,)), -1, 0)
+        np.subtract(v[1:], v[:-1], out=d)
     vals, failed = _euler_loop(coeffs, np.full(shape, x0, dtype=float).reshape(-1),
-                               ts[None, :-1], np.diff(ts)[None, :],
-                               dw, dz)
+                               ts[:-1, None], np.diff(ts)[:, None],
+                               dw.reshape(n, -1), dz.reshape(n, -1))
     if failed:
         k, state = next(iter(failed.values()))
         raise BlowUpError(step=k + 1, time=ts[k + 1], state=state)
-    return vals.reshape(shape + (n + 1,))
+    return vals.T.reshape(shape + (n + 1,))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +303,7 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
 
 # replicas per block of a batched solve: wide enough that the step loop's
 # per-step overhead is shared, narrow enough that one block's drivers and
-# padded step arrays stay small
+# step arrays stay small
 _BLOCK = 128
 
 
@@ -389,19 +384,20 @@ def read_solution_csv(file) -> tuple:
 
 def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
                     trains: list) -> tuple:
-    """Lay a block of jump-restart solves on one padded step axis.
+    """Lay a block of jump-restart solves on one time-major step axis.
 
     Row r of the (rows, n+1) driver stacks W and BH holds replica r's
     driver values at the nodes of `grid`, and trains[r] its jumps.
-    Transition k of row r takes output node k to node k + 1: within a
-    segment an Euler step (kind: its step number within the segment) on
-    the drivers shifted to the segment origin, at a jump the jump map
-    (kind _JUMP, t the jump time, dt = dw = dz = 0), and after the row's
-    last node a hold.  A driver value within 1e-9 h of a grid node is that
-    node's value, any other is the linear interpolation np.interp
-    computes, so a row's arrays do not depend on its block.  Returns the
-    (rows, K) arrays t, dt, dw, dz, kinds and marks, and per row its
-    output times and left-limit flags.
+    Transition k of a replica takes output node k to node k + 1: within a
+    segment an Euler step (kind: its step number) on the drivers shifted
+    to the segment origin, at a jump the jump map (kind _JUMP, t the jump
+    time, dt = dw = dz = 0).  A driver value within 1e-9 h of a grid node
+    is that node's value, any other is the linear interpolation np.interp
+    computes, so a replica's arrays do not depend on its block.
+    Transition k of the replica ranked i (by count, longest first) sits at
+    [k, i] of the returned (K, rows) t, dt, dw, dz; also returned: active,
+    the jump table {k: (ranks, marks)}, the ranks, the flat kinds, and per
+    replica its output times and left-limit flags.
     """
     T, n = grid.horizon, grid.steps
     taus = np.concatenate([jumps.times for jumps in trains])
@@ -424,22 +420,21 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     sizes = np.diff(row_end, prepend=0)
     row = np.repeat(np.arange(len(trains)), sizes)
 
-    # drivers read at every output node, shifted to each segment origin
+    # drivers read at every output node, shifted to each segment origin;
+    # both stacks share the flat node indices and interpolation weights
     nodes = np.linspace(0.0, T, n + 1)
     near = np.clip(np.rint(times / h).astype(int), 0, n)
     off = np.flatnonzero(np.abs(times - nodes[near]) > 1e-9 * h)
-    t_off, r_off = times[off], row[off]
-    j = np.clip(np.searchsorted(nodes, t_off, "right") - 1, 0, n - 1)
+    j = np.clip(np.searchsorted(nodes, times[off], "right") - 1, 0, n - 1)
+    at, lo = row * (n + 1) + near, row[off] * (n + 1) + j
+    span, past, end = nodes[j + 1] - nodes[j], times[off] - nodes[j], times[off] >= T
 
     def sample(values):
-        out = values[row, near]
-        f0, f1 = values[r_off, j], values[r_off, j + 1]
-        out[off] = np.where(t_off >= T, values[r_off, n],
-                            (f1 - f0) / (nodes[j + 1] - nodes[j]) * (t_off - nodes[j]) + f0)
+        flat = values.reshape(-1)
+        out = flat[at]
+        f0, f1 = flat[lo], flat[lo + 1]
+        out[off] = np.where(end, f1, (f1 - f0) / span * past + f0)
         return out - out[first]
-
-    w = sample(W)
-    z = sample(BH)
 
     # per node, the transition that leaves it
     jump_from = (np.cumsum(counts) - 1)[inner]
@@ -447,47 +442,54 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     kinds[jump_from] = _JUMP
     t = times.copy()
     t[jump_from] = taus
-    marks = np.zeros(times.size)
-    marks[jump_from] = np.concatenate([jumps.marks for jumps in trains])
 
     def steps(values):
         d = np.append(values[1:] - values[:-1], 0.0)
         d[jump_from] = 0.0
         return d
 
-    keep = np.ones(times.size, dtype=bool)
-    keep[row_end - 1] = False
-    valid = np.arange(sizes.max() - 1) < (sizes - 1)[:, None]
+    # ranks longest first (a stable sort); a replica's last node leaves none
+    order = np.argsort(1 - sizes, kind="stable")
+    rank = np.argsort(order)
+    rows, K = order.size, int(sizes.max()) - 1
+    slot = (np.arange(times.size) - np.repeat(row_end - sizes, sizes)) * rows + rank[row]
+    keep = np.delete(np.arange(times.size), row_end - 1)
 
-    def pad(values, fill=0):
-        out = np.full(valid.shape, fill, dtype=values.dtype)
-        out[valid] = values[keep]
-        return out
+    def scatter(values):
+        out = np.zeros(K * rows)
+        out[slot[keep]] = values[keep]
+        return out.reshape(K, rows)
 
-    flags = np.zeros(times.size, dtype=int)
-    flags[jump_from] = 1
-    return (pad(t), pad(steps(local)), pad(steps(w)), pad(steps(z)),
-            pad(kinds, _HOLD), pad(marks), np.split(times, row_end[:-1]),
-            np.split(flags, row_end[:-1]))
+    active = np.searchsorted(1 - sizes[order], -np.arange(K)).tolist()
+    by_slot = np.argsort(slot[jump_from])
+    at_jump = slot[jump_from][by_slot]
+    cols, cuts = np.unique(at_jump // rows, return_index=True)
+    marks = np.concatenate([jumps.marks for jumps in trains])[by_slot]
+    jumps = dict(zip(cols.tolist(), zip(np.split(at_jump % rows, cuts[1:]),
+                                        np.split(marks, cuts[1:]))))
+
+    flags = (kinds == _JUMP).astype(int)
+    return ((scatter(t), scatter(steps(local)), scatter(steps(sample(W))),
+             scatter(steps(sample(BH)))), active, jumps, rank.tolist(), kinds,
+            np.split(times, row_end[:-1]), np.split(flags, row_end[:-1]))
 
 
 def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
                  BH: np.ndarray, trains: list) -> list:
-    t, dt, dw, dz, kinds, marks, times, flags = _restart_layout(grid, W, BH, trains)
-    states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), t, dt, dw, dz,
-                                 kinds, marks)
+    steps, active, jumps, rank, kinds, times, flags = _restart_layout(grid, W, BH, trains)
+    states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), *steps,
+                                 active, jumps)
     results = []
-    for r, jumps in enumerate(trains):
-        if r in failed:
-            k, state = failed[r]
-            if kinds[r, k] == _JUMP:
-                results.append(BlowUpError(step=-1, time=t[r, k], state=state))
-            else:
-                results.append(BlowUpError(step=int(kinds[r, k]), time=times[r][k + 1],
-                                           state=state))
-            continue
-        results.append(SolutionPath(times=times[r], values=states[r, :times[r].size],
-                                    left_flags=flags[r], train=jumps, grid=grid))
+    for r, train in enumerate(trains):
+        i = rank[r]
+        if i in failed:
+            k, state = failed[i]
+            kind = int(kinds[sum(ts.size for ts in times[:r]) + k])
+            time = steps[0][k, i] if kind == _JUMP else times[r][k + 1]
+            results.append(BlowUpError(step=kind, time=time, state=state))
+        else:
+            results.append(SolutionPath(times=times[r], values=states[:times[r].size, i].copy(),
+                                        left_flags=flags[r], train=train, grid=grid))
     return results
 
 
@@ -500,21 +502,19 @@ def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, dr
     gen_driving_stack does: (k, n+1) arrays W and BH of Wiener and rough
     driver values at the nodes of `grid`, and the k jump trains.  It is
     called once per block of _BLOCK replicas, just before the block is
-    solved, so only one block's drivers need exist at a time.  A block's
-    segment solves and jump maps are laid on one step axis with exactly
-    the operations of a solve on its own, padded to its longest replica,
-    and its replicas advance together.  Returns one entry per replica:
-    its SolutionPath, or the BlowUpError that stopped it; a blow-up
-    freezes only its own replica.  Entry r equals
-    solve_with_jumps(coeffs, x0, W_r, BH_r, trains_r) bit for bit.
+    solved, so only one block's drivers need exist at a time, and its
+    replicas advance together with exactly the operations of a solve on
+    its own.  Returns one entry per replica: its SolutionPath, or the
+    BlowUpError that stopped it (a blow-up freezes only its own replica).
+    Entry r equals solve_with_jumps(coeffs, x0, W_r, BH_r, trains_r) bit
+    for bit.
     """
     _check_start(x0)
     results = []
     for a in range(0, replicas, _BLOCK):
         rows = slice(a, min(a + _BLOCK, replicas))
         W, BH, trains = draw(rows)
-        W = np.asarray(W, dtype=float)
-        BH = np.asarray(BH, dtype=float)
+        W, BH = np.asarray(W, dtype=float), np.asarray(BH, dtype=float)
         trains = list(trains)
         if not W.shape == BH.shape == (rows.stop - a, grid.steps + 1) or len(trains) != len(W):
             raise GridMismatchError("a drawn block must hold one (steps+1)-row of W and BH"

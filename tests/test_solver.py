@@ -344,6 +344,12 @@ def test_euler_paths_batch_matches_single_solves():
             np.testing.assert_array_equal(batch[s], single)
 
 
+def test_euler_paths_refuses_starts_that_do_not_broadcast():
+    grid, zero = GridSpec(1.0, 4), np.zeros((2, 5))
+    with pytest.raises(ParameterError, match=r"x0 of shape \(3,\) .* shape \(2, 5\)"):
+        euler_paths(build_model("linear"), np.ones(3), grid, zero, zero)
+
+
 def _segment_nodes(length, dt):
     """Local nodes for one segment: the usual spacing, plus a short final
     step when the segment length is not a whole number of steps."""

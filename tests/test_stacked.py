@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import toeplitz
 
-from mfsde import noise
+from mfsde import noise, solver
 from mfsde.analysis import simulate_ensemble, verify_pathwise_lemma, verify_self_similarity
 from mfsde.cli import run_convergence
 from mfsde.config import parse_config
@@ -29,6 +29,7 @@ from mfsde.noise import (
     GaussianMarks,
     GridFunction,
     GridSpec,
+    JumpTrain,
     Seed,
     TwoPointMarks,
     UniformMarks,
@@ -40,12 +41,14 @@ from mfsde.noise import (
 )
 from mfsde.norms import capital_lambda, norm_0_interval, norm_inf
 from mfsde.solver import (
+    BLOWUP_LIMIT,
     euler_paths,
     ito_integral_path,
     solve_with_jumps,
     solve_with_jumps_stack,
 )
 
+EMPTY = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
 MARK_LAWS = (TwoPointMarks(-0.5, 1.0, 0.3), GaussianMarks(0.1, 0.5), UniformMarks(-1.0, 2.0))
 
 
@@ -376,6 +379,263 @@ def test_stacked_solve_validation():
     with pytest.raises(ParameterError, match="x0"):
         solve_with_jumps_stack(coeffs, math.nan, grid, lambda rows: 1 / 0, 2)
     assert solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, 0) == []
+
+
+# ---------------------------------------------------------------------------
+# the step loop against its row-major form
+
+# Copies of the row-major step loop and restart layout as they stood before
+# the time-major loop: replicas in block order, (rows, K) step arrays padded
+# with hold transitions, and jumps read from padded kinds and marks.
+_REF_JUMP = -1
+_REF_HOLD = 0
+
+
+def _ref_euler_loop(coeffs, x0, t, dt, dw, dz, kinds=None, marks=None):
+    x = x0
+    rows, steps = x.size, dw.shape[1]
+    out = np.empty((rows, steps + 1))
+    out[:, 0] = x
+    special = ([False] * steps if kinds is None
+               else (kinds <= _REF_HOLD).any(axis=0).tolist())
+    frozen = None
+    failed = {}
+    for k in range(steps):
+        tk = t[:, k]
+        new = (x + coeffs.a(tk, x) * dt[:, k] + coeffs.b(tk, x) * dw[:, k]
+               + coeffs.c(tk, x) * dz[:, k])
+        hold = frozen
+        if special[k]:
+            kind = kinds[:, k]
+            jump = kind == _REF_JUMP
+            if jump.any():
+                new[jump] = x[jump] + coeffs.q(tk[jump], x[jump], marks[jump, k])
+            pad = kind == _REF_HOLD
+            hold = pad if hold is None else hold | pad
+        if hold is not None:
+            new[hold] = x[hold]
+        ok = np.abs(new) <= BLOWUP_LIMIT
+        if not ok.all():
+            bad = ~ok
+            for r in np.flatnonzero(bad if frozen is None else bad & ~frozen):
+                failed[int(r)] = (k, float(new[r]))
+            new[bad] = x[bad]
+            frozen = bad if frozen is None else frozen | bad
+        out[:, k + 1] = new
+        x = new
+    return out, failed
+
+
+def _ref_euler_paths(coeffs, x0, grid, w, z):
+    w, z = np.asarray(w, dtype=float), np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(np.shape(x0), w.shape[:-1])
+    n, ts = grid.steps, grid.times
+    dw = np.broadcast_to(np.diff(w, axis=-1), shape + (n,)).reshape(-1, n)
+    dz = np.broadcast_to(np.diff(z, axis=-1), shape + (n,)).reshape(-1, n)
+    vals, failed = _ref_euler_loop(coeffs, np.full(shape, x0, dtype=float).reshape(-1),
+                                   ts[None, :-1], np.diff(ts)[None, :], dw, dz)
+    if failed:
+        k, state = next(iter(failed.values()))
+        raise BlowUpError(step=k + 1, time=ts[k + 1], state=state)
+    return vals.reshape(shape + (n + 1,))
+
+
+def _ref_restart_layout(grid, W, BH, trains):
+    T, n = grid.horizon, grid.steps
+    taus = np.concatenate([jumps.times for jumps in trains])
+    h = T / n
+    last_seg = np.cumsum([jumps.count + 1 for jumps in trains]) - 1
+    inner = np.ones(last_seg[-1] + 1, dtype=bool)
+    inner[last_seg] = False
+    starts = np.zeros(inner.size)
+    starts[np.flatnonzero(inner) + 1] = taus
+    ends = np.full(inner.size, T)
+    ends[inner] = taus
+    counts, local = solver._local_nodes(ends - starts, h)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    times = np.repeat(starts, counts) + local
+    row_end = np.cumsum(counts)[last_seg]
+    sizes = np.diff(row_end, prepend=0)
+    row = np.repeat(np.arange(len(trains)), sizes)
+
+    nodes = np.linspace(0.0, T, n + 1)
+    near = np.clip(np.rint(times / h).astype(int), 0, n)
+    off = np.flatnonzero(np.abs(times - nodes[near]) > 1e-9 * h)
+    t_off, r_off = times[off], row[off]
+    j = np.clip(np.searchsorted(nodes, t_off, "right") - 1, 0, n - 1)
+
+    def sample(values):
+        out = values[row, near]
+        f0, f1 = values[r_off, j], values[r_off, j + 1]
+        out[off] = np.where(t_off >= T, values[r_off, n],
+                            (f1 - f0) / (nodes[j + 1] - nodes[j]) * (t_off - nodes[j]) + f0)
+        return out - out[first]
+
+    w = sample(W)
+    z = sample(BH)
+    jump_from = (np.cumsum(counts) - 1)[inner]
+    kinds = np.arange(1, times.size + 1) - first
+    kinds[jump_from] = _REF_JUMP
+    t = times.copy()
+    t[jump_from] = taus
+    marks = np.zeros(times.size)
+    marks[jump_from] = np.concatenate([jumps.marks for jumps in trains])
+
+    def steps(values):
+        d = np.append(values[1:] - values[:-1], 0.0)
+        d[jump_from] = 0.0
+        return d
+
+    keep = np.ones(times.size, dtype=bool)
+    keep[row_end - 1] = False
+    valid = np.arange(sizes.max() - 1) < (sizes - 1)[:, None]
+
+    def pad(values, fill=0):
+        out = np.full(valid.shape, fill, dtype=values.dtype)
+        out[valid] = values[keep]
+        return out
+
+    flags = np.zeros(times.size, dtype=int)
+    flags[jump_from] = 1
+    return (pad(t), pad(steps(local)), pad(steps(w)), pad(steps(z)),
+            pad(kinds, _REF_HOLD), pad(marks), np.split(times, row_end[:-1]),
+            np.split(flags, row_end[:-1]))
+
+
+def _ref_solve_block(coeffs, x0, grid, W, BH, trains):
+    """One block solved row-major: per replica (times, values, flags) or
+    the text of its BlowUpError."""
+    t, dt, dw, dz, kinds, marks, times, flags = _ref_restart_layout(grid, W, BH, trains)
+    states, failed = _ref_euler_loop(coeffs, np.full(len(trains), float(x0)), t, dt, dw,
+                                     dz, kinds, marks)
+    results = []
+    for r in range(len(trains)):
+        if r in failed:
+            k, state = failed[r]
+            if kinds[r, k] == _REF_JUMP:
+                err = BlowUpError(step=-1, time=t[r, k], state=state)
+            else:
+                err = BlowUpError(step=int(kinds[r, k]), time=times[r][k + 1], state=state)
+            results.append(str(err))
+        else:
+            results.append((times[r], states[r, :times[r].size], flags[r]))
+    return results
+
+
+def _check_block(coeffs, x0, grid, W, BH, trains):
+    """The stacked solve of one block against the row-major reference;
+    returns the blow-up texts."""
+    want = _ref_solve_block(coeffs, x0, grid, W, BH, trains)
+    got = solve_with_jumps_stack(coeffs, x0, grid, lambda rows: (W, BH, trains),
+                                 len(trains))
+    for g, w in zip(got, want):
+        if isinstance(w, str):
+            assert str(g) == w
+        else:
+            assert _same(g.times, w[0]) and _same(g.values, w[1])
+            assert _same(g.left_flags, w[2])
+            assert g.values.flags.c_contiguous
+    return [w for w in want if isinstance(w, str)]
+
+
+def _block_train(grid, spec):
+    """A train from (kind, position, mark) triples: a free time, a grid
+    node, within 1e-9 h of one, or the horizon."""
+    T, h = grid.horizon, grid.dt
+    at = {"free": lambda u: u * T, "node": lambda u: round(u * grid.steps) * h,
+          "near": lambda u: round(u * grid.steps) * h + (u - 0.5) * 1e-9 * h,
+          "end": lambda u: T}
+    times = {}
+    for kind, u, mark in spec:
+        tau = at[kind](u)
+        if 0.0 < tau <= T:
+            times.setdefault(tau, mark)
+    taus = np.array(sorted(times))
+    return JumpTrain(taus, np.array([times[t] for t in taus]), 1.0, T)
+
+
+_BLOCK_COEFFS = (build_model("trigonometric"), build_model("linear"),
+                 dataclasses.replace(build_model("linear"), q=lambda t, x, y: t - x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 24),
+       horizon=st.sampled_from([1.0, 1.5]), model=st.integers(0, len(_BLOCK_COEFFS) - 1),
+       specs=st.lists(st.lists(st.tuples(st.sampled_from(["free", "node", "near", "end"]),
+                                         st.floats(0.0, 1.0), st.floats(-0.5, 0.5)),
+                               max_size=12),
+                      min_size=1, max_size=40))
+def test_block_solve_equals_the_row_major_loop(seed, steps, horizon, model, specs):
+    grid = GridSpec(horizon, steps)
+    rng = np.random.default_rng(seed)
+    W = np.cumsum(rng.normal(0.0, 0.3, (len(specs), steps + 1)), axis=1)
+    BH = np.cumsum(rng.normal(0.0, 0.3, (len(specs), steps + 1)), axis=1)
+    trains = [_block_train(grid, spec) for spec in specs]
+    _check_block(_BLOCK_COEFFS[model], 1.0, grid, W, BH, trains)
+
+
+def test_block_blow_ups_equal_the_row_major_loop():
+    # zero drivers: the cubic drift and jump map alone; from 0.3 the drift
+    # does not blow up by T, from 1.0 it does inside the first segment
+    grid = GridSpec(1.0, 16)
+    W = np.zeros((5, 17))
+    quiet = JumpTrain(np.linspace(0.05, 0.95, 12), np.full(12, 1e-6), 1.0, 1.0)
+    cases = {
+        # a jump lifts the state and the drift blows up after it, while
+        # the longer quiet row still steps
+        "short row": [JumpTrain([0.5], [0.45], 1.0, 1.0), quiet],
+        # three jumps 1e-12 apart: the third one blows up
+        "at a jump": [quiet, JumpTrain(0.3 + np.arange(3) * 1e-12, np.full(3, 0.45),
+                                       1.0, 1.0)],
+    }
+    texts = {name: _check_block(_cubic_jumps(), 0.3, grid, W[:2], W[:2], trains)
+             for name, trains in cases.items()}
+    texts["in a segment"] = _check_block(_cubic_jumps(), 1.0, grid, W, W,
+                                         [quiet] + [EMPTY] * 4)
+    # a replica that has ended holds its value while longer ones step; its
+    # drift here is inf, and inf * 0 in a padded step would be a blow-up
+    lifted = dataclasses.replace(build_model("linear"), a=lambda t, x: 1e-3 * np.exp(x),
+                                 q=lambda t, x, y: y - x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        texts["ended"] = _check_block(lifted, 0.3, grid, W[:2], W[:2],
+                                      [JumpTrain([1.0], [800.0], 1.0, 1.0), quiet])
+    where = {name: [text.split(":")[0] for text in found] for name, found in texts.items()}
+    assert where["short row"] == ["state blew up at step 5 (t=0.8125)"]
+    assert where["at a jump"] == ["state blew up at step -1 (t=0.3)"]
+    assert where["in a segment"][1:] == ["state blew up at step 7 (t=0.4375)"] * 4
+    assert where["ended"] == []
+
+
+def test_euler_paths_equals_the_row_major_loop():
+    rng = np.random.default_rng(5)
+    w = np.cumsum(rng.normal(0.0, 0.1, (6, 257)), axis=1)
+    z = np.cumsum(rng.normal(0.0, 0.1, (6, 257)), axis=1)
+    fine = GridSpec(1.0, 256)
+    cases = [(1.0, GridSpec(1.0, 64), w[:, ::4], z[:, ::4]),       # strided views
+             (0.7, fine, w[0], z[0]),                              # one path
+             (np.linspace(0.1, 1.0, 5), fine, w[0], z[0]),         # starts, one path
+             (np.array([[0.5], [1.5]]), fine, w[:2], z[:2])]       # (2, 1) starts
+    shapes = []
+    for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
+        for x0, grid, wi, zi in cases:
+            got = euler_paths(coeffs, x0, grid, wi, zi)
+            assert _same(got, _ref_euler_paths(coeffs, x0, grid, wi, zi))
+            shapes.append(got.shape)
+    assert shapes[:4] == [(6, 65), (257,), (5, 257), (2, 2, 257)]
+
+    # two rows blow up at one step: the error names the lower one
+    grid, x0 = GridSpec(1.0, 64), np.array([0.5, 3.05, 3.0])
+    zero = np.zeros((3, 65))
+    ts = grid.times
+    _, failed = _ref_euler_loop(build_model("explosive"), x0, ts[None, :-1],
+                                np.diff(ts)[None, :], zero[:, 1:], zero[:, 1:])
+    assert failed[1][0] == failed[2][0] and failed[1][1] != failed[2][1]
+    with pytest.raises(BlowUpError) as want:
+        _ref_euler_paths(build_model("explosive"), x0, grid, zero, zero)
+    with pytest.raises(BlowUpError) as got:
+        euler_paths(build_model("explosive"), x0, grid, zero, zero)
+    assert str(got.value) == str(want.value)
+    assert got.value.state == failed[1][1]
 
 
 # ---------------------------------------------------------------------------
