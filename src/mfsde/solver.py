@@ -11,9 +11,8 @@ One time-major step loop serves every solve: step k reads and writes one
 contiguous row.  A replica's segments and jumps lie on one step axis, an
 event table names the rows that jump at each step, and a block's replicas
 are ranked longest first, so those that have ended are a row suffix that
-holds.  A replica that blows up is frozen and reported on its own.  The
-state is an array at every batch width, so a replica solved alone equals
-it solved in a batch bit for bit.
+holds.  A replica that blows up is frozen and reported alone.  The state is
+an array at every width, so a replica alone equals it in a batch bit for bit.
 """
 
 from __future__ import annotations
@@ -479,6 +478,7 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
     steps, active, jumps, rank, kinds, times, flags = _restart_layout(grid, W, BH, trains)
     states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), *steps,
                                  active, jumps)
+    states = states.T.copy()            # each path's values: one contiguous row
     results = []
     for r, train in enumerate(trains):
         i = rank[r]
@@ -488,7 +488,7 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
             time = steps[0][k, i] if kind == _JUMP else times[r][k + 1]
             results.append(BlowUpError(step=kind, time=time, state=state))
         else:
-            results.append(SolutionPath(times=times[r], values=states[:times[r].size, i].copy(),
+            results.append(SolutionPath(times=times[r], values=states[i, :times[r].size],
                                         left_flags=flags[r], train=train, grid=grid))
     return results
 
