@@ -464,12 +464,12 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     at_jump = slot[jump_from][by_slot]
     cols, cuts = np.unique(at_jump // rows, return_index=True)
     marks = np.concatenate([jumps.marks for jumps in trains])[by_slot]
-    jumps = dict(zip(cols.tolist(), zip(np.split(at_jump % rows, cuts[1:]),
-                                        np.split(marks, cuts[1:]))))
+    events = dict(zip(cols.tolist(), zip(np.split(at_jump % rows, cuts[1:]),
+                                         np.split(marks, cuts[1:]))))
 
     flags = (kinds == _JUMP).astype(int)
     return ((scatter(t), scatter(steps(local)), scatter(steps(sample(W))),
-             scatter(steps(sample(BH)))), active, jumps, rank.tolist(), kinds,
+             scatter(steps(sample(BH)))), active, events, rank.tolist(), kinds,
             np.split(times, row_end[:-1]), np.split(flags, row_end[:-1]))
 
 
