@@ -11,11 +11,17 @@ the kernel blows up at the evaluation node t_i (kernel (t_i - u)^(-1-alpha),
 0 < alpha < 1); "left-singular" means it blows up at the anchor node t_i
 (kernel (z - t_i)^(alpha - 2)).  Both are integrable against interpolants
 vanishing at the singular point.
+
+`increment_kernel_sums` evaluates its cell sums as FFT convolutions.  Its
+transforms go through `numpy.fft` (numpy >= 2.0, for their `out=`
+arguments) into one scratch buffer per thread that is reused and only
+grows, so a call allocates nothing large but the array it returns.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from itertools import repeat
 
 import numpy as np
@@ -64,31 +70,58 @@ def _kernel_spectra(n: int, alpha: float, h: float):
     return (size, *arrays)
 
 
+_SCRATCH = threading.local()
+
+
+def _fft_scratch(size: int):
+    """Views of this thread's FFT scratch for transforms of length `size`:
+    three spectra of size // 2 + 1 complex values and one real array of
+    `size`.  The buffer is reused while it is large enough and only grows,
+    so repeated calls fault in no fresh pages."""
+    m = size // 2 + 1
+    need = 3 * m + (size + 1) // 2
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < need:
+        buf = _SCRATCH.buf = np.empty(need, dtype=complex)
+    real = buf[3 * m : need].view(float)[:size]
+    return buf[:m], buf[m : 2 * m], buf[2 * m : 3 * m], real
+
+
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """I[i] = integral over [t_0, t_i] of (f(t_i) - f(u)) (t_i - u)^(-1-alpha) du
     for every node i, with f the piecewise-linear interpolant of `values`.
 
     Uniform spacing makes the cell sums convolutions, evaluated by FFT
-    against the cached kernel spectra.
+    against the cached kernel spectra.  Every transform and product is
+    written into the thread's scratch (`_fft_scratch`); only the returned
+    array is allocated.
     """
-    from scipy import fft
-
     f = np.asarray(values, dtype=float)
     n = len(f) - 1
     if n == 0:
         return np.zeros(1)
     size, cg1, spec_g1, spec_kg1, spec_g2 = _kernel_spectra(n, alpha, h)
-    spec_f = fft.rfft(f[1:], size)
-    spec_df = fft.rfft(np.diff(f), size)
+    spec_f, spec_df, prod, real = _fft_scratch(size)
+    np.fft.rfft(f[1:], size, out=spec_f)
+    df = np.subtract(f[1:], f[:-1], out=real[:n])   # np.diff(f)
+    np.fft.rfft(df, size, out=spec_df)
+    conv = real[: n + 1]
 
-    def conv(spec_in, spec_kernel):
-        return fft.irfft(spec_in * spec_kernel, size)[: n + 1]
+    def convolve(spec_in, spec_kernel):
+        np.multiply(spec_in, spec_kernel, out=prod)
+        np.fft.irfft(prod, size, out=real)
+        return conv
 
     # cell j at lag k = i - j contributes c_j G1[k] + slope_j G2[k] with
     # slope_j = df[j]/h and c_j = f_i - f[j+1] - df[j] (k - 1); the three df
-    # convolutions stay apart, since merging them by linearity moves the sums
-    out = (f * cg1 - conv(spec_f, spec_g1)          # index i -> sum f[j+1] G1[i-j]
-           - conv(spec_df, spec_kg1) + conv(spec_df, spec_g1) + conv(spec_df, spec_g2) / h)
+    # convolutions stay apart, since merging them by linearity moves the
+    # sums; for the same reason the in-place updates keep the left-to-right
+    # order of f cumsum(G1) - f*G1 - df*kG1 + df*G1 + (df*G2) / h
+    out = f * cg1
+    out -= convolve(spec_f, spec_g1)         # index i -> sum f[j+1] G1[i-j]
+    out -= convolve(spec_df, spec_kg1)
+    out += convolve(spec_df, spec_g1)
+    out += np.divide(convolve(spec_df, spec_g2), h, out=conv)
     out[0] = 0.0
     return out
 

@@ -23,6 +23,11 @@ def _check_order(alpha: float) -> None:
         raise ParameterError(f"fractional order must lie in (0, 1), got {alpha}")
 
 
+def _check_finite(name: str, fn: GridFunction) -> None:
+    if not np.isfinite(fn.values).all():
+        raise ParameterError(f"{name} holds non-finite values")
+
+
 def shared_grid(f: GridFunction, g: GridFunction) -> None:
     if f.values.size != g.values.size:
         raise GridMismatchError("grid functions have different node counts")
@@ -45,6 +50,7 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     from scipy.special import gamma
 
     _check_order(alpha)
+    _check_finite("f", f)
     kern = increment_kernel_sums(f.values, alpha, f.h)
     x = f.nodes - f.left
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -63,6 +69,7 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     from scipy.special import gamma
 
     _check_order(alpha)
+    _check_finite("g", g)
     order = 1.0 - alpha
     shifted = g.values - g.values[-1]
     rev = shifted[::-1].copy()
@@ -95,8 +102,10 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     rough path whose derivative oscillates between nodes.
     """
     shared_grid(f, g)
-    if refine < 1:
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ParameterError("refine must be a positive integer")
+    _check_finite("f", f)
+    _check_finite("g", g)
     if refine > 1:
         xs = f.nodes
         xf = np.linspace(f.left, f.right, f.cells * refine + 1)

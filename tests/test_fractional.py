@@ -4,6 +4,9 @@ Closed forms and adaptive-quadrature oracles are computed independently in
 each test; the implementation under test never feeds its own oracle.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.signal import fftconvolve
 
-from mfsde._kernels import _kernel_spectra, _power_tables, increment_kernel_sums
+from mfsde._kernels import _SCRATCH, _kernel_spectra, _power_tables, increment_kernel_sums
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
@@ -158,8 +161,29 @@ def test_gls_parameter_errors():
         gls_integral(short, short, 0.3)
     with pytest.raises(ParameterError):
         gls_integral(f, f, 0.3, refine=0)
+    for refine in (2.0, 2.5):
+        with pytest.raises(ParameterError, match="refine must be a positive integer"):
+            gls_integral(f, f, 0.3, refine=refine)
+    assert gls_integral(f, f, 0.3, refine=np.int64(2)) == gls_integral(f, f, 0.3, refine=2)
     with pytest.raises(ParameterError):
         gls_integral(f, f, 1.2)
+
+
+def test_non_finite_values_are_refused():
+    n = 64
+    good = _grid_fn(np.sin, n)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        vals = good.values.copy()
+        vals[n // 2] = bad_value
+        bad = GridFunction(0.0, 1.0, vals)
+        with pytest.raises(ParameterError, match="^f holds non-finite values"):
+            rl_left_derivative(bad, 0.3)
+        with pytest.raises(ParameterError, match="^g holds non-finite values"):
+            rl_right_derivative(bad, 0.3)
+        with pytest.raises(ParameterError, match="^f holds non-finite values"):
+            gls_integral(bad, good, 0.3)
+        with pytest.raises(ParameterError, match="^g holds non-finite values"):
+            gls_integral(good, bad, 0.3, refine=4)
 
 
 def test_forward_sum_examples():
@@ -233,3 +257,76 @@ def test_kernel_spectra_cache_is_bounded():
     for n in range(1, maxsize + 10):
         _kernel_spectra(n, 0.3, 1.0 / n)
     assert _kernel_spectra.cache_info().currsize == maxsize
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, so it sees an empty per-thread scratch."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_kernel_sums_share_no_memory_with_scratch():
+    rng = np.random.default_rng(3)
+    first = increment_kernel_sums(rng.standard_normal(513), 0.45, 1.0 / 512)
+    kept = first.copy()
+    assert not np.shares_memory(first, _SCRATCH.buf)
+    # a smaller call reuses the buffer, a larger one replaces it
+    for n in (64, 8192):
+        later = increment_kernel_sums(rng.standard_normal(n + 1), 0.45, 1.0 / n)
+        assert not np.shares_memory(later, _SCRATCH.buf)
+        assert not np.shares_memory(later, first)
+        np.testing.assert_array_equal(first, kept)
+
+
+def test_kernel_scratch_is_reused_and_only_grows():
+    def sizes():
+        rng = np.random.default_rng(4)
+        seen = []
+        for n in (1000, 1000, 10, 5000, 10, 1000):
+            increment_kernel_sums(rng.standard_normal(n + 1), 0.3, 1.0 / n)
+            seen.append((_SCRATCH.buf, _SCRATCH.buf.size))
+        return seen
+
+    seen = _in_fresh_thread(sizes)
+    bufs = [buf for buf, _ in seen]
+    lengths = [size for _, size in seen]
+    assert bufs[1] is bufs[0] and bufs[2] is bufs[0]
+    assert lengths[3] > lengths[0]
+    assert bufs[4] is bufs[3] and bufs[5] is bufs[3]
+    assert lengths[3:] == [lengths[3]] * 3
+
+
+def test_kernel_sums_in_concurrent_threads_match_serial_bits():
+    rng = np.random.default_rng(5)
+    cases = [(rng.standard_normal(n + 1), alpha, 1.0 / n)
+             for n, alpha in ((300, 0.3), (2048, 0.45), (5000, 0.55), (12000, 0.7))]
+    serial = [increment_kernel_sums(*case) for case in cases]
+    results = {}
+    errors = []
+
+    def work(k):
+        try:
+            results[k] = [increment_kernel_sums(*cases[k]) for _ in range(10)]
+        except Exception as exc:            # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    for k, expected in enumerate(serial):
+        assert len(results[k]) == 10
+        for got in results[k]:
+            np.testing.assert_array_equal(got, expected)
