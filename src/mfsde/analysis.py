@@ -8,9 +8,9 @@ distributional scaling of a roughness norm), so every numeric cutoff lives
 in `Thresholds` as an explicit measurement convention, not a derived
 constant.
 
-Replica r of any ensemble draws its drivers from substream
-REPLICA_STREAM_BASE + r of the root seed; reports are therefore pure
-functions of their stated inputs and rerun bit for bit.
+Replica r of any ensemble draws its drivers from its own substream of the
+root seed (`noise._replica_seeds`); reports are therefore pure functions
+of their stated inputs and rerun bit for bit.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ import numpy as np
 
 from .errors import BlowUpError, ParameterError, RunFailure
 from .noise import (
-    CSV_FLOAT_FMT,
-    REPLICA_STREAM_BASE,
     FracParams,
     GridFunction,
     GridSpec,
     MarkLaw,
     Seed,
     TwoPointMarks,
+    _check_jump_mean,
+    _csv_row,
+    _replica_seeds,
     gen_driving_stack,
     gen_driving_triple,
     gen_fbm_stack,
@@ -100,11 +101,6 @@ def _batch_se(x: np.ndarray) -> float:
 # ensembles
 
 
-def _replica_seeds(seed: Seed, replicas) -> list:
-    """The driver seeds of the given replica indices."""
-    return [seed.child(REPLICA_STREAM_BASE + r) for r in replicas]
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """Replicated solves plus everything needed to regenerate them.
@@ -142,7 +138,7 @@ class Ensemble:
 
     def drivers(self, replica: int):
         """Regenerate (wiener, fbm, jumps) for one replica, bit for bit."""
-        child = self.seed.child(REPLICA_STREAM_BASE + replica)
+        [child] = _replica_seeds(self.seed, [replica])
         return gen_driving_triple(self.grid, self.frac.hurst, self.rate,
                                   self.marks, child)
 
@@ -256,10 +252,8 @@ class MomentTable:
         return out
 
     def csv_rows(self) -> list:
-        fmt = CSV_FLOAT_FMT
-        return [",".join([fmt % row.power, fmt % row.value, fmt % row.std_error,
-                          fmt % row.half_value, fmt % row.half_std_error,
-                          "%d" % row.stable]) for row in self.rows]
+        return [_csv_row(row.power, row.value, row.std_error, row.half_value,
+                         row.half_std_error, row.stable) for row in self.rows]
 
 
 def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> MomentTable:
@@ -273,10 +267,13 @@ def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THR
     _require_kept(ens, MOMENTS_MIN_REPLICAS,
                   f"moment estimation needs >= {MOMENTS_MIN_REPLICAS} kept replicas,"
                   f" got {ens.size}")
+    orders = list(p_list)
+    if not orders:
+        raise ParameterError("moment orders must not be empty")
     sups = ens.sup_values()
     half = sups[:sups.size // 2]
     rows = []
-    for p in p_list:
+    for p in orders:
         p = float(p)
         if not (p > 0 and math.isfinite(p)):
             raise ParameterError(f"moment orders must be positive and finite, got {p}")
@@ -323,13 +320,14 @@ class TailReport:
                 f"result: {'PASS' if self.passed else 'FAIL'}"]
 
     def csv_rows(self) -> list:
-        return [",".join([CSV_FLOAT_FMT % v, CSV_FLOAT_FMT % s])
-                for v, s in zip(self.tail_values, self.tail_survival)]
+        return [_csv_row(v, s) for v, s in zip(self.tail_values, self.tail_survival)]
 
 
 def tail_diagnostic(ens: Ensemble, p_max: float,
                     thresholds: Thresholds = DEFAULT_THRESHOLDS) -> TailReport:
     """Fit the survival-function slope over the top decile of sup|X|."""
+    if not (p_max > 0 and math.isfinite(p_max)):
+        raise ParameterError(f"p_max must be positive and finite, got {p_max}")
     if ens.size < TAIL_MIN_REPLICAS:
         raise ParameterError(f"tail diagnostic needs >= {TAIL_MIN_REPLICAS} kept replicas,"
                              f" got {ens.size}")
@@ -395,12 +393,8 @@ class LemmaReport:
                 f"result: {'PASS' if self.passed else 'FAIL'}"]
 
     def csv_rows(self) -> list:
-        fmt = CSV_FLOAT_FMT
-        return [",".join(["%d" % rid, fmt % a, fmt % b, fmt % c, fmt % d,
-                          "%d" % s])
-                for rid, a, b, c, d, s in zip(self.replica_ids, self.lhs,
-                                              self.lam, self.ito_norm,
-                                              self.k_min, self.satisfied)]
+        return [_csv_row(*row) for row in zip(self.replica_ids, self.lhs, self.lam,
+                                              self.ito_norm, self.k_min, self.satisfied)]
 
 
 def _minimal_k(lhs: float, lam_pow: float, jb: float) -> float:
@@ -522,12 +516,9 @@ class KernelReport:
         return out
 
     def csv_rows(self) -> list:
-        fmt = CSV_FLOAT_FMT
-        rows = [",".join(["weighted", fmt % lam, fmt % s_at, fmt % ratio])
-                for lam, ratio, s_at in self.weighted_rows]
-        u, t = self.beta_argmax
-        rows.append(",".join(["beta", fmt % u, fmt % t, fmt % self.beta_ratio]))
-        return rows
+        weighted = [_csv_row("weighted", lam, s_at, ratio)
+                    for lam, ratio, s_at in self.weighted_rows]
+        return weighted + [_csv_row("beta", *self.beta_argmax, self.beta_ratio)]
 
 
 def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
@@ -630,9 +621,7 @@ class SelfSimReport:
         return out
 
     def csv_rows(self) -> list:
-        fmt = CSV_FLOAT_FMT
-        return [",".join([fmt % a, fmt % b, "%d" % cells, fmt % p])
-                for a, b, cells, p in self.rows]
+        return [_csv_row(*row) for row in self.rows]
 
 
 def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
@@ -646,10 +635,10 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     discretization bias.  Intervals lie in [0, 1], with endpoints on the
     grid of `steps` cells.
     """
-    if not 0.5 < hurst < 1.0:
-        raise ParameterError(f"hurst must lie in (1/2, 1), got {hurst}")
-    if not (1.0 - hurst) < alpha < 0.5:
-        raise ParameterError(f"alpha must lie in (1-H, 1/2), got {alpha}")
+    FracParams(hurst, alpha)    # refuses a hurst or alpha out of range
+    intervals = list(interval_list)
+    if not intervals:
+        raise ParameterError("need at least one interval")
     if replicas < SELFSIM_MIN_REPLICAS:
         raise ParameterError(f"need at least {SELFSIM_MIN_REPLICAS} replicas, got {replicas}")
     if not math.isfinite(kappa_scale):
@@ -662,7 +651,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     from scipy.stats import ks_2samp
 
     rows = []
-    for k, (a, b) in enumerate(interval_list):
+    for k, (a, b) in enumerate(intervals):
         a, b = float(a), float(b)
         if not 0.0 <= a < b <= 1.0:
             raise ParameterError(f"bad interval [{a}, {b}]")
@@ -728,11 +717,8 @@ class JumpMomentReport:
                 f"result: {'PASS' if self.passed else 'FAIL'}"]
 
     def csv_rows(self) -> list:
-        fmt = CSV_FLOAT_FMT
-        return [",".join([fmt % self.rate, fmt % self.power, fmt % self.horizon,
-                          "%d" % self.sample_size, fmt % self.empirical,
-                          fmt % self.std_error, fmt % self.exact,
-                          fmt % self.z_score])]
+        return [_csv_row(self.rate, self.power, self.horizon, self.sample_size,
+                         self.empirical, self.std_error, self.exact, self.z_score)]
 
 
 def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
@@ -744,17 +730,15 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     An empty train contributes the empty product 1, which is also the
     closed form at rate 0.
     """
-    if not (rate >= 0.0 and math.isfinite(rate)):
-        raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
+    _check_jump_mean(rate, horizon)
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
     if replicas < JUMPS_MIN_REPLICAS:
         raise ParameterError(f"need at least {JUMPS_MIN_REPLICAS} replicas, got {replicas}")
     power = 4.0 * float(p)
     prods = np.empty(replicas)
-    for r in range(replicas):
-        train = gen_jump_train(rate, marks, horizon,
-                               seed.child(REPLICA_STREAM_BASE + r))
+    for r, child in enumerate(_replica_seeds(seed, range(replicas))):
+        train = gen_jump_train(rate, marks, horizon, child)
         if train.count:
             gains = np.asarray(gain(train.marks), dtype=float)
             prods[r] = float(np.prod(gains ** power))

@@ -39,17 +39,14 @@ from .errors import BlowUpError, ParameterError, RunFailure
 from .models import MODELS
 from .noise import (
     CSV_FLOAT_FMT,
-    REPLICA_STREAM_BASE,
     GridSpec,
+    _csv_row,
+    _replica_seeds,
     gen_driving_stack,
     gen_driving_triple,
 )
 from .solver import euler_paths, solve_with_jumps, solve_with_jumps_stack
 
-SUITES = ("kernel", "lemma", "selfsim", "moments", "jumps")
-# replicas a suite needs; the kernel suite draws none
-SUITE_MIN_REPLICAS = {"lemma": LEMMA_MIN_REPLICAS, "selfsim": SELFSIM_MIN_REPLICAS,
-                      "moments": MOMENTS_MIN_REPLICAS, "jumps": JUMPS_MIN_REPLICAS}
 KERNEL_LAMBDAS = (1.0, 10.0, 100.0, 1000.0)
 SELFSIM_INTERVALS = ((0.0, 0.25), (0.5, 1.0))
 MONOTONE_FRACTION = 0.9
@@ -62,10 +59,6 @@ MONOTONE_FRACTION = 0.9
 def _write_text(out: Path, name: str, text: str, artifacts: list) -> None:
     (out / name).write_text(text, encoding="utf-8")
     artifacts.append(name)
-
-
-def _write_csv(out: Path, name: str, header: str, rows, artifacts: list) -> None:
-    _write_text(out, name, header + "\n" + "\n".join(rows) + "\n", artifacts)
 
 
 def _write_manifest(out: Path, command: str, artifacts: list) -> None:
@@ -113,87 +106,88 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 # verify
 
 
-def _run_kernel(cfg: RunConfig):
-    return verify_kernel_estimates(cfg.frac.alpha, KERNEL_LAMBDAS,
-                                   thresholds=cfg.thresholds)
+def _outcome(report) -> tuple:
+    return report.lines(), report.passed, {"data": report}
 
 
-def _run_lemma(cfg: RunConfig):
+def _run_kernel(cfg: RunConfig, kappa_scale: float) -> tuple:
+    return _outcome(verify_kernel_estimates(cfg.frac.alpha, KERNEL_LAMBDAS,
+                                            thresholds=cfg.thresholds))
+
+
+def _run_lemma(cfg: RunConfig, kappa_scale: float) -> tuple:
     # the growth bound concerns the continuous part, so the ensemble is
     # simulated without jumps whatever the configured rate
     ens = simulate_ensemble(cfg.build_coeffs(), cfg.x0, cfg.grid, cfg.frac,
                             cfg.seed(), cfg.replicas, rate=0.0)
-    return verify_pathwise_lemma(ens, thresholds=cfg.thresholds)
+    return _outcome(verify_pathwise_lemma(ens, thresholds=cfg.thresholds))
 
 
-def _run_selfsim(cfg: RunConfig, kappa_scale: float):
-    return verify_self_similarity(cfg.hurst, cfg.frac.alpha, SELFSIM_INTERVALS,
-                                  cfg.replicas, cfg.seed(), steps=cfg.grid.steps,
-                                  kappa_scale=kappa_scale,
-                                  thresholds=cfg.thresholds)
+def _run_selfsim(cfg: RunConfig, kappa_scale: float) -> tuple:
+    return _outcome(verify_self_similarity(cfg.hurst, cfg.frac.alpha, SELFSIM_INTERVALS,
+                                           cfg.replicas, cfg.seed(), steps=cfg.grid.steps,
+                                           kappa_scale=kappa_scale,
+                                           thresholds=cfg.thresholds))
 
 
-def _run_moments(cfg: RunConfig):
+def _run_moments(cfg: RunConfig, kappa_scale: float) -> tuple:
     ens = simulate_ensemble(cfg.build_coeffs(), cfg.x0, cfg.grid, cfg.frac,
                             cfg.seed(), cfg.replicas, rate=cfg.rate,
                             marks=cfg.marks)
     table = estimate_moments(ens, cfg.p_list, cfg.thresholds)
-    tail = None
-    if ens.size >= TAIL_MIN_REPLICAS:
-        tail = tail_diagnostic(ens, max(cfg.p_list), cfg.thresholds)
-    return table, tail
+    if ens.size < TAIL_MIN_REPLICAS:
+        return (table.lines() + [f"tail: skipped (needs >= {TAIL_MIN_REPLICAS} replicas)"],
+                table.passed, {"data": table})
+    tail = tail_diagnostic(ens, max(cfg.p_list), cfg.thresholds)
+    return (table.lines() + tail.lines(), table.passed and tail.passed,
+            {"data": table, "tail": tail})
 
 
-def _run_jumps(cfg: RunConfig):
+def _run_jumps(cfg: RunConfig, kappa_scale: float) -> tuple:
     coeffs = cfg.build_coeffs()
     gain = lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
-    return verify_jump_product_moment(cfg.rate, cfg.marks, gain,
-                                      cfg.jump_power, cfg.grid.horizon,
-                                      cfg.replicas, cfg.seed(),
-                                      thresholds=cfg.thresholds)
+    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, gain,
+                                               cfg.jump_power, cfg.grid.horizon,
+                                               cfg.replicas, cfg.seed(),
+                                               thresholds=cfg.thresholds))
+
+
+# suite: (fewest replicas it needs, runner), in the order `verify all` runs
+# them; the kernel suite draws none.  A runner takes (cfg, kappa_scale) and
+# returns the suite's summary lines, its verdict and its data tables,
+# {file suffix: report with CSV_HEADER and csv_rows()}.
+SUITES = {
+    "kernel": (0, _run_kernel),
+    "lemma": (LEMMA_MIN_REPLICAS, _run_lemma),
+    "selfsim": (SELFSIM_MIN_REPLICAS, _run_selfsim),
+    "moments": (MOMENTS_MIN_REPLICAS, _run_moments),
+    "jumps": (JUMPS_MIN_REPLICAS, _run_jumps),
+}
+
+
+def _write_suite(out: Path, name: str, lines: list, tables: dict, artifacts: list) -> None:
+    """A suite's summary as <name>_summary.txt, each table as <name>_<suffix>.csv."""
+    _write_text(out, f"{name}_summary.txt", "\n".join(lines) + "\n", artifacts)
+    for suffix, report in tables.items():
+        _write_text(out, f"{name}_{suffix}.csv",
+                    report.CSV_HEADER + "\n" + "\n".join(report.csv_rows()) + "\n",
+                    artifacts)
 
 
 def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int:
-    selected = SUITES if suite == "all" else (suite,)
+    selected = list(SUITES) if suite == "all" else [suite]
     for name in selected:
-        floor = SUITE_MIN_REPLICAS.get(name, 0)
+        floor = SUITES[name][0]
         if cfg.replicas < floor:
             raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
     all_passed = True
     for name in selected:
-        if name == "kernel":
-            report = _run_kernel(cfg)
-        elif name == "lemma":
-            report = _run_lemma(cfg)
-        elif name == "selfsim":
-            report = _run_selfsim(cfg, kappa_scale)
-        elif name == "jumps":
-            report = _run_jumps(cfg)
-        else:
-            table, tail = _run_moments(cfg)
-            summary = table.lines()
-            if tail is None:
-                summary.append(f"tail: skipped (needs >= {TAIL_MIN_REPLICAS} replicas)")
-            else:
-                summary += tail.lines()
-                _write_csv(out, "moments_tail.csv", tail.CSV_HEADER,
-                           tail.csv_rows(), artifacts)
-            _write_text(out, "moments_summary.txt", "\n".join(summary) + "\n",
-                        artifacts)
-            _write_csv(out, "moments_data.csv", table.CSV_HEADER,
-                       table.csv_rows(), artifacts)
-            passed = table.passed and (tail is None or tail.passed)
-            all_passed &= passed
-            print(f"moments: {'PASS' if passed else 'FAIL'}")
-            continue
-        _write_text(out, f"{name}_summary.txt", "\n".join(report.lines()) + "\n",
-                    artifacts)
-        _write_csv(out, f"{name}_data.csv", report.CSV_HEADER,
-                   report.csv_rows(), artifacts)
-        all_passed &= report.passed
-        print(f"{name}: {'PASS' if report.passed else 'FAIL'}")
+        lines, passed, tables = SUITES[name][1](cfg, kappa_scale)
+        _write_suite(out, name, lines, tables, artifacts)
+        all_passed &= passed
+        print(f"{name}: {'PASS' if passed else 'FAIL'}")
     command = f"verify {suite} --kappa-scale {CSV_FLOAT_FMT % kappa_scale}"
     _write_manifest(out, command, artifacts)
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
@@ -243,8 +237,7 @@ class ConvergenceReport:
         return out
 
     def csv_rows(self) -> list:
-        return [",".join(["%d" % n, CSV_FLOAT_FMT % e])
-                for n, e in zip(self.levels, self.mean_errors)]
+        return [_csv_row(n, e) for n, e in zip(self.levels, self.mean_errors)]
 
 
 def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
@@ -269,8 +262,7 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     m = cfg.replicas
 
     w_fine, z_fine, trains = gen_driving_stack(
-        fine, cfg.hurst, cfg.rate, cfg.marks,
-        [seed.child(REPLICA_STREAM_BASE + s) for s in range(m)])
+        fine, cfg.hurst, cfg.rate, cfg.marks, _replica_seeds(seed, range(m)))
     targets = np.empty(m)
     for s, train in enumerate(trains):
         targets[s] = coeffs.closed_form(cfg.x0, w_fine[s, -1], z_fine[s, -1], train)
@@ -309,10 +301,7 @@ def cmd_convergence(cfg: RunConfig, refinements: int, out: Path) -> int:
     report = run_convergence(cfg, refinements)
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
-    _write_text(out, "convergence_summary.txt", "\n".join(report.lines()) + "\n",
-                artifacts)
-    _write_csv(out, "convergence_data.csv", report.CSV_HEADER,
-               report.csv_rows(), artifacts)
+    _write_suite(out, "convergence", report.lines(), {"data": report}, artifacts)
     _write_manifest(out, f"convergence --refinements {refinements}", artifacts)
     print(f"convergence: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
@@ -335,7 +324,7 @@ def main(argv=None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     _add_common(commands.add_parser("simulate", help="one run, CSVs plus manifest"))
     p_verify = commands.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suite", choices=SUITES + ("all",))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--kappa-scale", type=float, default=1.0,
                           help="scale the self-similarity exponent (control runs)")
     _add_common(p_verify)

@@ -33,16 +33,9 @@ _DEFAULTS = {
     "noise": {"hurst": "0.75", "rate": "0", "marks": "two_point"},
     "grid": {"horizon": "1", "steps": "256"},
     "frac": {"alpha": "", "beta": "", "lambda": "0", "eta": ""},
-    "mc": {
-        "replicas": "400",
-        "p_list": "1 2 4 8",
-        "jump_power": "0.25",
-        "se_multiplier": "4",
-        "stability_se_multiplier": "3",
-        "holdout_pass_fraction": "0.95",
-        "ks_pvalue_min": "0.01",
-        "ratio_slack": "0.001",
-    },
+    # the threshold keys and defaults are the fields of Thresholds
+    "mc": {"replicas": "400", "p_list": "1 2 4 8", "jump_power": "0.25",
+           **{f.name: str(f.default) for f in dataclasses.fields(Thresholds)}},
     "seed": {"root": "0"},
     "output": {"directory": "out"},
 }
@@ -261,15 +254,11 @@ def serialize_config(cfg: RunConfig, include_output: bool = True) -> str:
               f"beta = {_fmt_num(cfg.frac.beta)}",
               f"lambda = {_fmt_num(cfg.lam)}",
               f"eta = {'' if cfg.eta is None else _fmt_num(cfg.eta)}"]
-    th = cfg.thresholds
     lines += ["", "[mc]", f"replicas = {cfg.replicas}",
               "p_list = " + " ".join(_fmt_num(p) for p in cfg.p_list),
-              f"jump_power = {_fmt_num(cfg.jump_power)}",
-              f"se_multiplier = {_fmt_num(th.se_multiplier)}",
-              f"stability_se_multiplier = {_fmt_num(th.stability_se_multiplier)}",
-              f"holdout_pass_fraction = {_fmt_num(th.holdout_pass_fraction)}",
-              f"ks_pvalue_min = {_fmt_num(th.ks_pvalue_min)}",
-              f"ratio_slack = {_fmt_num(th.ratio_slack)}"]
+              f"jump_power = {_fmt_num(cfg.jump_power)}"]
+    for field in dataclasses.fields(cfg.thresholds):
+        lines.append(f"{field.name} = {_fmt_num(getattr(cfg.thresholds, field.name))}")
     lines += ["", "[seed]", f"root = {cfg.seed_root}"]
     if include_output:
         lines += ["", "[output]", f"directory = {cfg.out_dir}"]

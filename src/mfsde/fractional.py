@@ -39,6 +39,18 @@ def shared_grid(f: GridFunction, g: GridFunction) -> None:
         )
 
 
+def _rl_values(values: np.ndarray, order: float, h: float, dist: np.ndarray,
+               gamma_value: float) -> np.ndarray:
+    """(values * dist^-order + order * kernel sums) / gamma_value at every
+    node, NaN at node 0: the derivative body both sides share, with each
+    side's node distances and gamma value."""
+    kern = increment_kernel_sums(values, order, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = (values * dist**-order + order * kern) / gamma_value
+    vals[0] = np.nan
+    return vals
+
+
 def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     """Left Riemann-Liouville derivative of order alpha on [a, b], on the
     grid of f.
@@ -51,11 +63,7 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
 
     _check_order(alpha)
     _check_finite("f", f)
-    kern = increment_kernel_sums(f.values, alpha, f.h)
-    x = f.nodes - f.left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (f.values * x**-alpha + alpha * kern) / gamma(1.0 - alpha)
-    vals[0] = np.nan
+    vals = _rl_values(f.values, alpha, f.h, f.nodes - f.left, gamma(1.0 - alpha))
     return GridFunction(f.left, f.right, vals)
 
 
@@ -73,13 +81,9 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     order = 1.0 - alpha
     shifted = g.values - g.values[-1]
     rev = shifted[::-1].copy()
-    kern = increment_kernel_sums(rev, order, g.h)
-    y = np.arange(rev.size, dtype=float) * g.h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rev_vals = (rev * y**-order + order * kern) / gamma(alpha)
-    rev_vals[0] = np.nan
-    vals = rev_vals[::-1].copy()
-    return GridFunction(g.left, g.right, vals)
+    rev_vals = _rl_values(rev, order, g.h, np.arange(rev.size, dtype=float) * g.h,
+                          gamma(alpha))
+    return GridFunction(g.left, g.right, rev_vals[::-1].copy())
 
 
 def gls_integral(f: GridFunction, g: GridFunction, alpha: float,

@@ -36,7 +36,7 @@ def zero_model() -> CoefficientSet:
         name="zero",
         a=_zero, b=_zero, c=_zero, dc_dx=_zero, q=_q_zero,
         growth=0.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
-        jump_gain=lambda y: np.abs(y) * 0.0,
+        jump_gain=lambda y: 0.0,
         jump_gain_desc="0",
         closed_form=lambda x0, w_t, z_t, jumps: x0,
     )
@@ -46,7 +46,7 @@ def additive_model() -> CoefficientSet:
     """No drift or Wiener term, unit rough-noise loading, additive jumps."""
     return CoefficientSet(
         name="additive",
-        a=_zero, b=_zero, c=lambda t, x: x * 0.0 + 1.0, dc_dx=_zero, q=_q_add,
+        a=_zero, b=_zero, c=lambda t, x: 1.0, dc_dx=_zero, q=_q_add,
         growth=1.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
         jump_gain_desc="|y|",
@@ -71,9 +71,9 @@ def linear_model(theta: float = 1.0, sigma_w: float = 0.5,
     return CoefficientSet(
         name="linear",
         a=lambda t, x: -theta * x,
-        b=lambda t, x: x * 0.0 + sigma_w,
+        b=lambda t, x: sigma_w,
         c=lambda t, x: sigma_h * x,
-        dc_dx=lambda t, x: x * 0.0 + sigma_h,
+        dc_dx=lambda t, x: sigma_h,
         q=_q_add,
         growth=theta + abs(sigma_w) + abs(sigma_h),
         lipschitz=theta,
@@ -121,7 +121,7 @@ def logistic_drift_model(rate: float = 1.0, capacity: float = 1.0,
     return CoefficientSet(
         name="logistic_drift",
         a=lambda t, x: r * x * (1.0 - x / k),
-        b=lambda t, x: x * 0.0 + sigma_w,
+        b=lambda t, x: sigma_w,
         c=lambda t, x: sigma_h * np.sin(x),
         dc_dx=lambda t, x: sigma_h * np.cos(x),
         q=_q_add,
@@ -160,7 +160,7 @@ def mixed_geometric_model(sigma_w: float = 0.25,
         a=_zero,
         b=lambda t, x: sigma_w * x,
         c=lambda t, x: sigma_h * x,
-        dc_dx=lambda t, x: x * 0.0 + sigma_h,
+        dc_dx=lambda t, x: sigma_h,
         q=_q_add,
         growth=abs(sigma_w) + abs(sigma_h),
         lipschitz=abs(sigma_w),
@@ -185,7 +185,7 @@ def explosive_model(scale: float = 2.0) -> CoefficientSet:
         time_holder=0.0,
         beta=0.8,
         b_bound=0.0,
-        jump_gain=lambda y: np.abs(y) * 0.0,
+        jump_gain=lambda y: 0.0,
         jump_gain_desc="0",
     )
 

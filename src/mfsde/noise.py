@@ -43,6 +43,15 @@ REPLICA_STREAM_BASE = 3
 # 17 significant digits round-trips IEEE doubles through text.
 CSV_FLOAT_FMT = "%.17g"
 
+
+def _csv_row(*values) -> str:
+    """One CSV line of report values: strings as they are, integers and
+    booleans as %d, every other number at CSV_FLOAT_FMT."""
+    return ",".join(v if isinstance(v, str)
+                    else "%d" % v if isinstance(v, (int, np.integer, np.bool_))
+                    else CSV_FLOAT_FMT % v for v in values)
+
+
 ALPHA_RANGE_MESSAGE = "alpha must lie in (1-H, 1/2)"
 
 # largest Poisson mean numpy's Generator.poisson draws from
@@ -66,6 +75,12 @@ class Seed:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.root, spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(ss))
+
+
+def _replica_seeds(seed: Seed, replicas) -> list:
+    """The driver seeds of the given replica indices: replica r draws from
+    substream REPLICA_STREAM_BASE + r of `seed`."""
+    return [seed.child(REPLICA_STREAM_BASE + r) for r in replicas]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size,
@@ -171,8 +186,8 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ParameterError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def dt(self) -> float:
@@ -281,20 +296,8 @@ class JumpTrain:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.marks = np.asarray(self.marks, dtype=float)
-        if self.times.shape != self.marks.shape:
-            raise ParameterError("times and marks must have equal length")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.marks))):
-            raise ParameterError("jump times and marks must be finite")
-        if self.times.size and (
-            np.any(self.times <= 0.0)
-            or np.any(self.times > self.horizon)
-            or np.any(np.diff(self.times) <= 0.0)
-        ):
-            raise ParameterError("jump times must be strictly increasing within (0, horizon]")
-        if not (self.rate >= 0.0 and math.isfinite(self.rate)):
-            raise ParameterError(f"rate must be finite and nonnegative, got {self.rate}")
+        _check_jump_mean(self.rate, self.horizon)
+        _check_trains([self.times], [self.marks], self.horizon)
 
     @classmethod
     def _trusted(cls, times: np.ndarray, marks: np.ndarray, rate: float,
@@ -570,6 +573,24 @@ def _check_jump_mean(rate: float, horizon: float) -> None:
                              f" got {rate * horizon:.6g}")
 
 
+def _check_trains(times: list, marks: list, horizon: float) -> None:
+    """Refuse jump trains, given as their lists of time and mark arrays,
+    unless each train's times and marks are finite 1-d arrays of equal
+    length and its times rise strictly, all in (0, horizon]."""
+    if any(taus.ndim != 1 or ys.shape != taus.shape for taus, ys in zip(times, marks)):
+        raise ParameterError("jump times and marks must be 1-d arrays of equal length")
+    flat = np.concatenate(times)
+    if not (np.isfinite(flat).all() and np.isfinite(np.concatenate(marks)).all()):
+        raise ParameterError("jump times and marks must be finite")
+    if flat.size:
+        rising = np.diff(flat) > 0.0
+        # a train's first time may lie below the last time of the train before
+        ends = np.cumsum([t.size for t in times[:-1]], dtype=int)
+        rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True
+        if flat.min() <= 0.0 or flat.max() > horizon or not rising.all():
+            raise ParameterError("jump times must be strictly increasing within (0, horizon]")
+
+
 def _draw_trains(rate: float, marks: MarkLaw, horizon: float, seeds: list) -> list:
     """One jump train per seed, each drawn from its own seed's stream as a
     train drawn alone: the count, the times (redrawn on a tie or a zero),
@@ -590,21 +611,9 @@ def _draw_trains(rate: float, marks: MarkLaw, horizon: float, seeds: list) -> li
         # ties and exact zeros have probability zero; redraw defensively
         while count and (taus[0] <= 0.0 or (taus[1:] <= taus[:-1]).any()):
             taus = np.sort(rng.uniform(0.0, horizon, size=count))
-        ys = np.asarray(marks.sample(rng, count), dtype=float)
-        if ys.shape != taus.shape:
-            raise ParameterError("times and marks must have equal length")
         times.append(taus)
-        values.append(ys)
-    flat = np.concatenate(times)
-    if not (np.isfinite(flat).all() and np.isfinite(np.concatenate(values)).all()):
-        raise ParameterError("jump times and marks must be finite")
-    if flat.size:
-        rising = np.diff(flat) > 0.0
-        # a train's first time may lie below the last time of the train before
-        ends = np.cumsum([t.size for t in times[:-1]], dtype=int)
-        rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True
-        if flat.min() <= 0.0 or flat.max() > horizon or not rising.all():
-            raise ParameterError("jump times must be strictly increasing within (0, horizon]")
+        values.append(np.asarray(marks.sample(rng, count), dtype=float))
+    _check_trains(times, values, horizon)
     rate, horizon = float(rate), float(horizon)
     return [JumpTrain._trusted(t, y, rate, horizon) for t, y in zip(times, values)]
 

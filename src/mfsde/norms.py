@@ -11,10 +11,13 @@ reported value by well under a percent for the paths of interest here).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._kernels import _power_tables, abs_increment_kernel_profile, abs_left_singular_cells
 from .errors import GridMismatchError, ParameterError
+from .fractional import _check_order
 from .noise import GridFunction
 
 __all__ = [
@@ -27,7 +30,7 @@ __all__ = [
 
 
 def _node_index(t0: float, h: float, n: int, t: float, what: str = "t") -> int:
-    k = int(round((t - t0) / h))
+    k = int(round((t - t0) / h)) if math.isfinite(t) else -1
     if k < 0 or k > n or abs(t0 + k * h - t) > 1e-9 * max(1.0, abs(t)):
         raise GridMismatchError(f"{what} = {t} is not a grid node")
     return k
@@ -46,8 +49,10 @@ def _by_blocks(fn, vals: np.ndarray, *args) -> np.ndarray:
                            for i in range(0, len(vals), _BLOCK)])
 
 
-def _stack(paths) -> tuple[GridFunction, np.ndarray]:
-    """First path (the shared grid) and the (R, n+1) value stack."""
+def _stack(paths, alpha: float) -> tuple[GridFunction, np.ndarray]:
+    """First path (the shared grid) and the (R, n+1) value stack, once the
+    order alpha is checked."""
+    _check_order(alpha)
     paths = list(paths)
     if not paths:
         raise ParameterError("need at least one path")
@@ -64,7 +69,7 @@ def norm_inf_stack(paths, t: float, alpha: float) -> np.ndarray:
     The increment-kernel profiles of a block of paths advance together,
     one anchor node at a time, with the same per-row arithmetic as one path.
     """
-    f, vals = _stack(paths)
+    f, vals = _stack(paths, alpha)
     k = _node_index(f.left, f.h, f.cells, t)
     seg = vals[:, : k + 1]
     prof = _by_blocks(abs_increment_kernel_profile, seg, alpha, f.h)
@@ -83,7 +88,7 @@ def norm_inf(f: GridFunction, t: float, alpha: float) -> float:
 def norm_0_interval_stack(paths, s: float, t: float, alpha: float) -> np.ndarray:
     """norm_0_interval of every path of a sequence on one grid, as a float
     array; the anchor loop runs once per block of paths."""
-    f, vals = _stack(paths)
+    f, vals = _stack(paths, alpha)
     h = f.h
     i0 = _node_index(f.left, h, f.cells, s, "s")
     i1 = _node_index(f.left, h, f.cells, t, "t")

@@ -53,7 +53,9 @@ class CoefficientSet:
     a, b, c, dc_dx take (t, x) and must broadcast over numpy arrays in t
     and x (a batched solve passes one time per replica); q takes (t, x, y)
     and must broadcast over all three; jump_gain is the dominating
-    function g with |q(t,x,y)| <= g(y)(1+|x|).
+    function g with |q(t,x,y)| <= g(y)(1+|x|).  Any of them may return a
+    scalar where its value does not depend on its arguments; every
+    consumer broadcasts the outputs.
 
     The constants are declarations, not guarantees: check_assumptions
     samples the quotients and reports which hold on a given box.
@@ -566,6 +568,8 @@ def ito_integral_path(b_values: np.ndarray, W: GridFunction) -> GridFunction:
 def pathwise_bound_rhs(Lambda: float, Jb: float, alpha: float, K: float) -> float:
     """Right-hand side K*exp(K*Lambda^(1/(1-alpha)))*(1+Jb) of the pathwise
     sup-norm bound; K is always fitted or caller-supplied, never derived."""
+    if not all(map(math.isfinite, (Lambda, Jb, alpha, K))):
+        raise ParameterError("Lambda, Jb, alpha and K must be finite")
     if Lambda < 1.0:
         raise ParameterError("Lambda must be >= 1 (it is floored at 1)")
     if Jb < 0.0:

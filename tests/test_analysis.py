@@ -125,6 +125,8 @@ def test_moments_of_a_constant_ensemble_are_exact():
 
     with pytest.raises(ParameterError):
         estimate_moments(ens, [0.0])
+    with pytest.raises(ParameterError, match="must not be empty"):
+        estimate_moments(ens, [])
     small = simulate_ensemble(build_model("zero"), 1.0, GridSpec(1.0, 8),
                               FRAC, Seed(43), 50)
     with pytest.raises(ParameterError, match="100"):
@@ -158,6 +160,9 @@ def test_tail_degenerate_and_light_tailed():
     rep = tail_diagnostic(const, 8.0)
     assert rep.slope == math.inf and rep.passed
     assert rep.tail_count == 100
+    for bad in (-math.inf, math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="p_max must be positive and finite"):
+            tail_diagnostic(const, bad)
 
     ens = simulate_ensemble(build_model("additive"), 1.0, GridSpec(1.0, 32),
                             FRAC, Seed(23), 1000)
@@ -370,6 +375,8 @@ def test_self_similarity_validation():
         verify_self_similarity(0.75, 0.3, [(0.0, 0.3)], 50, Seed(0), steps=64)
     with pytest.raises(ParameterError):
         verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 5, Seed(0))
+    with pytest.raises(ParameterError, match="at least one interval"):
+        verify_self_similarity(0.75, 0.3, [], 50, Seed(0))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError, match="kappa_scale must be finite"):
             verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 50, Seed(0),

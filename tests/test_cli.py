@@ -228,7 +228,9 @@ def test_suite_floors_are_checked_before_any_artifact(tmp_path, capsys):
     assert cli.main(["verify", "all", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: suite moments needs >= 100 replicas, got 30\n"
     assert list(out.iterdir()) == []
-    for suite, floor in cli.SUITE_MIN_REPLICAS.items():
+    for suite, (floor, _) in cli.SUITES.items():
+        if floor == 0:
+            continue
         few = _write(tmp_path, f"{suite}.ini", f"[mc]\nreplicas = {floor - 1}\n")
         assert cli.main(["verify", suite, "--config", few,
                          "--out", str(tmp_path / suite)]) == 2

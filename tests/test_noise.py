@@ -37,6 +37,12 @@ def test_grid_spec_basics():
         GridSpec(0.0, 4)
     with pytest.raises(ParameterError):
         GridSpec(1.0, 0)
+    # steps must be an integer: nan or 4.0 would construct a grid whose
+    # times numpy cannot build
+    for bad in (float("nan"), 4.0, 2.5, "4"):
+        with pytest.raises(ParameterError, match="steps must be an integer"):
+            GridSpec(1.0, bad)
+    assert np.array_equal(GridSpec(2.0, np.int64(4)).times, g.times)
 
 
 def test_frac_params_defaults_and_ranges():
@@ -112,6 +118,17 @@ _NAN, _INF = float("nan"), float("inf")
 def test_jump_train_refuses_non_finite_input(make):
     with pytest.raises(ParameterError):
         make()
+
+
+@pytest.mark.parametrize("times, marks", [
+    ([[0.2, 0.3], [0.1, 0.4]], [[1.0, 2.0], [3.0, 4.0]]),
+    ([[0.2], [0.5]], [0.1, 0.2]),
+    ([0.2, 0.5], [[0.1], [0.2]]),
+    (0.5, 0.1),
+], ids=["2-d-both", "2-d-times", "2-d-marks", "0-d"])
+def test_jump_train_refuses_arrays_that_are_not_1d(times, marks):
+    with pytest.raises(ParameterError, match="1-d"):
+        JumpTrain(np.array(times), np.array(marks), 1.0, 1.0)
 
 
 def test_seed_determinism_bytes():

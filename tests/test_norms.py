@@ -1,6 +1,8 @@
 """Path norms: closed forms on polynomial paths, quadrature oracles on
 rough ones, and the stacked norms against the one-path kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,3 +321,21 @@ def test_stacked_norms_need_one_grid():
         norm_inf_stack([], 1.0, 0.3)
     with pytest.raises(ParameterError, match="at least one path"):
         norm_0_interval_stack(iter(()), 0.0, 1.0, 0.3)
+
+
+def test_norms_refuse_bad_orders_and_non_finite_nodes():
+    f = GridFunction(0.0, 1.0, np.sin(np.linspace(0.0, 3.0, 17)))
+    for alpha in (math.nan, 0.0, 1.0, 1.2, -0.1):
+        for call in (lambda: norm_inf(f, 1.0, alpha),
+                     lambda: norm_inf_stack([f], 1.0, alpha),
+                     lambda: norm_0_interval(f, 0.0, 1.0, alpha),
+                     lambda: norm_0_interval_stack([f], 0.0, 1.0, alpha)):
+            with pytest.raises(ParameterError, match=r"order must lie in \(0, 1\)"):
+                call()
+    for node in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GridMismatchError, match="not a grid node"):
+            norm_inf(f, node, 0.3)
+        with pytest.raises(GridMismatchError, match="not a grid node"):
+            norm_0_interval(f, node, 1.0, 0.3)
+        with pytest.raises(GridMismatchError, match="not a grid node"):
+            norm_0_interval_stack([f], 0.0, node, 0.3)

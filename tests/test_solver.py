@@ -219,7 +219,10 @@ def test_pathwise_bound_rhs_values_and_errors():
     assert pathwise_bound_rhs(2.0, 1.0, 0.3, 1.0) == pytest.approx(2.0 * a, rel=1e-12)
     assert pathwise_bound_rhs(2.0, 0.0, 0.45, 1.0) > a
     assert pathwise_bound_rhs(30.0, 0.0, 0.5, 1.0) == float("inf")
-    for bad in (dict(Lambda=0.5), dict(Jb=-1.0), dict(K=0.0), dict(alpha=1.5)):
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(Lambda=0.5), dict(Jb=-1.0), dict(K=0.0), dict(alpha=1.5),
+                dict(Lambda=nan), dict(Lambda=inf), dict(Jb=nan), dict(Jb=inf),
+                dict(K=nan), dict(K=inf), dict(alpha=nan)):
         kw = dict(Lambda=2.0, Jb=0.0, alpha=0.3, K=1.0)
         kw.update(bad)
         with pytest.raises(ParameterError):
