@@ -126,6 +126,25 @@ def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndar
     return out
 
 
+def _split_cell(lo, hi, k, w_star, a, b, pow_a, pow_b, h):
+    """Integral of |v_lin(w)| w^(a-1) over the cell [(k-1)h, kh] at lags k,
+    where |v_lin| is lo at the cell's left end, hi at its right end and
+    v_lin changes sign at w_star inside; pow_a and pow_b are the lag powers
+    of `_power_tables` with b = a + 1.  The two sub-cells are integrated
+    apart, each against the kernel's closed form."""
+    hi_a = pow_a[k] * h**a
+    hi_b = pow_b[k] * h**b
+    lo_a = pow_a[k - 1] * h**a
+    lo_b = pow_b[k - 1] * h**b
+    st_a = w_star**a
+    st_b = w_star**b
+    sub_lo = lo / (w_star - (k - 1.0) * h) * (
+        w_star * (lo_a - st_a) / -a - (st_b - lo_b) / b
+    )
+    sub_hi = hi / (k * h - w_star) * ((hi_b - st_b) / b - w_star * (st_a - hi_a) / -a)
+    return sub_lo + sub_hi
+
+
 def _abs_right_singular_total(
     d: np.ndarray, i: int, alpha: float, h: float, g1, g2, pow_neg, pow_pos
 ) -> np.ndarray:
@@ -147,26 +166,13 @@ def _abs_right_singular_total(
              + np.array(list(map(np.dot, slope, repeat(g2r)))))
     row, j = np.divmod(np.flatnonzero(d[:, :i] * d[:, 1 : i + 1] < 0.0), i)
     if j.size:
-        k_lag = (i - j).astype(float)
-        w_hi_c = k_lag * h
-        w_lo_c = (k_lag - 1.0) * h
-        v_hi = vj[row, j]
-        v_lo = vj1[row, j]
-        w_star = w_hi_c - h * v_hi / (v_hi + v_lo)
-        hi_neg = pow_neg[i - j] * h**-alpha
-        hi_pos = pow_pos[i - j] * h ** (1.0 - alpha)
-        lo_neg = pow_neg[i - j - 1] * h**-alpha
-        lo_pos = pow_pos[i - j - 1] * h ** (1.0 - alpha)
-        st_neg = w_star**-alpha
-        st_pos = w_star ** (1.0 - alpha)
-        sub_hi = v_hi / (w_hi_c - w_star) * (
-            (hi_pos - st_pos) / (1.0 - alpha) - w_star * (st_neg - hi_neg) / alpha
-        )
-        sub_lo = v_lo / (w_star - w_lo_c) * (
-            w_star * (lo_neg - st_neg) / alpha - (st_pos - lo_pos) / (1.0 - alpha)
-        )
+        k = i - j
+        lo = vj1[row, j]
+        hi = vj[row, j]
+        w_star = k * h - h * hi / (hi + lo)
+        split = _split_cell(lo, hi, k, w_star, -alpha, 1.0 - alpha, pow_neg, pow_pos, h)
         base = c[row, j] * g1r[j] + slope[row, j] * g2r[j]
-        fix = sub_hi + sub_lo - base
+        fix = split - base
         # each row's corrections summed on their own by np.sum's reduction
         # (np.add.reduce): it is pairwise, so its order depends on the term
         # count from 8 terms on
@@ -217,25 +223,12 @@ def abs_left_singular_cells(values: np.ndarray, start: int, alpha: float, h: flo
     cells = c * q1[1 : m + 1] + slope * q2[1 : m + 1]
     row, cross = np.divmod(np.flatnonzero(d[:, :-1] * d[:, 1:] < 0.0), m)
     if cross.size:
-        k = cross + 1.0                 # first cell (k=1) never crosses: d[:, 0] == 0
-        w_hi_c = k * h
-        w_lo_c = (k - 1.0) * h
+        k = cross + 1                   # first cell (k=1) never crosses: d[:, 0] == 0
         lo = v_lo[row, cross]
         hi = v_hi[row, cross]
-        w_star = w_lo_c + h * lo / (lo + hi)
-        hi_m1 = pow_m1[cross + 1] * h ** (alpha - 1.0)
-        hi_a = pow_a[cross + 1] * h**alpha
-        lo_m1 = pow_m1[cross] * h ** (alpha - 1.0)
-        lo_a = pow_a[cross] * h**alpha
-        st_m1 = w_star ** (alpha - 1.0)
-        st_a = w_star**alpha
-        sub_lo = lo / (w_star - w_lo_c) * (
-            w_star * (lo_m1 - st_m1) / (1.0 - alpha) - (st_a - lo_a) / alpha
-        )
-        sub_hi = hi / (w_hi_c - w_star) * (
-            (hi_a - st_a) / alpha - w_star * (st_m1 - hi_m1) / (1.0 - alpha)
-        )
-        cells[row, cross] = sub_lo + sub_hi
+        w_star = (k - 1.0) * h + h * lo / (lo + hi)
+        cells[row, cross] = _split_cell(lo, hi, k, w_star, alpha - 1.0, alpha,
+                                        pow_m1, pow_a, h)
     return cells
 
 

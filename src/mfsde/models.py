@@ -1,8 +1,8 @@
 """Built-in coefficient models.
 
-Each entry builds a CoefficientSet whose declared constants are honest for
-the stated sampling box (a few models, noted below, violate an assumption
-on purpose so the violation machinery stays tested).  Names are stable:
+Each entry builds a CoefficientSet whose declared constants are honest on
+its sampling box (a few models, noted below, violate an assumption on
+purpose so the violation machinery stays tested).  Names are stable:
 they appear in run configs.  Models whose terminal value is known in
 closed form carry it as `closed_form`, the oracle of convergence studies.
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .solver import CoefficientSet
+from .solver import CoefficientSet, SamplingBox
 
 __all__ = ["MODELS", "build_model"]
 
@@ -37,7 +37,6 @@ def zero_model() -> CoefficientSet:
         a=_zero, b=_zero, c=_zero, dc_dx=_zero, q=_q_zero,
         growth=0.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: 0.0,
-        jump_gain_desc="0",
         closed_form=lambda x0, w_t, z_t, jumps: x0,
     )
 
@@ -49,7 +48,6 @@ def additive_model() -> CoefficientSet:
         a=_zero, b=_zero, c=lambda t, x: 1.0, dc_dx=_zero, q=_q_add,
         growth=1.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
         closed_form=lambda x0, w_t, z_t, jumps: x0 + z_t + float(jumps.marks.sum()),
     )
 
@@ -60,7 +58,6 @@ def pure_jump_model() -> CoefficientSet:
         a=_zero, b=_zero, c=_zero, dc_dx=_zero, q=_q_add,
         growth=0.0, lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
         closed_form=lambda x0, w_t, z_t, jumps: x0 + float(jumps.marks.sum()),
     )
 
@@ -81,7 +78,6 @@ def linear_model(theta: float = 1.0, sigma_w: float = 0.5,
         beta=0.8,
         b_bound=abs(sigma_w),
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
     )
 
 
@@ -102,7 +98,6 @@ def trigonometric_model(a0: float = 1.0, b0: float = 0.5,
         beta=0.8,
         b_bound=abs(b0),
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
     )
 
 
@@ -112,7 +107,7 @@ def logistic_drift_model(rate: float = 1.0, capacity: float = 1.0,
     """Logistic drift with bounded noise loadings.
 
     The drift is quadratic, so the declared constants are only valid on
-    |x| <= box_half_width; pass a matching box to check_assumptions.
+    |x| <= box_half_width, the model's sampling box.
     """
     r, k = rate, capacity
     bw = box_half_width
@@ -131,7 +126,7 @@ def logistic_drift_model(rate: float = 1.0, capacity: float = 1.0,
         beta=0.8,
         b_bound=abs(sigma_w),
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
+        box=SamplingBox(x=(-bw, bw)),
     )
 
 
@@ -168,14 +163,14 @@ def mixed_geometric_model(sigma_w: float = 0.25,
         beta=0.8,
         b_bound=0.0,
         jump_gain=lambda y: np.abs(y),
-        jump_gain_desc="|y|",
         closed_form=closed_form,
     )
 
 
 def explosive_model(scale: float = 2.0) -> CoefficientSet:
     """Cubic drift; solutions from x0 >= 1 blow up in finite time.  Exists
-    to exercise the overflow guard."""
+    to exercise the overflow guard; its infinite growth and Lipschitz
+    declarations say that no such bound holds."""
     return CoefficientSet(
         name="explosive",
         a=lambda t, x: scale * x ** 3,
@@ -186,7 +181,6 @@ def explosive_model(scale: float = 2.0) -> CoefficientSet:
         beta=0.8,
         b_bound=0.0,
         jump_gain=lambda y: 0.0,
-        jump_gain_desc="0",
     )
 
 

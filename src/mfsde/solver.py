@@ -47,6 +47,21 @@ BLOWUP_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
+class SamplingBox:
+    """Rectangular (t, x, y) region on which a model's declared constants
+    hold; check_assumptions samples the quotients on it."""
+
+    t: tuple = (0.0, 1.0)
+    x: tuple = (-5.0, 5.0)
+    y: tuple = (-3.0, 3.0)
+
+    def __post_init__(self):
+        for name, (lo, hi) in (("t", self.t), ("x", self.x), ("y", self.y)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ParameterError(f"box range {name} must be finite with lo < hi")
+
+
+@dataclass(frozen=True)
 class CoefficientSet:
     """Equation coefficients plus their declared regularity constants.
 
@@ -58,10 +73,11 @@ class CoefficientSet:
     consumer broadcasts the outputs.
 
     The constants are declarations, not guarantees: check_assumptions
-    samples the quotients and reports which hold on a given box.
+    samples the quotients and reports which hold on the model's box.
     growth bounds |a|+|b|+|c| against 1+|x| and |dc_dx| directly;
     lipschitz bounds the x-increments of a, b, dc_dx; time_holder and
     beta bound the t-increments of a, b, c, dc_dx; b_bound bounds |b|.
+    An infinite constant declares that no bound holds.
 
     closed_form, when the model has one, maps (x0, W_T, Z_T, jump train)
     to the exact terminal value X_T; it raises ParameterError for trains
@@ -79,7 +95,7 @@ class CoefficientSet:
     beta: float
     b_bound: float
     jump_gain: Callable
-    jump_gain_desc: str = ""
+    box: SamplingBox = SamplingBox()
     name: str = ""
     closed_form: Callable | None = None
 
@@ -89,26 +105,17 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class SamplingBox:
-    """Rectangular (t, x, y) region the assumption quotients are sampled on."""
-
-    t: tuple = (0.0, 1.0)
-    x: tuple = (-5.0, 5.0)
-    y: tuple = (-3.0, 3.0)
-
-    def __post_init__(self):
-        for name, (lo, hi) in (("t", self.t), ("x", self.x), ("y", self.y)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ParameterError(f"box range {name} must be finite with lo < hi")
-
-
-@dataclass(frozen=True)
 class AssumptionCheck:
     name: str
     observed: float
     declared: float
-    passed: bool
     witness: tuple
+
+    @property
+    def passed(self) -> bool:
+        """The observed maximum is at most the finite declared constant,
+        with a relative slack of 1e-6."""
+        return math.isfinite(self.declared) and self.observed <= self.declared * (1.0 + 1e-6)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -135,36 +142,34 @@ class AssumptionReport:
         return "\n".join(self.lines())
 
 
-def _max_with_witness(values, *coords):
-    i = int(np.argmax(values))
-    return float(np.asarray(values).reshape(-1)[i]), tuple(
-        float(np.asarray(c).reshape(-1)[i]) for c in coords
-    )
+def _check(name: str, quotient: np.ndarray, declared: float, coords: tuple) -> AssumptionCheck:
+    """The check of one quotient: its maximum, witnessed by the sample
+    coordinates where it is attained."""
+    i = int(np.argmax(quotient))
+    return AssumptionCheck(name, float(quotient[i]), declared,
+                           tuple(float(c[i]) for c in coords))
 
 
-def check_assumptions(coeffs: CoefficientSet, box: SamplingBox = SamplingBox(),
-                      samples: int = 4000, seed=0) -> AssumptionReport:
-    """Empirically bound each assumption quotient on random box samples.
+def check_assumptions(coeffs: CoefficientSet, samples: int = 4000,
+                      seed=0) -> AssumptionReport:
+    """Empirically bound each assumption quotient on random samples of the
+    model's box.
 
-    A check passes when the observed maximum is at most the declared
-    constant times (1 + 1e-6); each entry records the witness point of
-    its maximum.  Violations are report entries, never exceptions.
+    Each entry records the observed maximum and its witness point; see
+    AssumptionCheck.passed for the pass rule.  Violations are report
+    entries, never exceptions.
     """
-    if samples < 2:
-        raise ParameterError("samples must be at least 2")
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
+    if not (isinstance(seed, Seed) or (isinstance(seed, (int, np.integer)) and seed >= 0)):
+        raise ParameterError(f"seed must be a Seed or an integer >= 0, got {seed!r}")
+    box = coeffs.box
     rng = (seed if isinstance(seed, Seed) else Seed(int(seed))).generator()
-    slack = 1.0 + 1e-6
-
-    def ok(observed, declared):
-        return bool(observed <= declared * slack) or math.isinf(declared)
-
     t = rng.uniform(*box.t, samples)
     x = rng.uniform(*box.x, samples)
     x2 = rng.uniform(*box.x, samples)
     s = rng.uniform(*box.t, samples)
     y = rng.uniform(*box.y, samples)
-    asep = np.abs(x - x2) > 1e-9
-    tsep = np.abs(t - s) > 1e-9
 
     def at(fn, *args):
         # coefficients may return scalars; every quotient is per sample
@@ -172,44 +177,27 @@ def check_assumptions(coeffs: CoefficientSet, box: SamplingBox = SamplingBox(),
 
     av, bv, cv = at(coeffs.a, t, x), at(coeffs.b, t, x), at(coeffs.c, t, x)
     dcv = at(coeffs.dc_dx, t, x)
-    checks = []
-
-    quot = (np.abs(av) + np.abs(bv) + np.abs(cv)) / (1.0 + np.abs(x))
-    obs, wit = _max_with_witness(quot, t, x)
-    checks.append(AssumptionCheck("growth", obs, coeffs.growth, ok(obs, coeffs.growth), wit))
-
-    obs, wit = _max_with_witness(np.abs(dcv), t, x)
-    checks.append(AssumptionCheck("dc_dx-bound", obs, coeffs.growth,
-                                  ok(obs, coeffs.growth), wit))
-
-    num = (np.abs(at(coeffs.a, t, x2) - av) + np.abs(at(coeffs.b, t, x2) - bv)
-           + np.abs(at(coeffs.dc_dx, t, x2) - dcv))
-    quot = np.where(asep, num / np.abs(x - x2), 0.0)
-    obs, wit = _max_with_witness(quot, t, x, x2)
-    checks.append(AssumptionCheck("x-lipschitz", obs, coeffs.lipschitz,
-                                  ok(obs, coeffs.lipschitz), wit))
-
-    num = (np.abs(at(coeffs.a, s, x) - av) + np.abs(at(coeffs.b, s, x) - bv)
-           + np.abs(at(coeffs.c, s, x) - cv)
-           + np.abs(at(coeffs.dc_dx, s, x) - dcv))
-    quot = np.where(tsep, num / np.abs(t - s) ** coeffs.beta, 0.0)
-    obs, wit = _max_with_witness(quot, t, s, x)
-    checks.append(AssumptionCheck("t-holder", obs, coeffs.time_holder,
-                                  ok(obs, coeffs.time_holder), wit))
-
-    obs, wit = _max_with_witness(np.abs(bv), t, x)
-    checks.append(AssumptionCheck("b-bound", obs, coeffs.b_bound,
-                                  ok(obs, coeffs.b_bound), wit))
-
+    x_inc = (np.abs(at(coeffs.a, t, x2) - av) + np.abs(at(coeffs.b, t, x2) - bv)
+             + np.abs(at(coeffs.dc_dx, t, x2) - dcv))
+    t_inc = (np.abs(at(coeffs.a, s, x) - av) + np.abs(at(coeffs.b, s, x) - bv)
+             + np.abs(at(coeffs.c, s, x) - cv)
+             + np.abs(at(coeffs.dc_dx, s, x) - dcv))
     qv = np.abs(at(coeffs.q, t, x, y))
-    denom = coeffs.jump_gain(y) * (1.0 + np.abs(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = np.where(qv == 0.0, 0.0, qv / denom)
-    obs, wit = _max_with_witness(quot, t, x, y)
-    checks.append(AssumptionCheck("jump-gain", obs, 1.0, ok(obs, 1.0), wit))
-
-    return AssumptionReport(model=coeffs.name or "<anonymous>", box=box,
-                            samples=samples, checks=tuple(checks))
+        jump = np.where(qv == 0.0, 0.0, qv / (coeffs.jump_gain(y) * (1.0 + np.abs(x))))
+    table = (
+        ("growth", (np.abs(av) + np.abs(bv) + np.abs(cv)) / (1.0 + np.abs(x)),
+         coeffs.growth, (t, x)),
+        ("dc_dx-bound", np.abs(dcv), coeffs.growth, (t, x)),
+        ("x-lipschitz", np.where(np.abs(x - x2) > 1e-9, x_inc / np.abs(x - x2), 0.0),
+         coeffs.lipschitz, (t, x, x2)),
+        ("t-holder", np.where(np.abs(t - s) > 1e-9, t_inc / np.abs(t - s) ** coeffs.beta, 0.0),
+         coeffs.time_holder, (t, s, x)),
+        ("b-bound", np.abs(bv), coeffs.b_bound, (t, x)),
+        ("jump-gain", jump, 1.0, (t, x, y)),
+    )
+    return AssumptionReport(model=coeffs.name or "<anonymous>", box=box, samples=samples,
+                            checks=tuple(_check(*row) for row in table))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def _cubic_coeffs():
         c=lambda t, x: 0.0 * x + 1.0, dc_dx=lambda t, x: 0.0 * x,
         q=lambda t, x, y: 0.0, growth=float("inf"), lipschitz=float("inf"),
         time_holder=0.0, beta=0.8, b_bound=0.0,
-        jump_gain=lambda y: np.abs(y) * 0.0, jump_gain_desc="0")
+        jump_gain=lambda y: np.abs(y) * 0.0)
 
 
 def test_simulate_ensemble_validation():

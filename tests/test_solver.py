@@ -10,7 +10,7 @@ import pytest
 
 from mfsde.analysis import simulate_ensemble
 from mfsde.errors import BlowUpError, GridMismatchError, ParameterError
-from mfsde.models import build_model
+from mfsde.models import MODELS, build_model
 from mfsde.noise import (
     FracParams,
     GridFunction,
@@ -52,7 +52,7 @@ def _one_jump_coeffs():
         name="onejump", a=base.a, b=lambda t, x: 0.0 * x, c=base.c,
         dc_dx=base.dc_dx, q=lambda t, x, y: x * y, growth=base.growth,
         lipschitz=0.0, time_holder=0.0, beta=0.8, b_bound=0.0,
-        jump_gain=np.abs, jump_gain_desc="|y|")
+        jump_gain=np.abs)
 
 
 def test_check_assumptions_pass():
@@ -79,14 +79,52 @@ def test_check_assumptions_reports_violation_with_witness():
         name="bad-b", a=lambda t, x: 0.0 * x, b=lambda t, x: x,
         c=lambda t, x: 0.0 * x, dc_dx=lambda t, x: 0.0 * x,
         q=lambda t, x, y: 0.0, growth=1.0, lipschitz=1.0, time_holder=0.0,
-        beta=0.8, b_bound=5.0, jump_gain=np.abs, jump_gain_desc="|y|")
-    rep = check_assumptions(bad, SamplingBox(x=(-10.0, 10.0)))
+        beta=0.8, b_bound=5.0, jump_gain=np.abs, box=SamplingBox(x=(-10.0, 10.0)))
+    rep = check_assumptions(bad)
     assert not rep.passed
     entry = {c.name: c for c in rep.checks}["b-bound"]
     assert not entry.passed
     assert entry.observed > 5.0
     assert abs(entry.witness[1]) > 5.0
     assert "FAIL b-bound" in str(rep)
+
+
+# each built-in model's failing checks on its own box; an infinite
+# declaration fails, since it bounds nothing
+MODEL_FAILURES = {
+    "zero": [], "additive": [], "pure_jump": [], "linear": [],
+    "trigonometric": [], "logistic_drift": [],
+    "mixed_geometric": ["b-bound"],
+    "explosive": ["growth", "dc_dx-bound", "x-lipschitz"],
+}
+
+
+def test_every_model_reports_its_declared_verdicts():
+    assert sorted(MODEL_FAILURES) == sorted(MODELS)
+    for name, failures in MODEL_FAILURES.items():
+        rep = check_assumptions(build_model(name))
+        assert [c.name for c in rep.checks if not c.passed] == failures, name
+        assert rep.passed == (not failures)
+        assert rep.box == build_model(name).box
+    assert build_model("logistic_drift", box_half_width=2.0).box.x == (-2.0, 2.0)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3, 2.5, float("nan"), "100", None])
+def test_check_assumptions_refuses_bad_sample_counts(samples):
+    with pytest.raises(ParameterError, match="samples"):
+        check_assumptions(build_model("zero"), samples=samples)
+
+
+@pytest.mark.parametrize("seed", [1.7, -1, float("nan"), "0", None])
+def test_check_assumptions_refuses_bad_seeds(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        check_assumptions(build_model("zero"), seed=seed)
+
+
+def test_check_assumptions_accepts_numpy_integers_and_seeds():
+    model = build_model("linear")
+    assert (check_assumptions(model, samples=np.int64(50), seed=np.uint32(3)).lines()
+            == check_assumptions(model, samples=50, seed=Seed(3)).lines())
 
 
 def test_zero_model_stays_constant():
