@@ -78,6 +78,13 @@ TAIL_MIN_REPLICAS = 1000
 JUMPS_MIN_REPLICAS = 16
 
 
+def _check_count(name: str, value, floor: int) -> None:
+    """Refuse a count argument unless it is an integer (np.integer too) of
+    at least `floor`."""
+    if not isinstance(value, (int, np.integer)) or value < floor:
+        raise ParameterError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
 def _num(x: float) -> str:
     return format(float(x), ".6g")
 
@@ -162,8 +169,7 @@ def simulate_ensemble(coeffs: CoefficientSet, x0: float, grid: GridSpec,
     and the rest carry on; the moment suite flags any nonzero exclusion
     rate.
     """
-    if replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {replicas}")
+    _check_count("replicas", replicas, 1)
     if marks is None:
         if rate > 0.0:
             raise ParameterError("a mark law is required when rate > 0")
@@ -328,9 +334,9 @@ def tail_diagnostic(ens: Ensemble, p_max: float,
     """Fit the survival-function slope over the top decile of sup|X|."""
     if not (p_max > 0 and math.isfinite(p_max)):
         raise ParameterError(f"p_max must be positive and finite, got {p_max}")
-    if ens.size < TAIL_MIN_REPLICAS:
-        raise ParameterError(f"tail diagnostic needs >= {TAIL_MIN_REPLICAS} kept replicas,"
-                             f" got {ens.size}")
+    _require_kept(ens, TAIL_MIN_REPLICAS,
+                  f"tail diagnostic needs >= {TAIL_MIN_REPLICAS} kept replicas,"
+                  f" got {ens.size}")
     sups = np.sort(ens.sup_values())
     m = sups.size
     k = max(m // 10, 20)
@@ -534,8 +540,10 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
     """
     if not 0.0 < alpha < 0.5:
         raise ParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if grid_size < 2:
-        raise ParameterError(f"grid_size must be >= 2, got {grid_size}")
+    _check_count("grid_size", grid_size, 2)
+    lambda_list = list(lambda_list)
+    if not lambda_list:
+        raise ParameterError("need at least one lambda value")
     issues: list = []
 
     weighted_rows = []
@@ -639,8 +647,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     intervals = list(interval_list)
     if not intervals:
         raise ParameterError("need at least one interval")
-    if replicas < SELFSIM_MIN_REPLICAS:
-        raise ParameterError(f"need at least {SELFSIM_MIN_REPLICAS} replicas, got {replicas}")
+    _check_count("replicas", replicas, SELFSIM_MIN_REPLICAS)
     if not math.isfinite(kappa_scale):
         raise ParameterError(f"kappa_scale must be finite, got {kappa_scale}")
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
@@ -733,8 +740,7 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     _check_jump_mean(rate, horizon)
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
-    if replicas < JUMPS_MIN_REPLICAS:
-        raise ParameterError(f"need at least {JUMPS_MIN_REPLICAS} replicas, got {replicas}")
+    _check_count("replicas", replicas, JUMPS_MIN_REPLICAS)
     power = 4.0 * float(p)
     prods = np.empty(replicas)
     for r, child in enumerate(_replica_seeds(seed, range(replicas))):

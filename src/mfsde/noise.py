@@ -19,7 +19,9 @@ The fBm comes from circulant embedding, whose eigenvalues are cached per
 A stack's jump trains are drawn stream by stream and checked once as a
 whole; at rate 0 no jump stream is keyed.  gen_wiener, gen_fbm,
 gen_jump_train and gen_driving_triple are the width-1 calls of the
-stacks, so regenerating one replica reproduces its row bit for bit.  A
+stacks, so regenerating one replica reproduces its row bit for bit.  The
+Wiener path, fBm and jump train of a seed are independent, so W is a
+Wiener process for a filtration the fBm and jumps are adapted to.  A
 stack of seeds gets its Philox keys from numpy's SeedSequence hash run
 over all seeds at once, and one Philox re-keyed per seed; the draws are
 those of Seed.generator().
@@ -496,17 +498,19 @@ def _embedding_ok(eigs: np.ndarray) -> bool:
     return eigs.min() >= -_EMBED_TOL * max(float(eigs.max()), 1.0)
 
 
-def _fgn_chunks(n: int, hurst: float, seeds: list, white: bool = False):
-    """Yield (first row, fgn, white noise) per chunk of `seeds`: rows of n
-    unit-spacing fractional Gaussian noise increments, each drawn from its
-    own seed's stream, and with `white` the white noise rows made from the
-    same draws (else None).
+def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
+    """Exact fractional Brownian motion on the grid for each seed, as an
+    (R, n+1) array of paths started at 0; row r draws from seeds[r] alone.
 
     Synthesis is circulant embedding of the increment covariance, with a
     dense Cholesky factor when the embedding is not nonnegative definite.
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    seeds = list(seeds)
+    n = grid.steps
+    out = np.zeros((len(seeds), n + 1))
+    scale = grid.dt**hurst
     gamma, eigs, amps = _fgn_spectrum(n, hurst)
     streams = _streams(seeds)
     if _embedding_ok(eigs):
@@ -515,25 +519,14 @@ def _fgn_chunks(n: int, hurst: float, seeds: list, white: bool = False):
             draws = np.empty((min(rows, len(seeds) - a), 2 * n))
             for row, rng in zip(draws, streams):
                 rng.standard_normal(out=row)
-            yield (a, _spectral_rows(draws, amps, n),
-                   _spectral_rows(draws, _amplitudes(np.ones(2 * n), n), n) if white else None)
-        return
+            np.cumsum(_spectral_rows(draws, amps, n) * scale, axis=1,
+                      out=out[a : a + len(draws), 1:])
+        return out
     from scipy.linalg import toeplitz
 
     factor = np.linalg.cholesky(toeplitz(gamma[:n]))
-    for a, rng in enumerate(streams):
-        draws = rng.standard_normal(n)
-        yield a, (factor @ draws)[None, :], draws[None, :] if white else None
-
-
-def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
-    """Exact fractional Brownian motion on the grid for each seed, as an
-    (R, n+1) array of paths started at 0; row r draws from seeds[r] alone."""
-    seeds = list(seeds)
-    out = np.zeros((len(seeds), grid.steps + 1))
-    scale = grid.dt**hurst
-    for a, fgn, _ in _fgn_chunks(grid.steps, hurst, seeds):
-        np.cumsum(fgn * scale, axis=1, out=out[a : a + len(fgn), 1:])
+    for row, rng in zip(out, streams):
+        np.cumsum(factor @ rng.standard_normal(n) * scale, out=row[1:])
     return out
 
 
@@ -639,25 +632,15 @@ def gen_driving_triple(
     seed: Seed,
     dependence: str = "independent",
 ):
-    """(Wiener, fBm, jump train) from substreams 0/1/2 of `seed`.
+    """(Wiener, fBm, jump train) from substreams 0/1/2 of `seed`: the
+    width-1 call of gen_driving_stack.
 
-    dependence="independent" (default) draws the three components from
-    disjoint substreams; it is the width-1 call of gen_driving_stack.
-    dependence="coupled" is experimental: the Wiener and fBm paths are
-    built from one shared spectral draw (stream 1), which keeps both
-    marginal laws exact but makes them dependent.  The jump train is
-    always independent.
+    The three components are independent, so W is a Wiener process for a
+    filtration the fBm is adapted to.  `dependence` names that model; any
+    value other than "independent" is refused.
     """
-    if dependence not in ("independent", "coupled"):
+    if dependence != "independent":
         raise ParameterError(f"unknown dependence model {dependence!r}")
-    if dependence == "independent":
-        wiener, fbm, trains = gen_driving_stack(grid, hurst, rate, marks, [seed])
-        return (GridFunction(0.0, grid.horizon, wiener[0]),
-                GridFunction(0.0, grid.horizon, fbm[0]), trains[0])
-    train = gen_jump_train(rate, marks, grid.horizon, seed.child(JUMP_STREAM))
-    [(_, fgn, white)] = _fgn_chunks(grid.steps, hurst, [seed.child(FBM_STREAM)], white=True)
-    paths = np.zeros((2, grid.steps + 1))
-    np.cumsum(white * math.sqrt(grid.dt), axis=1, out=paths[:1, 1:])
-    np.cumsum(fgn * grid.dt**hurst, axis=1, out=paths[1:, 1:])
-    return (GridFunction(0.0, grid.horizon, paths[0]),
-            GridFunction(0.0, grid.horizon, paths[1]), train)
+    wiener, fbm, trains = gen_driving_stack(grid, hurst, rate, marks, [seed])
+    return (GridFunction(0.0, grid.horizon, wiener[0]),
+            GridFunction(0.0, grid.horizon, fbm[0]), trains[0])

@@ -346,8 +346,12 @@ class SolutionPath:
         return np.nonzero(self.left_flags == 1)[0]
 
     def resample(self, grid: GridSpec | None = None) -> GridFunction:
-        """Right-continuous values at the nodes of a uniform grid."""
+        """Right-continuous values at the nodes of a uniform grid on
+        [0, T'] with T' at most the path's horizon."""
         grid = grid or self.grid
+        if grid.horizon > self.grid.horizon:
+            raise GridMismatchError(f"cannot resample on [0, {grid.horizon}]: the path"
+                                    f" ends at {self.grid.horizon}")
         segments = self.segments
         starts = np.array([s0 for s0, _, _ in segments])
         out = np.empty(grid.steps + 1)
@@ -385,8 +389,9 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     computes, so a replica's arrays do not depend on its block.
     Transition k of the replica ranked i (by count, longest first) sits at
     [k, i] of the returned (K, rows) t, dt, dw, dz; also returned: active,
-    the jump table {k: (ranks, marks)}, the ranks, the flat kinds, and per
-    replica its output times and left-limit flags.
+    the jump table {k: (ranks, marks)}, the ranks, the flat kinds and
+    output times, and each replica's end offset in them (replica r holds
+    the slice from the end of replica r - 1, or 0, up to row_end[r]).
     """
     T, n = grid.horizon, grid.steps
     taus = np.concatenate([jumps.times for jumps in trains])
@@ -454,32 +459,33 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     at_jump = slot[jump_from][by_slot]
     cols, cuts = np.unique(at_jump // rows, return_index=True)
     marks = np.concatenate([jumps.marks for jumps in trains])[by_slot]
-    events = dict(zip(cols.tolist(), zip(np.split(at_jump % rows, cuts[1:]),
-                                         np.split(marks, cuts[1:]))))
+    ranks, bounds = at_jump % rows, np.append(cuts, at_jump.size).tolist()
+    events = {c: (ranks[a:b], marks[a:b])
+              for c, a, b in zip(cols.tolist(), bounds[:-1], bounds[1:])}
 
-    flags = (kinds == _JUMP).astype(int)
     return ((scatter(t), scatter(steps(local)), scatter(steps(sample(W))),
              scatter(steps(sample(BH)))), active, events, rank.tolist(), kinds,
-            np.split(times, row_end[:-1]), np.split(flags, row_end[:-1]))
+            times, row_end.tolist())
 
 
 def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
                  BH: np.ndarray, trains: list) -> list:
-    steps, active, jumps, rank, kinds, times, flags = _restart_layout(grid, W, BH, trains)
+    steps, active, jumps, rank, kinds, times, row_end = _restart_layout(grid, W, BH, trains)
     states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), *steps,
                                  active, jumps)
     states = states.T.copy()            # each path's values: one contiguous row
+    flags = (kinds == _JUMP).astype(int)
     results = []
-    for r, train in enumerate(trains):
+    for r, (train, a, b) in enumerate(zip(trains, [0] + row_end, row_end)):
         i = rank[r]
         if i in failed:
+            # a post-jump node sits at exactly its jump time
             k, state = failed[i]
-            kind = int(kinds[sum(ts.size for ts in times[:r]) + k])
-            time = steps[0][k, i] if kind == _JUMP else times[r][k + 1]
-            results.append(BlowUpError(step=kind, time=time, state=state))
+            results.append(BlowUpError(step=int(kinds[a + k]), time=times[a + k + 1],
+                                       state=state))
         else:
-            results.append(SolutionPath(times=times[r], values=states[i, :times[r].size],
-                                        left_flags=flags[r], train=train, grid=grid))
+            results.append(SolutionPath(times=times[a:b], values=states[i, :b - a],
+                                        left_flags=flags[a:b], train=train, grid=grid))
     return results
 
 

@@ -21,7 +21,7 @@ from mfsde.analysis import (
     verify_pathwise_lemma,
     verify_self_similarity,
 )
-from mfsde.errors import BlowUpError, ParameterError
+from mfsde.errors import BlowUpError, ParameterError, RunFailure
 from mfsde.models import build_model
 from mfsde.noise import FracParams, GridFunction, GridSpec, Seed, TwoPointMarks, gen_fbm
 from mfsde.norms import capital_lambda, norm_0_interval, norm_inf
@@ -33,6 +33,9 @@ from mfsde.solver import (
 )
 
 FRAC = FracParams(0.75, alpha=0.3)
+
+# counts that are not integers, whatever their size
+BAD_COUNTS = (2.5, 64.0, "64", None, math.nan)
 
 
 def _cubic_coeffs():
@@ -50,6 +53,11 @@ def test_simulate_ensemble_validation():
     grid = GridSpec(1.0, 16)
     with pytest.raises(ParameterError):
         simulate_ensemble(build_model("zero"), 1.0, grid, FRAC, Seed(0), 0)
+    for bad in BAD_COUNTS:
+        with pytest.raises(ParameterError, match="replicas must be an integer"):
+            simulate_ensemble(build_model("zero"), 1.0, grid, FRAC, Seed(0), bad)
+    assert simulate_ensemble(build_model("zero"), 1.0, grid, FRAC, Seed(0),
+                             np.int64(4)).size == 4
     with pytest.raises(ParameterError, match="mark law"):
         simulate_ensemble(build_model("zero"), 1.0, grid, FRAC, Seed(0), 4,
                           rate=2.0)
@@ -174,6 +182,17 @@ def test_tail_degenerate_and_light_tailed():
                               FRAC, Seed(51), 100)
     with pytest.raises(ParameterError, match="1000"):
         tail_diagnostic(small, 4.0)
+
+
+def test_tail_of_a_blown_up_ensemble_is_a_run_failure():
+    # 1005 requested, 995 blown up: a valid request whose solves failed
+    kept = simulate_ensemble(build_model("zero"), 1.0, GridSpec(1.0, 8),
+                             FRAC, Seed(52), 10)
+    ens = dataclasses.replace(kept, excluded=tuple(
+        (r, "blow-up") for r in range(10, 1005)))
+    assert ens.size == 10 and ens.requested == 1005
+    with pytest.raises(RunFailure, match="995 of 1005 replicas blew up"):
+        tail_diagnostic(ens, 4.0)
 
 
 def test_lemma_on_constant_paths():
@@ -342,6 +361,12 @@ def test_kernel_validation():
             verify_kernel_estimates(0.25, [bad])
     with pytest.raises(ParameterError):
         verify_kernel_estimates(0.25, [1.0], grid_size=1)
+    for bad in BAD_COUNTS:
+        with pytest.raises(ParameterError, match="grid_size must be an integer"):
+            verify_kernel_estimates(0.25, [1.0], grid_size=bad)
+    # an empty list would pass the suite vacuously
+    with pytest.raises(ParameterError, match="at least one lambda"):
+        verify_kernel_estimates(0.25, [])
 
 
 def test_self_similarity_unit_interval_and_subintervals():
@@ -375,6 +400,9 @@ def test_self_similarity_validation():
         verify_self_similarity(0.75, 0.3, [(0.0, 0.3)], 50, Seed(0), steps=64)
     with pytest.raises(ParameterError):
         verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 5, Seed(0))
+    for bad in BAD_COUNTS:
+        with pytest.raises(ParameterError, match="replicas must be an integer"):
+            verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], bad, Seed(0))
     with pytest.raises(ParameterError, match="at least one interval"):
         verify_self_similarity(0.75, 0.3, [], 50, Seed(0))
     for bad in (math.nan, math.inf, -math.inf):
@@ -409,6 +437,12 @@ def test_jump_product_two_point_closed_form():
     with pytest.raises(ParameterError):
         verify_jump_product_moment(1.0, TwoPointMarks(), gain, 0.25, 1.0,
                                    8, Seed(0))
+    for bad in BAD_COUNTS:
+        with pytest.raises(ParameterError, match="replicas must be an integer"):
+            verify_jump_product_moment(1.0, TwoPointMarks(), gain, 0.25, 1.0,
+                                       bad, Seed(0))
+    assert verify_jump_product_moment(1.0, TwoPointMarks(), gain, 0.25, 1.0,
+                                      np.int32(16), Seed(0)).sample_size == 16
     for p in (math.inf, math.nan):
         with pytest.raises(ParameterError, match="p must be finite"):
             verify_jump_product_moment(1.0, TwoPointMarks(), gain, p, 1.0,

@@ -265,20 +265,11 @@ def test_driving_triple_contract():
     assert np.array_equal(t1.times, t2.times)
     _, _, empty = gen_driving_triple(g, 0.75, 0.0, TwoPointMarks(), Seed(12))
     assert empty.count == 0
-    with pytest.raises(ParameterError):
-        gen_driving_triple(g, 0.75, 0.0, TwoPointMarks(), Seed(0),
-                           dependence="entangled")
-
-
-def test_driving_triple_coupled_mode_runs():
-    g = GridSpec(1.0, 64)
-    w, z, _ = gen_driving_triple(g, 0.75, 0.0, TwoPointMarks(), Seed(13),
-                                 dependence="coupled")
-    assert w.values[0] == 0.0 and z.values[0] == 0.0
-    assert not np.array_equal(w.values, z.values)
-    w2, z2, _ = gen_driving_triple(g, 0.75, 0.0, TwoPointMarks(), Seed(13),
-                                   dependence="coupled")
-    assert np.array_equal(w.values, w2.values) and np.array_equal(z.values, z2.values)
+    # the drivers are independent: no other dependence model is offered
+    for dependence in ("entangled", "coupled"):
+        with pytest.raises(ParameterError, match="dependence"):
+            gen_driving_triple(g, 0.75, 0.0, TwoPointMarks(), Seed(0),
+                               dependence=dependence)
 
 
 def test_mark_laws():

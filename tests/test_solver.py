@@ -170,6 +170,22 @@ def test_pure_jump_accumulates_marks_exactly():
     np.testing.assert_allclose(res.values, expect, atol=1e-12)
 
 
+def test_resample_stays_within_the_path_horizon():
+    grid = GridSpec(1.0, 64)
+    w, z, train = _drivers(grid, 0.75, 5.0, Seed(4))
+    sol = solve_with_jumps(build_model("pure_jump"), 1.0, w, z, train)
+    short = GridSpec(0.5, 16)
+    res = sol.resample(short)
+    expect = 1.0 + np.array(
+        [np.sum(train.marks[train.times <= t]) for t in short.times])
+    np.testing.assert_allclose(res.values, expect, atol=1e-12)
+    assert res.right == 0.5
+    # past the end there is no path to read: refused, not held at the end
+    for horizon in (1.5, 1.0 + 1e-9):
+        with pytest.raises(GridMismatchError, match="ends at 1.0"):
+            sol.resample(GridSpec(horizon, 64))
+
+
 def test_jump_rows_apply_the_jump_map_exactly():
     grid = GridSpec(1.0, 256)
     coeffs = build_model("linear")
