@@ -28,6 +28,7 @@ from .noise import (
     MarkLaw,
     Seed,
     TwoPointMarks,
+    _check_count,
     _check_jump_mean,
     _csv_row,
     _replica_seeds,
@@ -76,13 +77,6 @@ SELFSIM_MIN_REPLICAS = 10
 MOMENTS_MIN_REPLICAS = 100
 TAIL_MIN_REPLICAS = 1000
 JUMPS_MIN_REPLICAS = 16
-
-
-def _check_count(name: str, value, floor: int) -> None:
-    """Refuse a count argument unless it is an integer (np.integer too) of
-    at least `floor`."""
-    if not isinstance(value, (int, np.integer)) or value < floor:
-        raise ParameterError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 def _num(x: float) -> str:
@@ -262,6 +256,18 @@ class MomentTable:
                          row.half_std_error, row.stable) for row in self.rows]
 
 
+def _moment_orders(p_list) -> tuple:
+    """The moment orders as floats; refused unless there is one and each is
+    positive and finite."""
+    orders = tuple(float(p) for p in p_list)
+    if not orders:
+        raise ParameterError("moment orders must not be empty")
+    for p in orders:
+        if not (p > 0 and math.isfinite(p)):
+            raise ParameterError(f"moment orders must be positive and finite, got {p}")
+    return orders
+
+
 def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> MomentTable:
     """Empirical E[sup|X|^p] with batch-means errors and stability check.
 
@@ -273,16 +279,11 @@ def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THR
     _require_kept(ens, MOMENTS_MIN_REPLICAS,
                   f"moment estimation needs >= {MOMENTS_MIN_REPLICAS} kept replicas,"
                   f" got {ens.size}")
-    orders = list(p_list)
-    if not orders:
-        raise ParameterError("moment orders must not be empty")
+    orders = _moment_orders(p_list)
     sups = ens.sup_values()
     half = sups[:sups.size // 2]
     rows = []
     for p in orders:
-        p = float(p)
-        if not (p > 0 and math.isfinite(p)):
-            raise ParameterError(f"moment orders must be positive and finite, got {p}")
         full_vals = sups ** p
         half_vals = half ** p
         value, err = float(full_vals.mean()), _batch_se(full_vals)
@@ -632,6 +633,24 @@ class SelfSimReport:
         return [_csv_row(*row) for row in self.rows]
 
 
+def _interval_cells(intervals, grid: GridSpec) -> list:
+    """(a, b, cells) of each interval [a, b] of a grid on [0, 1]; refused
+    unless there is one and each lies in [0, 1] with endpoints on the grid."""
+    if not intervals:
+        raise ParameterError("need at least one interval")
+    dt = grid.dt
+    out = []
+    for a, b in intervals:
+        a, b = float(a), float(b)
+        if not 0.0 <= a < b <= 1.0:
+            raise ParameterError(f"bad interval [{a}, {b}]")
+        cells = int(round((b - a) / dt))
+        if abs(a / dt - round(a / dt)) > 1e-9 or abs((b - a) / dt - cells) > 1e-9:
+            raise ParameterError(f"interval [{a}, {b}] must align with the grid")
+        out.append((a, b, cells))
+    return out
+
+
 def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
                            seed: Seed, steps: int = 256, kappa_scale: float = 1.0,
                            thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SelfSimReport:
@@ -644,27 +663,18 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     grid of `steps` cells.
     """
     FracParams(hurst, alpha)    # refuses a hurst or alpha out of range
-    intervals = list(interval_list)
-    if not intervals:
-        raise ParameterError("need at least one interval")
+    grid_full = GridSpec(1.0, steps)
+    intervals = _interval_cells(list(interval_list), grid_full)
     _check_count("replicas", replicas, SELFSIM_MIN_REPLICAS)
     if not math.isfinite(kappa_scale):
         raise ParameterError(f"kappa_scale must be finite, got {kappa_scale}")
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
     kappa_used = kappa_scale * kappa
     expo = 1.0 / (1.0 - alpha)
-    grid_full = GridSpec(1.0, steps)
-    dt = grid_full.dt
     from scipy.stats import ks_2samp
 
     rows = []
-    for k, (a, b) in enumerate(intervals):
-        a, b = float(a), float(b)
-        if not 0.0 <= a < b <= 1.0:
-            raise ParameterError(f"bad interval [{a}, {b}]")
-        cells = int(round((b - a) / dt))
-        if abs(a / dt - round(a / dt)) > 1e-9 or abs((b - a) / dt - cells) > 1e-9:
-            raise ParameterError(f"interval [{a}, {b}] must align with the grid")
+    for k, (a, b, cells) in enumerate(intervals):
         scale = (b - a) ** (-kappa_used)
         grid_ref = GridSpec(1.0, cells)
         bhs = [GridFunction(0.0, 1.0, v) for v in gen_fbm_stack(

@@ -26,6 +26,7 @@ from .analysis import (
     MOMENTS_MIN_REPLICAS,
     SELFSIM_MIN_REPLICAS,
     TAIL_MIN_REPLICAS,
+    _interval_cells,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -40,6 +41,8 @@ from .models import MODELS
 from .noise import (
     CSV_FLOAT_FMT,
     GridSpec,
+    Seed,
+    _check_count,
     _csv_row,
     _replica_seeds,
     gen_driving_stack,
@@ -82,7 +85,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     coeffs = cfg.build_coeffs()
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
-    wiener, fbm, train = gen_driving_triple(cfg.grid, cfg.hurst, cfg.rate,
+    wiener, fbm, train = gen_driving_triple(cfg.grid, cfg.frac.hurst, cfg.rate,
                                             cfg.marks, cfg.seed())
     wiener.to_csv(str(out / "wiener.csv"))
     fbm.to_csv(str(out / "fbm.csv"))
@@ -124,7 +127,7 @@ def _run_lemma(cfg: RunConfig, kappa_scale: float) -> tuple:
 
 
 def _run_selfsim(cfg: RunConfig, kappa_scale: float) -> tuple:
-    return _outcome(verify_self_similarity(cfg.hurst, cfg.frac.alpha, SELFSIM_INTERVALS,
+    return _outcome(verify_self_similarity(cfg.frac.hurst, cfg.frac.alpha, SELFSIM_INTERVALS,
                                            cfg.replicas, cfg.seed(), steps=cfg.grid.steps,
                                            kappa_scale=kappa_scale,
                                            thresholds=cfg.thresholds))
@@ -180,6 +183,8 @@ def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int
         floor = SUITES[name][0]
         if cfg.replicas < floor:
             raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
+    if "selfsim" in selected:
+        _interval_cells(SELFSIM_INTERVALS, GridSpec(1.0, cfg.grid.steps))
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
     all_passed = True
@@ -248,8 +253,7 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     driver values.  Each level is one batched solve: euler_paths without
     jumps, solve_with_jumps_stack with them.
     """
-    if refinements < 3:
-        raise ParameterError(f"refinements must be >= 3, got {refinements}")
+    _check_count("refinements", refinements, 3)
     coeffs = cfg.build_coeffs()
     if coeffs.closed_form is None:
         known = ", ".join(sorted(name for name, build in MODELS.items()
@@ -262,7 +266,7 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     m = cfg.replicas
 
     w_fine, z_fine, trains = gen_driving_stack(
-        fine, cfg.hurst, cfg.rate, cfg.marks, _replica_seeds(seed, range(m)))
+        fine, cfg.frac.hurst, cfg.rate, cfg.marks, _replica_seeds(seed, range(m)))
     targets = np.empty(m)
     for s, train in enumerate(trains):
         targets[s] = coeffs.closed_form(cfg.x0, w_fine[s, -1], z_fine[s, -1], train)
@@ -336,9 +340,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else parse_config("")
         if args.seed is not None:
-            if args.seed < 0:
-                raise ParameterError("--seed must be nonnegative")
-            cfg = dataclasses.replace(cfg, seed_root=args.seed)
+            cfg = dataclasses.replace(cfg, seed_root=Seed(args.seed).root)
         if args.command == "verify" and not math.isfinite(args.kappa_scale):
             raise ParameterError("--kappa-scale must be finite")
         if args.out:

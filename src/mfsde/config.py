@@ -14,16 +14,17 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .analysis import Thresholds
+from .analysis import Thresholds, _moment_orders
 from .errors import ParameterError
 from .models import build_model
 from .noise import (
     CSV_FLOAT_FMT,
-    MAX_JUMP_MEAN,
     FracParams,
     GridSpec,
     MarkLaw,
     Seed,
+    _check_count,
+    _check_jump_mean,
     build_mark_law,
 )
 from .solver import CoefficientSet
@@ -53,7 +54,6 @@ class RunConfig:
     model_name: str
     model_params: dict
     x0: float
-    hurst: float
     rate: float
     marks: MarkLaw
     grid: GridSpec
@@ -66,6 +66,11 @@ class RunConfig:
     thresholds: Thresholds
     seed_root: int
     out_dir: str
+
+    @property
+    def hurst(self) -> float:
+        """The Hurst index; frac owns it."""
+        return self.frac.hurst
 
     def build_coeffs(self) -> CoefficientSet:
         return build_model(self.model_name, **self.model_params)
@@ -94,6 +99,18 @@ def _fail(text: str, section: str, key: str | None, message: str) -> None:
     where = f"line {line}: " if line is not None else ""
     spot = f"[{section}]" + (f" {key}" if key else "")
     raise ParameterError(f"config {where}{spot}: {message}")
+
+
+def _owned(text: str, where: dict, build, /, *args, **kwargs):
+    """build(*args, **kwargs), with a ParameterError it raises re-raised at
+    the key of `where` (key -> section) that opens the message, or else at
+    the first key."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        msg = str(exc)
+        key = next((k for k in where if msg.startswith(k)), next(iter(where)))
+        _fail(text, where[key], key, msg)
 
 
 def _get_float(text: str, values: dict, section: str, key: str) -> float:
@@ -148,46 +165,27 @@ def parse_config(text: str) -> RunConfig:
         if key in ("name", "x0"):
             continue
         model_params[key] = _get_float(text, model_sec, "model", key)
-    try:
-        build_model(model_name, **model_params)
-    except ParameterError as exc:
-        _fail(text, "model", "name", str(exc))
+    _owned(text, {"name": "model"}, build_model, model_name, **model_params)
 
     noise_sec = merged["noise"]
     hurst = _get_float(text, noise_sec, "noise", "hurst")
     rate = _get_float(text, noise_sec, "noise", "rate")
     mark_kwargs = {key[len("mark_"):]: _get_float(text, noise_sec, "noise", key)
                    for key in noise_sec if key.startswith("mark_")}
-    try:
-        marks = build_mark_law(noise_sec["marks"], **mark_kwargs)
-    except ParameterError as exc:
-        _fail(text, "noise", "marks", str(exc))
-    if rate < 0:
-        _fail(text, "noise", "rate", "rate must be nonnegative")
+    marks = _owned(text, {"marks": "noise"}, build_mark_law, noise_sec["marks"],
+                   **mark_kwargs)
 
     grid_sec = merged["grid"]
-    try:
-        grid = GridSpec(_get_float(text, grid_sec, "grid", "horizon"),
-                        _get_int(text, grid_sec, "grid", "steps"))
-    except ParameterError as exc:
-        _fail(text, "grid", None, str(exc))
-    if rate * grid.horizon > MAX_JUMP_MEAN:
-        _fail(text, "noise", "rate",
-              f"rate * horizon must be at most {MAX_JUMP_MEAN:.6g} (the Poisson draw limit)")
+    grid = _owned(text, {"steps": "grid", "horizon": "grid"}, GridSpec,
+                  _get_float(text, grid_sec, "grid", "horizon"),
+                  _get_int(text, grid_sec, "grid", "steps"))
+    _owned(text, {"rate": "noise"}, _check_jump_mean, rate, grid.horizon)
 
     frac_sec = merged["frac"]
     alpha = _get_float(text, frac_sec, "frac", "alpha") if frac_sec["alpha"] else None
     beta = _get_float(text, frac_sec, "frac", "beta") if frac_sec["beta"] else None
-    try:
-        frac = FracParams(hurst, alpha=alpha, beta=beta)
-    except ParameterError as exc:
-        msg = str(exc)
-        if "hurst" in msg:
-            _fail(text, "noise", "hurst", msg)
-        elif "beta" in msg:
-            _fail(text, "frac", "beta", msg)
-        else:
-            _fail(text, "frac", "alpha", msg)
+    frac = _owned(text, {"alpha": "frac", "hurst": "noise", "beta": "frac"}, FracParams,
+                  hurst, alpha=alpha, beta=beta)
     lam = _get_float(text, frac_sec, "frac", "lambda")
     eta = _get_float(text, frac_sec, "frac", "eta") if frac_sec["eta"] else None
     if lam < 0.0:
@@ -197,31 +195,22 @@ def parse_config(text: str) -> RunConfig:
 
     mc_sec = merged["mc"]
     replicas = _get_int(text, mc_sec, "mc", "replicas")
-    if replicas < 1:
-        _fail(text, "mc", "replicas", "replicas must be >= 1")
-    raw_list = mc_sec["p_list"].replace(",", " ").split()
-    if not raw_list:
-        _fail(text, "mc", "p_list", "p_list must not be empty")
+    _owned(text, {"replicas": "mc"}, _check_count, "replicas", replicas, 1)
     try:
-        p_list = tuple(float(tok) for tok in raw_list)
+        p_list = [float(tok) for tok in mc_sec["p_list"].replace(",", " ").split()]
     except ValueError:
         _fail(text, "mc", "p_list", f"expected numbers, got {mc_sec['p_list']!r}")
-    if any(not (p > 0 and math.isfinite(p)) for p in p_list):
-        _fail(text, "mc", "p_list", "moment orders must be positive and finite")
+    p_list = _owned(text, {"p_list": "mc"}, _moment_orders, p_list)
     jump_power = _get_float(text, mc_sec, "mc", "jump_power")
-    try:
-        thresholds = Thresholds(**{f.name: _get_float(text, mc_sec, "mc", f.name)
-                                   for f in dataclasses.fields(Thresholds)})
-    except ParameterError as exc:
-        # Thresholds names the offending field first; fields are mc keys
-        _fail(text, "mc", str(exc).split()[0], str(exc))
+    names = [f.name for f in dataclasses.fields(Thresholds)]
+    thresholds = _owned(text, dict.fromkeys(names, "mc"), Thresholds,
+                        **{name: _get_float(text, mc_sec, "mc", name) for name in names})
 
     seed_root = _get_int(text, merged["seed"], "seed", "root")
-    if seed_root < 0:
-        _fail(text, "seed", "root", "root must be nonnegative")
+    _owned(text, {"root": "seed"}, Seed, seed_root)
     out_dir = merged["output"]["directory"]
 
-    return RunConfig(model_name, model_params, x0, hurst, rate, marks, grid,
+    return RunConfig(model_name, model_params, x0, rate, marks, grid,
                      frac, lam, eta, replicas, p_list, jump_power, thresholds,
                      seed_root, out_dir)
 
@@ -244,7 +233,7 @@ def serialize_config(cfg: RunConfig, include_output: bool = True) -> str:
     lines = ["[model]", f"name = {cfg.model_name}", f"x0 = {_fmt_num(cfg.x0)}"]
     for key in sorted(cfg.model_params):
         lines.append(f"{key} = {_fmt_num(cfg.model_params[key])}")
-    lines += ["", "[noise]", f"hurst = {_fmt_num(cfg.hurst)}",
+    lines += ["", "[noise]", f"hurst = {_fmt_num(cfg.frac.hurst)}",
               f"rate = {_fmt_num(cfg.rate)}", f"marks = {cfg.marks.name}"]
     for field in dataclasses.fields(cfg.marks):
         lines.append(f"mark_{field.name} = {_fmt_num(getattr(cfg.marks, field.name))}")

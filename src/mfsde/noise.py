@@ -60,18 +60,36 @@ ALPHA_RANGE_MESSAGE = "alpha must lie in (1-H, 1/2)"
 MAX_JUMP_MEAN = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
+def _check_count(name: str, value, floor: int) -> None:
+    """Refuse a count argument unless it is an integer (np.integer too) of
+    at least `floor`."""
+    if not isinstance(value, (int, np.integer)) or value < floor:
+        raise ParameterError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
+def _check_seed_word(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterError(f"seed {name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Seed:
     """Root entropy plus a stream path for derived substreams.
 
-    Identical (root, stream) always reproduces identical draws bit for bit;
-    distinct stream paths give independent streams.
+    The root and each index child() appends must be nonnegative integers
+    (numpy integers too), or ParameterError is raised.  Identical (root,
+    stream) always reproduces identical draws bit for bit; distinct stream
+    paths give independent streams.
     """
 
     root: int
     stream: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        _check_seed_word("root", self.root)
+
     def child(self, index: int) -> "Seed":
+        _check_seed_word("stream index", index)
         return Seed(self.root, self.stream + (int(index),))
 
     def generator(self) -> np.random.Generator:
@@ -151,9 +169,9 @@ def _streams(seeds: list):
     seed.generator() draws.
 
     A run of at least _BULK_MIN seeds whose root and stream entries are
-    32-bit nonnegative integers has its SeedSequence keys hashed in bulk,
-    and one Philox is re-keyed per seed through its state setter (a fresh
-    counter and buffer, as a new Philox has).  Each Generator yielded is
+    below 2**32 (Seed keeps them nonnegative) has its SeedSequence keys
+    hashed in bulk, and one Philox is re-keyed per seed through its state
+    setter (a fresh counter and buffer, as a new Philox has).  Each Generator yielded is
     then the same object, so it must be used up before the next is taken.
     """
     words = None
@@ -166,7 +184,7 @@ def _streams(seeds: list):
         except (ValueError, OverflowError):
             pass
     if (words is None or words.ndim != 2 or words.dtype.kind not in "iu"
-            or words.min() < 0 or words.max() > 0xFFFFFFFF):
+            or words.max() > 0xFFFFFFFF):
         yield from (s.generator() for s in seeds)
         return
     bitgen = np.random.Philox(0)
@@ -188,8 +206,7 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
-            raise ParameterError(f"steps must be an integer >= 1, got {self.steps!r}")
+        _check_count("steps", self.steps, 1)
 
     @property
     def dt(self) -> float:
@@ -200,7 +217,8 @@ class GridSpec:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
     def refine(self, factor: int) -> "GridSpec":
-        return GridSpec(self.horizon, self.steps * int(factor))
+        _check_count("factor", factor, 1)
+        return GridSpec(self.horizon, self.steps * factor)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, ParameterError
-from .noise import CSV_FLOAT_FMT, GridFunction, GridSpec, JumpTrain, Seed
+from .noise import CSV_FLOAT_FMT, GridFunction, GridSpec, JumpTrain, Seed, _check_count
 
 __all__ = [
     "BLOWUP_LIMIT",
@@ -155,16 +155,13 @@ def check_assumptions(coeffs: CoefficientSet, samples: int = 4000,
     """Empirically bound each assumption quotient on random samples of the
     model's box.
 
-    Each entry records the observed maximum and its witness point; see
-    AssumptionCheck.passed for the pass rule.  Violations are report
-    entries, never exceptions.
+    `seed` is a Seed or the root of one.  Each entry records the observed
+    maximum and its witness point; see AssumptionCheck.passed for the
+    pass rule.  Violations are report entries, never exceptions.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
-    if not (isinstance(seed, Seed) or (isinstance(seed, (int, np.integer)) and seed >= 0)):
-        raise ParameterError(f"seed must be a Seed or an integer >= 0, got {seed!r}")
+    _check_count("samples", samples, 2)
     box = coeffs.box
-    rng = (seed if isinstance(seed, Seed) else Seed(int(seed))).generator()
+    rng = (seed if isinstance(seed, Seed) else Seed(seed)).generator()
     t = rng.uniform(*box.t, samples)
     x = rng.uniform(*box.x, samples)
     x2 = rng.uniform(*box.x, samples)
@@ -506,6 +503,7 @@ def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, dr
     for bit.
     """
     _check_start(x0)
+    _check_count("replicas", replicas, 0)
     results = []
     for a in range(0, replicas, _BLOCK):
         rows = slice(a, min(a + _BLOCK, replicas))

@@ -238,6 +238,16 @@ def test_suite_floors_are_checked_before_any_artifact(tmp_path, capsys):
         assert list((tmp_path / suite).iterdir()) == []
 
 
+def test_misaligned_selfsim_grid_exits_2_before_writing(tmp_path, capsys):
+    # the self-similarity intervals [0, 1/4] and [1/2, 1] miss a 6-cell grid
+    cfg = _write(tmp_path, "run.ini", "[grid]\nsteps = 6\n[mc]\nreplicas = 120\n")
+    for suite in ("selfsim", "all"):
+        out = tmp_path / suite
+        assert cli.main(["verify", suite, "--config", cfg, "--out", str(out)]) == 2
+        assert "must align with the grid" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")

@@ -33,6 +33,9 @@ def test_grid_spec_basics():
     assert np.all(np.diff(g.times) > 0)
     r = g.refine(4)
     assert r.steps == 16 and r.horizon == 2.0
+    for bad in (2.5, 0):
+        with pytest.raises(ParameterError, match="factor must be an integer"):
+            g.refine(bad)
     with pytest.raises(ParameterError):
         GridSpec(0.0, 4)
     with pytest.raises(ParameterError):
@@ -142,6 +145,21 @@ def test_seed_determinism_bytes():
     t1 = gen_jump_train(2.0, TwoPointMarks(), 1.0, Seed(99).child(2))
     t2 = gen_jump_train(2.0, TwoPointMarks(), 1.0, Seed(99).child(2))
     assert np.array_equal(t1.times, t2.times) and np.array_equal(t1.marks, t2.marks)
+
+
+def test_seed_refuses_words_that_are_not_nonnegative_integers():
+    for bad in (-1, 1.5, float("nan"), "3", None):
+        with pytest.raises(ParameterError, match="seed root must be a nonnegative integer"):
+            Seed(bad)
+    for bad in (-2, 1.5):
+        with pytest.raises(ParameterError,
+                           match="seed stream index must be a nonnegative integer"):
+            Seed(0).child(bad)
+    # numpy integers name the same streams as Python integers
+    child = Seed(np.int64(3)).child(np.uint32(4))
+    assert child == Seed(3).child(4) and type(child.stream[0]) is int
+    assert np.array_equal(Seed(np.uint32(3)).child(np.int64(4)).generator().random(3),
+                          Seed(3).child(4).generator().random(3))
 
 
 def test_fbm_starts_at_zero():

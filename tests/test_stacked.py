@@ -48,6 +48,8 @@ from mfsde.solver import (
     solve_with_jumps_stack,
 )
 
+from test_analysis import BAD_COUNTS
+
 EMPTY = JumpTrain(np.array([]), np.array([]), 0.0, 1.0)
 MARK_LAWS = (TwoPointMarks(-0.5, 1.0, 0.3), GaussianMarks(0.1, 0.5), UniformMarks(-1.0, 2.0))
 
@@ -379,6 +381,9 @@ def test_stacked_solve_validation():
     with pytest.raises(ParameterError, match="x0"):
         solve_with_jumps_stack(coeffs, math.nan, grid, lambda rows: 1 / 0, 2)
     assert solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, 0) == []
+    for bad in BAD_COUNTS:
+        with pytest.raises(ParameterError, match="replicas must be an integer"):
+            solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, bad)
 
 
 # ---------------------------------------------------------------------------
