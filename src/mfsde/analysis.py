@@ -633,12 +633,13 @@ class SelfSimReport:
         return [_csv_row(*row) for row in self.rows]
 
 
-def _interval_cells(intervals, grid: GridSpec) -> list:
-    """(a, b, cells) of each interval [a, b] of a grid on [0, 1]; refused
-    unless there is one and each lies in [0, 1] with endpoints on the grid."""
+def _interval_cells(intervals, steps: int) -> list:
+    """(a, b, cells) of each interval [a, b] of a grid of `steps` cells on
+    [0, 1]; refused unless there is one and each lies in [0, 1] with
+    endpoints on the grid."""
     if not intervals:
         raise ParameterError("need at least one interval")
-    dt = grid.dt
+    dt = 1.0 / steps
     out = []
     for a, b in intervals:
         a, b = float(a), float(b)
@@ -664,7 +665,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     """
     FracParams(hurst, alpha)    # refuses a hurst or alpha out of range
     grid_full = GridSpec(1.0, steps)
-    intervals = _interval_cells(list(interval_list), grid_full)
+    intervals = _interval_cells(list(interval_list), steps)
     _check_count("replicas", replicas, SELFSIM_MIN_REPLICAS)
     if not math.isfinite(kappa_scale):
         raise ParameterError(f"kappa_scale must be finite, got {kappa_scale}")

@@ -184,7 +184,7 @@ def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int
         if cfg.replicas < floor:
             raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
     if "selfsim" in selected:
-        _interval_cells(SELFSIM_INTERVALS, GridSpec(1.0, cfg.grid.steps))
+        _interval_cells(SELFSIM_INTERVALS, cfg.grid.steps)
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
     all_passed = True

@@ -64,12 +64,8 @@ def _check_count(name: str, value, floor: int) -> None:
     """Refuse a count argument unless it is an integer (np.integer too) of
     at least `floor`."""
     if not isinstance(value, (int, np.integer)) or value < floor:
-        raise ParameterError(f"{name} must be an integer >= {floor}, got {value!r}")
-
-
-def _check_seed_word(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"seed {name} must be a nonnegative integer, got {value!r}")
+        bound = "a nonnegative integer" if floor == 0 else f"an integer >= {floor}"
+        raise ParameterError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,10 @@ class Seed:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_seed_word("root", self.root)
+        _check_count("seed root", self.root, 0)
 
     def child(self, index: int) -> "Seed":
-        _check_seed_word("stream index", index)
+        _check_count("seed stream index", index, 0)
         return Seed(self.root, self.stream + (int(index),))
 
     def generator(self) -> np.random.Generator:
@@ -169,9 +165,9 @@ def _streams(seeds: list):
     seed.generator() draws.
 
     A run of at least _BULK_MIN seeds whose root and stream entries are
-    below 2**32 (Seed keeps them nonnegative) has its SeedSequence keys
-    hashed in bulk, and one Philox is re-keyed per seed through its state
-    setter (a fresh counter and buffer, as a new Philox has).  Each Generator yielded is
+    32-bit nonnegative integers has its SeedSequence keys hashed in bulk,
+    and one Philox is re-keyed per seed through its state setter (a fresh
+    counter and buffer, as a new Philox has).  Each Generator yielded is
     then the same object, so it must be used up before the next is taken.
     """
     words = None
@@ -184,7 +180,7 @@ def _streams(seeds: list):
         except (ValueError, OverflowError):
             pass
     if (words is None or words.ndim != 2 or words.dtype.kind not in "iu"
-            or words.max() > 0xFFFFFFFF):
+            or words.min() < 0 or words.max() > 0xFFFFFFFF):
         yield from (s.generator() for s in seeds)
         return
     bitgen = np.random.Philox(0)

@@ -162,6 +162,15 @@ def test_seed_refuses_words_that_are_not_nonnegative_integers():
                           Seed(3).child(4).generator().random(3))
 
 
+def test_stack_refuses_a_negative_stream_entry_built_by_hand():
+    # the constructor does not check a stream; a bulk-hashed stack of
+    # _BULK_MIN or more seeds must not wrap -1 to 2**32 - 1
+    grid = GridSpec(1.0, 8)
+    seeds = [Seed(1).child(k) for k in range(noise._BULK_MIN - 1)] + [Seed(1, (-1,))]
+    with pytest.raises(ValueError):
+        noise.gen_fbm_stack(grid, 0.75, seeds)
+
+
 def test_fbm_starts_at_zero():
     g = GridSpec(1.0, 16)
     for h in (0.55, 0.75, 0.9):

@@ -382,7 +382,7 @@ def test_stacked_solve_validation():
         solve_with_jumps_stack(coeffs, math.nan, grid, lambda rows: 1 / 0, 2)
     assert solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, 0) == []
     for bad in BAD_COUNTS:
-        with pytest.raises(ParameterError, match="replicas must be an integer"):
+        with pytest.raises(ParameterError, match="replicas must be a nonnegative integer"):
             solve_with_jumps_stack(coeffs, 1.0, grid, lambda rows: 1 / 0, bad)
 
 
