@@ -138,7 +138,10 @@ class Ensemble:
         return len(self.paths) + len(self.excluded)
 
     def drivers(self, replica: int):
-        """Regenerate (wiener, fbm, jumps) for one replica, bit for bit."""
+        """Regenerate (wiener, fbm, jumps) for one replica, bit for bit;
+        an index outside range(requested) raises ParameterError."""
+        if replica not in range(self.requested):
+            raise ParameterError(f"replica must be in range({self.requested}), got {replica!r}")
         [child] = _replica_seeds(self.seed, [replica])
         return gen_driving_triple(self.grid, self.frac.hurst, self.rate,
                                   self.marks, child)

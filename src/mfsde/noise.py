@@ -14,8 +14,9 @@ run can be regenerated in isolation:
 Ensembles draw their drivers as stacks: gen_fbm_stack and
 gen_driving_stack return (R, n+1) path arrays, one row per seed, each row
 drawn from its own seed's stream in the same order as a path drawn alone.
-The fBm comes from circulant embedding, whose eigenvalues are cached per
-(n, H); the spectral noise of a chunk of rows goes through one FFT.
+The fBm comes from circulant embedding, the one synthesis path for every
+n and H, whose spectral amplitudes are cached per (n, H); the spectral
+noise of a chunk of rows goes through one FFT.
 A stack's jump trains are drawn stream by stream and checked once as a
 whole; at rate 0 no jump stream is keyed.  gen_wiener, gen_fbm,
 gen_jump_train and gen_driving_triple are the width-1 calls of the
@@ -72,7 +73,7 @@ def _check_count(name: str, value, floor: int) -> None:
 class Seed:
     """Root entropy plus a stream path for derived substreams.
 
-    The root and each index child() appends must be nonnegative integers
+    The root must be a nonnegative integer and the stream a tuple of them
     (numpy integers too), or ParameterError is raised.  Identical (root,
     stream) always reproduces identical draws bit for bit; distinct stream
     paths give independent streams.
@@ -83,10 +84,18 @@ class Seed:
 
     def __post_init__(self):
         _check_count("seed root", self.root, 0)
+        if not isinstance(self.stream, tuple):
+            raise ParameterError(f"seed stream must be a tuple, got {self.stream!r}")
+        for index in self.stream:
+            _check_count("seed stream index", index, 0)
 
     def child(self, index: int) -> "Seed":
         _check_count("seed stream index", index, 0)
-        return Seed(self.root, self.stream + (int(index),))
+        # the parent's root and stream are already checked
+        child = object.__new__(Seed)
+        object.__setattr__(child, "root", self.root)
+        object.__setattr__(child, "stream", self.stream + (int(index),))
+        return child
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.root, spawn_key=self.stream)
@@ -451,73 +460,41 @@ def build_mark_law(name: str, **params) -> MarkLaw:
 # fractional Brownian motion
 
 
-def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
-    """Autocovariance of unit-spacing fractional Gaussian noise at lags 0..n."""
+@functools.lru_cache(maxsize=64)
+def _fgn_amplitudes(n: int, hurst: float) -> tuple:
+    """Spectral amplitudes at frequency 0, at n and at 1..n-1 of the
+    length-2n circulant embedding of unit-spacing fractional Gaussian noise,
+    cached read-only per (n, H)."""
+    # autocovariance at lags 0..n, embedded as the row [g0 .. gn, g(n-1) .. g1]
     k = np.arange(n + 1, dtype=float)
     h2 = 2.0 * hurst
-    return 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
-
-
-def _circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    # embedding row [g0 .. gn, g(n-1) .. g1], length 2n
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])
-    return np.fft.fft(first_row).real
-
-
-def _amplitudes(eigs: np.ndarray, n: int) -> tuple:
-    """Spectral amplitudes at frequency 0, at n and at 1..n-1 of the
-    length-2n circulant with eigenvalues `eigs` (negatives clipped)."""
+    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
+    eigs = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    # The embedding is nonnegative definite for every H in (0, 1) (Perrin et
+    # al. 2002; Craigmile 2003).  Its negative eigenvalues are rounding of
+    # gamma, whose second difference loses up to 4.8e-7 relative accuracy at
+    # large lags near H = 1: min/max eigenvalue -1.3e-10, -6.4e-10 and
+    # -1.7e-9 at (n, H) = (16384, 0.999999), (65536, 0.9999) and
+    # (65536, 0.999999), where gamma to 40 digits gives +5.2e-11, +1.3e-9
+    # and +1.3e-11.  They are clipped to 0.
     m = 2 * n
     lam = np.clip(eigs, 0.0, None)
-    return math.sqrt(lam[0] / m), math.sqrt(lam[n] / m), np.sqrt(lam[1:n] / (2.0 * m))
+    amp = np.sqrt(lam[1:n] / (2.0 * m))
+    amp.flags.writeable = False
+    return math.sqrt(lam[0] / m), math.sqrt(lam[n] / m), amp
 
-
-@functools.lru_cache(maxsize=64)
-def _fgn_spectrum(n: int, hurst: float) -> tuple:
-    """Autocovariance at lags 0..n, circulant eigenvalues and spectral
-    amplitudes of unit-spacing fractional Gaussian noise, cached read-only
-    per (n, H)."""
-    gamma = _fgn_autocov(n, hurst)
-    eigs = _circulant_eigenvalues(gamma)
-    amps = _amplitudes(eigs, n)
-    gamma.flags.writeable = eigs.flags.writeable = amps[2].flags.writeable = False
-    return gamma, eigs, amps
-
-
-def _spectral_rows(draws: np.ndarray, amps: tuple, n: int) -> np.ndarray:
-    """Turn rows of Hermitian spectral noise into rows of n stationary
-    Gaussian increments, all through one FFT.
-
-    A row of `draws` holds 2n standard normals in drawing order: v0, vn,
-    then n - 1 real and n - 1 imaginary parts.
-    """
-    a0, an, amp = amps
-    w = np.zeros((len(draws), 2 * n), dtype=complex)
-    w[:, 0] = a0 * draws[:, 0]
-    w[:, n] = an * draws[:, 1]
-    if n > 1:
-        w[:, 1:n] = amp * (draws[:, 2 : n + 1] + 1j * draws[:, n + 1 :])
-        w[:, n + 1 :] = np.conj(w[:, n - 1 : 0 : -1])
-    return np.fft.fft(w, axis=-1).real[:, :n]
-
-
-_EMBED_TOL = 1e-12
 
 # complex elements of spectral workspace per synthesis chunk: the rows of a
 # chunk share one FFT call, and the workspace stays about 1 MB at any n
 _CHUNK = 65536
 
 
-def _embedding_ok(eigs: np.ndarray) -> bool:
-    return eigs.min() >= -_EMBED_TOL * max(float(eigs.max()), 1.0)
-
-
 def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
     """Exact fractional Brownian motion on the grid for each seed, as an
     (R, n+1) array of paths started at 0; row r draws from seeds[r] alone.
 
-    Synthesis is circulant embedding of the increment covariance, with a
-    dense Cholesky factor when the embedding is not nonnegative definite.
+    Synthesis is circulant embedding of the increment covariance, for
+    every n and every H in (0, 1).
     """
     if not 0.0 < hurst < 1.0:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
@@ -525,22 +502,24 @@ def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
     n = grid.steps
     out = np.zeros((len(seeds), n + 1))
     scale = grid.dt**hurst
-    gamma, eigs, amps = _fgn_spectrum(n, hurst)
+    a0, an, amp = _fgn_amplitudes(n, hurst)
     streams = _streams(seeds)
-    if _embedding_ok(eigs):
-        rows = max(_CHUNK // (2 * n), 1)
-        for a in range(0, len(seeds), rows):
-            draws = np.empty((min(rows, len(seeds) - a), 2 * n))
-            for row, rng in zip(draws, streams):
-                rng.standard_normal(out=row)
-            np.cumsum(_spectral_rows(draws, amps, n) * scale, axis=1,
-                      out=out[a : a + len(draws), 1:])
-        return out
-    from scipy.linalg import toeplitz
-
-    factor = np.linalg.cholesky(toeplitz(gamma[:n]))
-    for row, rng in zip(out, streams):
-        np.cumsum(factor @ rng.standard_normal(n) * scale, out=row[1:])
+    rows = max(_CHUNK // (2 * n), 1)
+    for a in range(0, len(seeds), rows):
+        # a row of draws holds the 2n standard normals of one path's
+        # Hermitian spectral noise in drawing order: v0, vn, then n - 1 real
+        # and n - 1 imaginary parts
+        draws = np.empty((min(rows, len(seeds) - a), 2 * n))
+        for row, rng in zip(draws, streams):
+            rng.standard_normal(out=row)
+        w = np.zeros((len(draws), 2 * n), dtype=complex)
+        w[:, 0] = a0 * draws[:, 0]
+        w[:, n] = an * draws[:, 1]
+        if n > 1:
+            w[:, 1:n] = amp * (draws[:, 2 : n + 1] + 1j * draws[:, n + 1 :])
+            w[:, n + 1 :] = np.conj(w[:, n - 1 : 0 : -1])
+        np.cumsum(np.fft.fft(w, axis=-1).real[:, :n] * scale, axis=1,
+                  out=out[a : a + len(draws), 1:])
     return out
 
 

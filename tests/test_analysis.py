@@ -79,6 +79,18 @@ def test_ensemble_regeneration_is_bit_identical():
     np.testing.assert_array_equal(redo.values, e1.paths[2].values)
 
 
+def test_drivers_refuse_replicas_outside_the_ensemble():
+    # replica -1 would key the root's own jump stream, and replica
+    # `requested` one the ensemble never drew
+    ens = simulate_ensemble(build_model("linear"), 1.0, GridSpec(1.0, 8), FRAC, Seed(4), 3,
+                            rate=2.0, marks=TwoPointMarks())
+    for bad in (-1, -2, -3, ens.requested, ens.requested + 5, 1.5, "1", None):
+        with pytest.raises(ParameterError):
+            ens.drivers(bad)
+    assert ens.drivers(np.int64(ens.requested - 1))[1].values.tobytes() \
+        == ens.drivers(ens.requested - 1)[1].values.tobytes()
+
+
 def _cubic_jump_coeffs():
     # the cubic with a steep jump map, so replicas blow up both inside a
     # segment and at a jump

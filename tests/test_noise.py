@@ -1,6 +1,7 @@
 """Driving-noise generators: distributional laws, determinism, CSV I/O."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,12 +164,20 @@ def test_seed_refuses_words_that_are_not_nonnegative_integers():
 
 
 def test_stack_refuses_a_negative_stream_entry_built_by_hand():
-    # the constructor does not check a stream; a bulk-hashed stack of
+    for bad in ((-1,), (2, 1.5), (np.float64(1.0),), (1, "2"), [1], None):
+        with pytest.raises(ParameterError, match="seed stream"):
+            Seed(1, bad)
+    # numpy integers name the same streams as Python integers
+    seed = Seed(1, (np.int64(2), np.uint32(3)))
+    assert np.array_equal(seed.generator().random(3),
+                          Seed(1).child(2).child(3).generator().random(3))
+    # a stream forged past the constructor: a bulk-hashed stack of
     # _BULK_MIN or more seeds must not wrap -1 to 2**32 - 1
-    grid = GridSpec(1.0, 8)
-    seeds = [Seed(1).child(k) for k in range(noise._BULK_MIN - 1)] + [Seed(1, (-1,))]
+    forged = Seed(1)
+    object.__setattr__(forged, "stream", (-1,))
+    seeds = [Seed(1).child(k) for k in range(noise._BULK_MIN - 1)] + [forged]
     with pytest.raises(ValueError):
-        noise.gen_fbm_stack(grid, 0.75, seeds)
+        noise.gen_fbm_stack(GridSpec(1.0, 8), 0.75, seeds)
 
 
 def test_fbm_starts_at_zero():
@@ -214,19 +223,46 @@ def test_fbm_half_matches_wiener_in_law():
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
-def test_fbm_parameter_errors_and_methods(monkeypatch):
+def test_fbm_parameter_errors_and_methods():
     g = GridSpec(1.0, 8)
     with pytest.raises(ParameterError):
         gen_fbm(g, 0.0, Seed(0))
     with pytest.raises(ParameterError):
         gen_fbm(g, 1.0, Seed(0))
-    circulant = gen_fbm(g, 0.8, Seed(5).child(1))
-    # a rejected embedding falls back to the dense Cholesky factor
-    monkeypatch.setattr(noise, "_embedding_ok", lambda eigs: False)
-    a = gen_fbm(g, 0.8, Seed(5).child(1))
-    b = gen_fbm(g, 0.8, Seed(5).child(1))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, circulant.values)
+
+
+FGN_SWEEP_STEPS = (1, 2, 3, 16, 256, 2048, 16384, 65536)
+FGN_SWEEP_HURST = (0.01, 0.3, 0.5, 0.75, 0.99, 0.9999, 0.999999)
+
+
+@pytest.mark.parametrize("n", FGN_SWEEP_STEPS)
+def test_fgn_circulant_spectrum_is_nonnegative_up_to_rounding(n):
+    # the circulant embedding of fGn is nonnegative definite for every H;
+    # what rounding of the autocovariance leaves below 0 is tiny, and
+    # nothing on grids of up to 4096 steps
+    k = np.arange(n + 1, dtype=float)
+    for hurst in FGN_SWEEP_HURST:
+        gamma = 0.5 * ((k + 1.0) ** (2 * hurst) - 2.0 * k ** (2 * hurst)
+                       + np.abs(k - 1.0) ** (2 * hurst))
+        eigs = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        ratio = eigs.min() / eigs.max()
+        assert ratio >= (0.0 if n <= 4096 else -1e-8), (n, hurst, ratio)
+
+
+def test_long_fbm_near_hurst_one_stays_on_the_circulant_path():
+    # a dense n x n factor at this n would take 2 GiB
+    grid, seed = GridSpec(1.0, 16384), Seed(8).child(1)
+    noise._fgn_amplitudes.cache_clear()
+    tracemalloc.start()
+    try:
+        path = gen_fbm(grid, 0.999999, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(path.values).all()
+    assert peak < 64 * 2**20, peak
+    stack = noise.gen_fbm_stack(grid, 0.999999, [Seed(3).child(1), seed])
+    assert path.values.tobytes() == stack[1].tobytes()
 
 
 def test_wiener_law():

@@ -3,9 +3,9 @@ every suite that draws through one, equals the per-replica draws it
 replaced, bit for bit.
 
 The references below are copies of the one-path synthesis that drew each
-replica on its own (circulant embedding with a Cholesky fallback, Wiener
-increments, the jump-train draw) and of the per-replica loops the callers
-ran, so the stacks are checked against code they share nothing with.
+replica on its own (circulant embedding, Wiener increments, the jump-train
+draw) and of the per-replica loops the callers ran, so the stacks are
+checked against code they share nothing with.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.linalg import toeplitz
 
 from mfsde import noise, solver
 from mfsde.analysis import simulate_ensemble, verify_pathwise_lemma, verify_self_similarity
@@ -63,8 +62,6 @@ def _ref_fgn(rng, n, hurst):
     h2 = 2.0 * hurst
     gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
     eigs = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
-    if not noise._embedding_ok(eigs):
-        return np.linalg.cholesky(toeplitz(gamma[:n])) @ rng.standard_normal(n)
     v0 = rng.standard_normal()
     vn = rng.standard_normal()
     vre = rng.standard_normal(n - 1) if n > 1 else np.empty(0)
@@ -169,17 +166,6 @@ def test_stacks_equal_per_replica_draws(steps, hurst, rate, law, root, replicas,
         _check_stacks(steps, hurst, rate, law, root, replicas, horizon)
 
 
-@settings(max_examples=15, deadline=None)
-@given(**_STACK_CASES)
-def test_stacks_equal_per_replica_draws_on_the_cholesky_branch(
-        steps, hurst, rate, law, root, replicas, chunk_rows, bulk_min, horizon):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(noise, "_embedding_ok", lambda eigs: False)
-        mp.setattr(noise, "_CHUNK", 2 * steps * chunk_rows)
-        mp.setattr(noise, "_BULK_MIN", bulk_min)
-        _check_stacks(steps, hurst, rate, law, root, replicas, horizon)
-
-
 @pytest.mark.parametrize("steps, replicas", [(256, 130), (300, 111), (2048, 17)])
 def test_stacks_cross_the_chunk_budget(steps, replicas):
     # the real chunk budget: 128 rows at n = 256, 109 at n = 300, 16 at 2048
@@ -251,11 +237,10 @@ def test_infinite_marks_are_refused_from_a_stack(width):
 
 
 def test_spectrum_is_cached_read_only():
-    gamma, eigs, (_, _, amp) = noise._fgn_spectrum(16, 0.75)
-    assert noise._fgn_spectrum(16, 0.75)[1] is eigs
-    for a in (gamma, eigs, amp):
-        with pytest.raises(ValueError):
-            a[0] = 1.0
+    amps = noise._fgn_amplitudes(16, 0.75)
+    assert noise._fgn_amplitudes(16, 0.75) is amps
+    with pytest.raises(ValueError):
+        amps[2][0] = 1.0
 
 
 def test_empty_stacks_and_bad_hurst():
