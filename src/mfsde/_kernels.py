@@ -198,6 +198,69 @@ def abs_increment_kernel_profile(values: np.ndarray, alpha: float, h: float) -> 
     return out
 
 
+# Relative pad on every anchor bound: rounding in the bound or in an exact
+# value must not prune the anchor that holds a row's max.
+_BOUND_PAD = 1.0 + 1e-9
+
+
+def _lag_blocks(cols: np.ndarray):
+    """The dyadic lag blocks left of the nodes of a node-major (n+1, R)
+    stack: for p = 1, 2, ... while 2^p <= n, yields (k_lo, k_hi, dev) for
+    the nodes i = k_lo .. n, where k_lo = 2^p, the block at node i holds
+    the cells at lags k_lo .. k_hi[i - k_lo] = min(2^(p+1) - 1, i), and
+    dev[i - k_lo] is the largest |f_i - f_j| of each row over the block's
+    nodes j = i - k_hi .. i - k_lo + 1.
+
+    dev is read from sparse tables of range maxima and minima in O(1)
+    (Bender and Farach-Colton 2000), so all blocks cost O(R n log n).
+    """
+    n = cols.shape[0] - 1
+    levels = n.bit_length()
+    # level l, node j: max (min) of the rows over nodes j .. j + 2^l - 1
+    top = np.empty((levels, *cols.shape))
+    low = np.empty((levels, *cols.shape))
+    top[0] = low[0] = cols
+    for lev in range(1, levels):
+        w = 1 << (lev - 1)
+        m = n + 2 - 2 * w
+        np.maximum(top[lev - 1, :m], top[lev - 1, w : w + m], out=top[lev, :m])
+        np.minimum(low[lev - 1, :m], low[lev - 1, w : w + m], out=low[lev, :m])
+    for p in range(1, levels):
+        k_lo = 1 << p
+        i = np.arange(k_lo, n + 1)
+        k_hi = np.minimum(2 * k_lo - 1, i)
+        far = i - k_hi
+        near = i - k_lo + 1
+        lev = np.frexp(near - far + 1)[1] - 1
+        back = near + 1 - (1 << lev)
+        fi = cols[k_lo:]
+        dev = np.maximum(np.maximum(top[lev, far], top[lev, back]) - fi,
+                         fi - np.minimum(low[lev, far], low[lev, back]))
+        yield k_lo, k_hi, dev
+
+
+def _abs_increment_bounds(values: np.ndarray, alpha: float, h: float,
+                          pow_neg: np.ndarray) -> np.ndarray:
+    """Upper bounds on abs_increment_kernel_profile(values, alpha, h), (R, n+1),
+    in O(R n log n); pow_neg is k^(-alpha) for k = 0..n from `_power_tables`.
+
+    At node i the lag-1 cell is exact, |f_i - f_(i-1)| h^(-alpha) / (1-alpha).
+    On each dyadic block of lags k >= 2 (`_lag_blocks`) the integrand is at
+    most the block's largest |f_i - f_j|, and the kernel's mass on the block
+    is the telescoped sum of its T1 cells, so it rounds as the exact cells do.
+    """
+    cols = np.asarray(values, dtype=float).T   # (n+1, R): a node's rows side by side
+    out = np.zeros(cols.shape)
+    if cols.shape[0] == 1:
+        return out.T
+    scale = h**-alpha
+    out[1:] = np.abs(cols[1:] - cols[:-1]) * (scale / (1.0 - alpha))
+    for k_lo, k_hi, dev in _lag_blocks(cols):
+        out[k_lo:] += dev * ((pow_neg[k_lo - 1] - pow_neg[k_hi]) * scale / alpha)[:, None]
+    out *= _BOUND_PAD
+    return out.T
+
+
 def abs_left_singular_cells(values: np.ndarray, start: int, alpha: float, h: float,
                             tables) -> np.ndarray:
     """Per-cell integrals of |f(t_start) - f(z)| (z - t_start)^(alpha-2) dz

@@ -1,5 +1,6 @@
 """Path norms: closed forms on polynomial paths, quadrature oracles on
-rough ones, and the stacked norms against the one-path kernels."""
+rough ones, the stacked norms against the one-path kernels, and the pruned
+anchor loops against their bounds and the full loops."""
 
 import math
 
@@ -9,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from mfsde._kernels import _power_tables, abs_increment_kernel_profile, abs_left_singular_cells
+from mfsde._kernels import (
+    _abs_increment_bounds,
+    _power_tables,
+    abs_increment_kernel_profile,
+    abs_left_singular_cells,
+)
+from mfsde.analysis import simulate_ensemble
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import GridFunction
-from mfsde.noise import GridSpec, Seed, gen_fbm
+from mfsde.models import build_model
+from mfsde.noise import FracParams, GridSpec, Seed, gen_fbm, gen_fbm_stack
 from mfsde.norms import (
+    _interval_bounds,
     capital_lambda,
     norm_0_interval,
     norm_0_interval_stack,
@@ -339,3 +348,104 @@ def test_norms_refuse_bad_orders_and_non_finite_nodes():
             norm_0_interval(f, node, 1.0, 0.3)
         with pytest.raises(GridMismatchError, match="not a grid node"):
             norm_0_interval_stack([f], 0.0, node, 0.3)
+
+
+def test_norms_refuse_non_finite_paths_and_overflow_reads_non_finite():
+    base = np.linspace(0.0, 1.0, 17)
+    for bad in (math.nan, math.inf, -math.inf):
+        vals = base.copy()
+        vals[5] = bad
+        broken = GridFunction(0.0, 1.0, vals)
+        for call in (lambda: norm_inf(broken, 1.0, 0.3),
+                     lambda: norm_inf_stack([_linear(16), broken], 1.0, 0.3),
+                     lambda: norm_0_interval(broken, 0.0, 1.0, 0.3),
+                     lambda: norm_0_interval_stack([_linear(16), broken], 0.0, 1.0, 0.3),
+                     lambda: capital_lambda(broken, 1.0, 0.3)):
+            with pytest.raises(ParameterError, match="holds non-finite values"):
+                call()
+    # finite nodes whose differences overflow: no skipped-candidate value
+    huge = GridFunction(0.0, 1.0, np.array([1e308, -1e308] * 8 + [1e308]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(norm_inf(huge, 1.0, 0.3))
+        assert not math.isfinite(norm_0_interval(huge, 0.0, 1.0, 0.3))
+        assert not math.isfinite(capital_lambda(huge, 1.0, 0.3))
+        stacked = norm_0_interval_stack([_linear(16), huge], 0.0, 1.0, 0.3)
+    assert math.isfinite(stacked[0]) and not math.isfinite(stacked[1])
+
+
+# ---------------------------------------------------------------------------
+# anchor pruning: each norm evaluates its exact anchor values only at the
+# anchors whose upper bound can reach the row's max
+
+
+def _pruning_rows(kinds, n, rng):
+    return [np.full(n + 1, rng.uniform(-5.0, 5.0)) if kind == "constant" else _row(kind, n, rng)
+            for kind in kinds]
+
+
+_KINDS = ("monotone", "zigzag", "ties", "random", "constant")
+
+
+def _ref_candidate_maxima(stack, alpha, h):
+    # the unpruned norm_0_interval anchor loop over a whole (R, m+1) span:
+    # column i is the max over v > i of anchor i's candidate
+    m = stack.shape[-1] - 1
+    tables = _power_tables(m, alpha - 1.0, alpha, h)
+    spans_pow = (h * np.arange(1, m + 1)) ** (1.0 - alpha)
+    out = np.empty((len(stack), m))
+    for i in range(m):
+        integ = np.cumsum(abs_left_singular_cells(stack, i, alpha, h, tables), axis=-1)
+        cand = np.abs(stack[:, i + 1 :] - stack[:, i : i + 1]) / spans_pow[: m - i] + integ
+        out[:, i] = np.max(cand, axis=-1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       alpha=st.floats(0.001, 0.999), length=st.floats(0.01, 10.0))
+def test_anchor_bounds_hold_at_every_anchor(seed, n, kinds, alpha, length):
+    # the bounds themselves, at every (row, anchor): a pruning test would
+    # only see a bad bound where it happened to drop a row's winner
+    stack = np.array(_pruning_rows(kinds, n, np.random.default_rng(seed)))
+    h = length / n
+    exact = abs_increment_kernel_profile(stack, alpha, h)
+    bound = _abs_increment_bounds(stack, alpha, h, _power_tables(n, -alpha, 1.0 - alpha, h)[2])
+    assert bound.shape == exact.shape
+    assert np.all(bound >= exact)
+    exact = _ref_candidate_maxima(stack, alpha, h)
+    pow_m1 = _power_tables(n, alpha - 1.0, alpha, h)[2]
+    bound = _interval_bounds(stack, alpha, h, pow_m1, (h * np.arange(1, n + 1)) ** (1.0 - alpha))
+    assert bound.shape == exact.shape
+    assert np.all(bound >= exact)
+
+
+def _check_pruned(stack, left, right, alpha):
+    # the pruned norms against the unpruned anchor loops, over the whole grid
+    stack = np.array(stack)
+    paths = [GridFunction(left, right, v) for v in stack]
+    h = paths[0].h
+    full = (np.max(np.abs(stack), axis=-1)
+            + np.max(abs_increment_kernel_profile(stack, alpha, h), axis=-1))
+    assert norm_inf_stack(paths, right, alpha).tobytes() == full.tobytes()
+    full = np.max(_ref_candidate_maxima(stack, alpha, h), axis=-1, initial=0.0)
+    assert norm_0_interval_stack(paths, left, right, alpha).tobytes() == full.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       alpha=st.floats(0.01, 0.99), length=st.floats(0.1, 3.0))
+def test_pruned_norms_equal_the_full_anchor_loops_bitwise(seed, n, kinds, alpha, length):
+    _check_pruned(_pruning_rows(kinds, n, np.random.default_rng(seed)), 0.0, length, alpha)
+
+
+def test_pruned_norms_equal_the_full_anchor_loops_at_n_1024():
+    # 130 rows span two row blocks: 65 fBm paths and 65 linear-model solutions
+    grid = GridSpec(1.0, 1024)
+    fbm = gen_fbm_stack(grid, 0.75, [Seed(21).child(r) for r in range(65)])
+    ens = simulate_ensemble(build_model("linear"), 1.0, grid, FracParams(0.75, alpha=0.3),
+                            Seed(42), 65)
+    stack = np.concatenate([fbm, [p.values for p in ens.paths]])
+    assert stack.shape == (130, 1025)
+    _check_pruned(stack, 0.0, 1.0, 0.3)
