@@ -6,7 +6,7 @@ integral machinery (`fractional`, `norms`), the jump-restart Euler
 solver (`solver`), coefficient models with their closed forms where
 known (`models`), Monte Carlo verification suites (`analysis`), and a
 config-driven CLI (`config`, `cli`).  Values on a uniform grid, whether a
-driver, a resampled solution or a fractional derivative, are one type,
+driver, a fractional derivative or an Ito integral path, are one type,
 `GridFunction(left, right, values)`.
 """
 

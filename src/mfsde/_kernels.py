@@ -131,18 +131,20 @@ def _split_cell(lo, hi, k, w_star, a, b, pow_a, pow_b, h):
     where |v_lin| is lo at the cell's left end, hi at its right end and
     v_lin changes sign at w_star inside; pow_a and pow_b are the lag powers
     of `_power_tables` with b = a + 1.  The two sub-cells are integrated
-    apart, each against the kernel's closed form."""
+    apart, each against the kernel's closed form.  A sub-cell whose width
+    rounds to 0 (one side below about 1e-16 of the other) contributes 0."""
     hi_a = pow_a[k] * h**a
     hi_b = pow_b[k] * h**b
     lo_a = pow_a[k - 1] * h**a
     lo_b = pow_b[k - 1] * h**b
-    st_a = w_star**a
-    st_b = w_star**b
-    sub_lo = lo / (w_star - (k - 1.0) * h) * (
-        w_star * (lo_a - st_a) / -a - (st_b - lo_b) / b
-    )
-    sub_hi = hi / (k * h - w_star) * ((hi_b - st_b) / b - w_star * (st_a - hi_a) / -a)
-    return sub_lo + sub_hi
+    width_lo = w_star - (k - 1.0) * h
+    width_hi = k * h - w_star
+    with np.errstate(divide="ignore", invalid="ignore"):
+        st_a = w_star**a
+        st_b = w_star**b
+        sub_lo = lo / width_lo * (w_star * (lo_a - st_a) / -a - (st_b - lo_b) / b)
+        sub_hi = hi / width_hi * ((hi_b - st_b) / b - w_star * (st_a - hi_a) / -a)
+    return np.where(width_lo == 0.0, 0.0, sub_lo) + np.where(width_hi == 0.0, 0.0, sub_hi)
 
 
 def _abs_right_singular_total(
@@ -181,21 +183,6 @@ def _abs_right_singular_total(
         for r, lo, hi in zip(row[starts].tolist(), starts.tolist(), ends.tolist()):
             total[r] += np.add.reduce(fix[lo:hi])
     return total
-
-
-def abs_increment_kernel_profile(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """Integral over [t_0, t_i] of |f(t_i) - f(u)| (t_i - u)^(-1-alpha) du
-    at every node i of every row of an (R, n+1) value stack, sharing the
-    power tables; returns (R, n+1)."""
-    f = np.asarray(values, dtype=float)
-    n = f.shape[-1] - 1
-    out = np.zeros(f.shape)
-    if n == 0:
-        return out
-    tables = _power_tables(n, -alpha, 1.0 - alpha, h)
-    for i in range(1, n + 1):
-        out[:, i] = _abs_right_singular_total(f[:, i : i + 1] - f[:, : i + 1], i, alpha, h, *tables)
-    return out
 
 
 # Relative pad on every anchor bound: rounding in the bound or in an exact
@@ -241,8 +228,9 @@ def _lag_blocks(cols: np.ndarray):
 
 def _abs_increment_bounds(values: np.ndarray, alpha: float, h: float,
                           pow_neg: np.ndarray) -> np.ndarray:
-    """Upper bounds on abs_increment_kernel_profile(values, alpha, h), (R, n+1),
-    in O(R n log n); pow_neg is k^(-alpha) for k = 0..n from `_power_tables`.
+    """Upper bounds, (R, n+1), on each row's increment integral at every
+    node i (`_abs_right_singular_total` of f_i - f), in O(R n log n);
+    pow_neg is k^(-alpha) for k = 0..n from `_power_tables`.
 
     At node i the lag-1 cell is exact, |f_i - f_(i-1)| h^(-alpha) / (1-alpha).
     On each dyadic block of lags k >= 2 (`_lag_blocks`) the integrand is at

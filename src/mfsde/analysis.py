@@ -749,13 +749,20 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
 
     `gain` must accept an ndarray of marks; the exponent applied is 4p.
     An empty train contributes the empty product 1, which is also the
-    closed form at rate 0.
+    closed form at rate 0.  The closed form is computed before any train
+    is drawn, and one that overflows a float is a ParameterError.
     """
     _check_jump_mean(rate, horizon)
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
     _check_count("replicas", replicas, JUMPS_MIN_REPLICAS)
     power = 4.0 * float(p)
+    try:
+        mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
+        exact = math.exp(rate * horizon * (mean_gain - 1.0))
+    except OverflowError:
+        raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
+                             f" or its closed form overflows a float") from None
     prods = np.empty(replicas)
     for r, child in enumerate(_replica_seeds(seed, range(replicas))):
         train = gen_jump_train(rate, marks, horizon, child)
@@ -766,8 +773,6 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
             prods[r] = 1.0
     empirical = float(prods.mean())
     err = _batch_se(prods)
-    mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
-    exact = math.exp(rate * horizon * (mean_gain - 1.0))
     if err > 0.0:
         z = abs(empirical - exact) / err
     else:

@@ -250,8 +250,9 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
 
     All levels of one seed subsample the same finest-grid drivers, so the
     closed form is evaluated once per seed from the shared terminal
-    driver values.  Each level is one batched solve: euler_paths without
-    jumps, solve_with_jumps_stack with them.
+    driver values; a target that is not finite is a RunFailure before any
+    solve.  Each level is one batched solve: euler_paths without jumps,
+    solve_with_jumps_stack with them.
     """
     _check_count("refinements", refinements, 3)
     coeffs = cfg.build_coeffs()
@@ -270,6 +271,10 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     targets = np.empty(m)
     for s, train in enumerate(trains):
         targets[s] = coeffs.closed_form(cfg.x0, w_fine[s, -1], z_fine[s, -1], train)
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if bad.size:
+        raise RunFailure(f"the {cfg.model_name} closed form is not finite at replica"
+                         f" {bad[0]}: {targets[bad[0]]}")
 
     errors = np.empty((m, len(levels)))
     for j, steps in enumerate(levels):

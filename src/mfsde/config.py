@@ -67,11 +67,6 @@ class RunConfig:
     seed_root: int
     out_dir: str
 
-    @property
-    def hurst(self) -> float:
-        """The Hurst index; frac owns it."""
-        return self.frac.hurst
-
     def build_coeffs(self) -> CoefficientSet:
         return build_model(self.model_name, **self.model_params)
 

@@ -221,10 +221,6 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def refine(self, factor: int) -> "GridSpec":
-        _check_count("factor", factor, 1)
-        return GridSpec(self.horizon, self.steps * factor)
-
 
 @dataclass(frozen=True)
 class FracParams:
@@ -287,12 +283,6 @@ class GridFunction:
     @property
     def terminal(self) -> float:
         return float(self.values[-1])
-
-    def subgrid(self, i0: int, i1: int) -> "GridFunction":
-        if not 0 <= i0 < i1 <= self.cells:
-            raise ParameterError(f"bad subgrid indices ({i0}, {i1})")
-        x = self.nodes
-        return GridFunction(float(x[i0]), float(x[i1]), self.values[i0 : i1 + 1].copy())
 
     def to_csv(self, file) -> None:
         data = np.column_stack([self.nodes, self.values])
@@ -428,6 +418,9 @@ class UniformMarks(MarkLaw):
         super().__post_init__()
         if not self.high > self.low:
             raise ParameterError("uniform marks need high > low")
+        if not math.isfinite(self.high - self.low):
+            raise ParameterError(f"uniform marks need a finite high - low, got"
+                                 f" [{self.low}, {self.high}]")
 
     def sample(self, rng, size):
         return rng.uniform(self.low, self.high, size)

@@ -330,7 +330,8 @@ class SolutionPath:
     @property
     def segments(self) -> list:
         """One (start, local times, values) triple per between-jumps
-        segment, for cadlag resampling."""
+        segment: its start time, its nodes counted from that start, and
+        the solution there."""
         bounds = np.concatenate([[0], np.flatnonzero(self.left_flags) + 1,
                                  [self.times.size]])
         starts = self.times[bounds[:-1]]
@@ -338,26 +339,6 @@ class SolutionPath:
                                 self.grid.dt)
         return [(s0, local[a:b], self.values[a:b])
                 for s0, a, b in zip(starts, bounds[:-1], bounds[1:])]
-
-    def jump_rows(self) -> np.ndarray:
-        return np.nonzero(self.left_flags == 1)[0]
-
-    def resample(self, grid: GridSpec | None = None) -> GridFunction:
-        """Right-continuous values at the nodes of a uniform grid on
-        [0, T'] with T' at most the path's horizon."""
-        grid = grid or self.grid
-        if grid.horizon > self.grid.horizon:
-            raise GridMismatchError(f"cannot resample on [0, {grid.horizon}]: the path"
-                                    f" ends at {self.grid.horizon}")
-        segments = self.segments
-        starts = np.array([s0 for s0, _, _ in segments])
-        out = np.empty(grid.steps + 1)
-        for i, t in enumerate(grid.times):
-            j = max(int(np.searchsorted(starts, t, side="right")) - 1, 0)
-            s0, ts, vals = segments[j]
-            local = min(max(t - s0, 0.0), ts[-1])
-            out[i] = np.interp(local, ts, vals)
-        return GridFunction(0.0, grid.horizon, out)
 
     def to_csv(self, file) -> None:
         data = np.column_stack([self.times, self.values,

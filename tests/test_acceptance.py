@@ -181,7 +181,7 @@ def test_c06_jump_construction_exactness(capsys):
     # c) every recorded jump applies the jump map with no rounding slack
     w3, z3, train3 = gen_driving_triple(grid, 0.75, 3.0, TwoPointMarks(), Seed(5))
     sol3 = solve_with_jumps(coeffs, 1.0, w3, z3, train3)
-    rows = sol3.jump_rows()
+    rows = np.flatnonzero(sol3.left_flags)
     map_ok = train3.count > 0 and len(rows) == train3.count and all(
         sol3.values[i + 1] == sol3.values[i]
         + float(coeffs.q(train3.times[k], sol3.values[i], train3.marks[k]))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from mfsde import analysis
 from mfsde.analysis import (
     Thresholds,
     _minimal_k,
@@ -459,6 +460,19 @@ def test_jump_product_two_point_closed_form():
         with pytest.raises(ParameterError, match="p must be finite"):
             verify_jump_product_moment(1.0, TwoPointMarks(), gain, p, 1.0,
                                        64, Seed(0))
+
+
+def test_jump_product_refuses_an_overflowing_closed_form_before_any_draw(monkeypatch):
+    # the closed form does not depend on the draws, so it is computed first
+    def no_draw(*args):
+        raise AssertionError("a jump train was drawn")
+
+    monkeypatch.setattr(analysis, "gen_jump_train", no_draw)
+    gain = lambda y: 1.0 + np.abs(y)
+    # p = 300: E[2^1200] overflows; p = 2.5: E[2^10] is finite, exp(1023) is not
+    for p in (300.0, 2.5):
+        with pytest.raises(ParameterError, match=f"p = {p} is too large"):
+            verify_jump_product_moment(1.0, TwoPointMarks(), gain, p, 1.0, 64, Seed(0))
 
 
 def test_thresholds_are_explicit_conventions():

@@ -196,6 +196,31 @@ def test_convergence_blow_up_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, code, message", [
+    # numpy cannot sample uniform marks whose width overflows: refused at
+    # parse time, before the output directory is made
+    (["simulate"], "[noise]\nrate = 3\nmarks = uniform\n"
+     "mark_low = -1e308\nmark_high = 1e308\n", 2, "need a finite high - low"),
+    # a closed-form target past the float range fails the run before any solve
+    (["convergence"], "[model]\nname = mixed_geometric\nsigma_h = 1000\n"
+     "[grid]\nsteps = 16\n[mc]\nreplicas = 50\n", 1, "closed form is not finite"),
+    # E[g(Y)^1200] of the default two-point gain 2 is past the float range
+    (["verify", "jumps"], "[noise]\nrate = 1\n[mc]\njump_power = 300\n",
+     2, "p = 300.0 is too large"),
+])
+def test_overflowing_configs_exit_with_an_error_line(tmp_path, capsys, command, text,
+                                                     code, message):
+    cfg = _write(tmp_path, "run.ini", text)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    if code == 1:
+        assert not any(out.iterdir())
+    elif command == ["simulate"]:
+        assert not out.exists()
+
+
 def test_lemma_without_survivors_exits_1(tmp_path, capsys):
     # a valid config whose every solve blows up is a run failure, not a
     # configuration error

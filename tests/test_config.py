@@ -60,7 +60,7 @@ def test_empty_config_takes_defaults():
     cfg = parse_config("")
     assert cfg.model_name == "additive" and cfg.model_params == {}
     assert cfg.x0 == 1.0
-    assert cfg.hurst == 0.75 and cfg.rate == 0.0
+    assert cfg.frac.hurst == 0.75 and cfg.rate == 0.0
     assert cfg.marks == TwoPointMarks()
     assert (cfg.grid.horizon, cfg.grid.steps) == (1.0, 256)
     # alpha defaults to the midpoint of its admissible window

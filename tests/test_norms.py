@@ -12,8 +12,8 @@ from scipy import integrate
 
 from mfsde._kernels import (
     _abs_increment_bounds,
+    _abs_right_singular_total,
     _power_tables,
-    abs_increment_kernel_profile,
     abs_left_singular_cells,
 )
 from mfsde.analysis import simulate_ensemble
@@ -37,7 +37,7 @@ def _linear(n, slope=1.0, a=0.0, b=1.0):
 
 def _profile(f, alpha):
     """Increment integral of f at every node (the inner sup of norm_inf)."""
-    return abs_increment_kernel_profile(f.values[None], alpha, f.h)[0]
+    return _ref_increment_profile(f.values[None], alpha, f.h)[0]
 
 
 # The norm_t tests check the increment integral at one anchor node, read
@@ -259,7 +259,7 @@ def _check_stacked_norms(rows, left, right, alpha, i0, i1):
     # the kernels at every node: a maximum would hide a wrong non-maximal entry
     h = paths[0].h
     stack = np.array(rows)
-    profile = abs_increment_kernel_profile(stack, alpha, h)
+    profile = _ref_increment_profile(stack, alpha, h)
     for r, p in enumerate(paths):
         assert profile[r].tobytes() == _ref_profile(p.values, alpha, h).tobytes()
     m = i1 - i0
@@ -386,6 +386,21 @@ def _pruning_rows(kinds, n, rng):
 _KINDS = ("monotone", "zigzag", "ties", "random", "constant")
 
 
+def _ref_increment_profile(values, alpha, h):
+    # the unpruned norm_inf anchor loop: integral over [t_0, t_i] of
+    # |f(t_i) - f(u)| (t_i - u)^(-1-alpha) du at every node i of every row
+    # of an (R, n+1) value stack, sharing the power tables; returns (R, n+1)
+    f = np.asarray(values, dtype=float)
+    n = f.shape[-1] - 1
+    out = np.zeros(f.shape)
+    if n == 0:
+        return out
+    tables = _power_tables(n, -alpha, 1.0 - alpha, h)
+    for i in range(1, n + 1):
+        out[:, i] = _abs_right_singular_total(f[:, i : i + 1] - f[:, : i + 1], i, alpha, h, *tables)
+    return out
+
+
 def _ref_candidate_maxima(stack, alpha, h):
     # the unpruned norm_0_interval anchor loop over a whole (R, m+1) span:
     # column i is the max over v > i of anchor i's candidate
@@ -409,7 +424,7 @@ def test_anchor_bounds_hold_at_every_anchor(seed, n, kinds, alpha, length):
     # only see a bad bound where it happened to drop a row's winner
     stack = np.array(_pruning_rows(kinds, n, np.random.default_rng(seed)))
     h = length / n
-    exact = abs_increment_kernel_profile(stack, alpha, h)
+    exact = _ref_increment_profile(stack, alpha, h)
     bound = _abs_increment_bounds(stack, alpha, h, _power_tables(n, -alpha, 1.0 - alpha, h)[2])
     assert bound.shape == exact.shape
     assert np.all(bound >= exact)
@@ -426,7 +441,7 @@ def _check_pruned(stack, left, right, alpha):
     paths = [GridFunction(left, right, v) for v in stack]
     h = paths[0].h
     full = (np.max(np.abs(stack), axis=-1)
-            + np.max(abs_increment_kernel_profile(stack, alpha, h), axis=-1))
+            + np.max(_ref_increment_profile(stack, alpha, h), axis=-1))
     assert norm_inf_stack(paths, right, alpha).tobytes() == full.tobytes()
     full = np.max(_ref_candidate_maxima(stack, alpha, h), axis=-1, initial=0.0)
     assert norm_0_interval_stack(paths, left, right, alpha).tobytes() == full.tobytes()
@@ -449,3 +464,20 @@ def test_pruned_norms_equal_the_full_anchor_loops_at_n_1024():
     stack = np.concatenate([fbm, [p.values for p in ens.paths]])
     assert stack.shape == (130, 1025)
     _check_pruned(stack, 0.0, 1.0, 0.3)
+
+
+def test_a_negligible_side_of_a_sign_change_gives_finite_kernels():
+    # one side of the sign change is below 1e-16 of the other, so a
+    # sub-cell's width rounds to 0; that sub-cell contributes 0, and the
+    # profile is the one with the tiny node set to 0
+    tiny = _ref_increment_profile(np.array([[1e-20, -1.0, 0.0, 0.0, 0.0]]), 0.3, 0.25)
+    zero = _ref_increment_profile(np.array([[0.0, -1.0, 0.0, 0.0, 0.0]]), 0.3, 0.25)
+    assert np.all(np.isfinite(tiny))
+    np.testing.assert_allclose(tiny, zero, rtol=1e-14, atol=0.0)
+    # the pruned norms equal the full anchor loops there, bit for bit
+    row = np.array([0.0, 1.0, -1e-20, 0.0, 0.0])
+    f = GridFunction(0.0, 1.0, row)
+    for alpha in (0.25, 0.3):
+        _check_pruned([row], 0.0, 1.0, alpha)
+        assert math.isfinite(norm_inf(f, 1.0, alpha))
+        assert math.isfinite(norm_0_interval(f, 0.0, 1.0, alpha))

@@ -92,7 +92,7 @@ def _ref_serialize_config(cfg) -> str:
     lines = ["[model]", f"name = {cfg.model_name}", f"x0 = {num(cfg.x0)}"]
     for key in sorted(cfg.model_params):
         lines.append(f"{key} = {num(cfg.model_params[key])}")
-    lines += ["", "[noise]", f"hurst = {num(cfg.hurst)}",
+    lines += ["", "[noise]", f"hurst = {num(cfg.frac.hurst)}",
               f"rate = {num(cfg.rate)}", f"marks = {cfg.marks.name}"]
     for field in dataclasses.fields(cfg.marks):
         lines.append(f"mark_{field.name} = {num(getattr(cfg.marks, field.name))}")
@@ -150,7 +150,7 @@ def _ref_run_lemma(cfg):
 
 
 def _ref_run_selfsim(cfg, kappa_scale):
-    return verify_self_similarity(cfg.hurst, cfg.frac.alpha, cli.SELFSIM_INTERVALS,
+    return verify_self_similarity(cfg.frac.hurst, cfg.frac.alpha, cli.SELFSIM_INTERVALS,
                                   cfg.replicas, cfg.seed(), steps=cfg.grid.steps,
                                   kappa_scale=kappa_scale, thresholds=cfg.thresholds)
 

@@ -109,6 +109,14 @@ def test_every_model_reports_its_declared_verdicts():
     assert build_model("logistic_drift", box_half_width=2.0).box.x == (-2.0, 2.0)
 
 
+def test_mixed_geometric_closed_form_is_inf_past_the_float_range():
+    closed = build_model("mixed_geometric", sigma_h=1000.0).closed_form
+    assert closed(1.0, 0.0, 1.0, EMPTY_TRAIN) == math.inf
+    # a finite target is math.exp's own value
+    assert closed(2.0, 0.5, -0.3, EMPTY_TRAIN) == 2.0 * math.exp(
+        0.25 * 0.5 - 0.5 * 0.25 ** 2 * 1.0 + 1000.0 * -0.3)
+
+
 @pytest.mark.parametrize("samples", [1, 0, -3, 2.5, float("nan"), "100", None])
 def test_check_assumptions_refuses_bad_sample_counts(samples):
     with pytest.raises(ParameterError, match="samples"):
@@ -161,29 +169,13 @@ def test_pure_jump_accumulates_marks_exactly():
     for m in train.marks:
         acc = acc + float(m)
     assert sol.terminal == acc
-    assert len(sol.jump_rows()) == train.count
 
-    # right-continuous resample holds the running sum between jumps
-    res = sol.resample()
-    expect = 1.0 + np.array(
-        [np.sum(train.marks[train.times <= t]) for t in grid.times])
-    np.testing.assert_allclose(res.values, expect, atol=1e-12)
-
-
-def test_resample_stays_within_the_path_horizon():
-    grid = GridSpec(1.0, 64)
-    w, z, train = _drivers(grid, 0.75, 5.0, Seed(4))
-    sol = solve_with_jumps(build_model("pure_jump"), 1.0, w, z, train)
-    short = GridSpec(0.5, 16)
-    res = sol.resample(short)
-    expect = 1.0 + np.array(
-        [np.sum(train.marks[train.times <= t]) for t in short.times])
-    np.testing.assert_allclose(res.values, expect, atol=1e-12)
-    assert res.right == 0.5
-    # past the end there is no path to read: refused, not held at the end
-    for horizon in (1.5, 1.0 + 1e-9):
-        with pytest.raises(GridMismatchError, match="ends at 1.0"):
-            sol.resample(GridSpec(horizon, 64))
+    # every right-continuous row, post-jump rows included, holds the running
+    # sum of the marks whose left-limit rows come at or before it
+    assert np.count_nonzero(sol.left_flags) == train.count
+    running = np.cumsum(np.r_[1.0, train.marks])
+    right = sol.left_flags == 0
+    np.testing.assert_array_equal(sol.values[right], running[np.cumsum(sol.left_flags)[right]])
 
 
 def test_jump_rows_apply_the_jump_map_exactly():
@@ -192,11 +184,10 @@ def test_jump_rows_apply_the_jump_map_exactly():
     w, z, train = _drivers(grid, 0.75, 3.0, Seed(5))
     assert train.count > 0
     sol = solve_with_jumps(coeffs, 1.0, w, z, train)
-    rows = sol.jump_rows()
+    rows = np.flatnonzero(sol.left_flags)
     np.testing.assert_allclose(sol.times[rows], train.times, rtol=0, atol=1e-12)
     for k, i in enumerate(rows):
         left = sol.values[i]
-        assert sol.left_flags[i] == 1
         assert sol.values[i + 1] == left + float(
             coeffs.q(train.times[k], left, train.marks[k]))
 

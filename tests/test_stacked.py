@@ -667,7 +667,7 @@ def _ref_convergence(cfg, refinements):
     levels = [cfg.grid.steps * 2 ** j for j in range(refinements + 1)]
     fine = GridSpec(cfg.grid.horizon, levels[-1])
     m = cfg.replicas
-    drivers = [_ref_triple(fine, cfg.hurst, cfg.rate, cfg.marks, cfg.seed().child(3 + s))
+    drivers = [_ref_triple(fine, cfg.frac.hurst, cfg.rate, cfg.marks, cfg.seed().child(3 + s))
                for s in range(m)]
     w_fine = np.array([w.values for w, _, _ in drivers])
     z_fine = np.array([z.values for _, z, _ in drivers])
