@@ -12,10 +12,12 @@ the kernel blows up at the evaluation node t_i (kernel (t_i - u)^(-1-alpha),
 (kernel (z - t_i)^(alpha - 2)).  Both are integrable against interpolants
 vanishing at the singular point.
 
-`increment_kernel_sums` evaluates its cell sums as FFT convolutions.  Its
-transforms go through `numpy.fft` (numpy >= 2.0, for their `out=`
-arguments) into one scratch buffer per thread that is reused and only
-grows, so a call allocates nothing large but the array it returns.
+`increment_kernel_sums` evaluates its cell sums as FFT convolutions: three
+`numpy.fft` calls per call, one 2-row forward transform and two 2-row
+inverse ones, every row with the bits of a one-row transform.  The calls
+write through their `out=` arguments (numpy >= 2.0) into one scratch
+buffer per thread, three spectra and two real rows, that is reused and
+only grows, so a call allocates nothing large but the array it returns.
 """
 
 from __future__ import annotations
@@ -75,16 +77,17 @@ _SCRATCH = threading.local()
 
 def _fft_scratch(size: int):
     """Views of this thread's FFT scratch for transforms of length `size`:
-    three spectra of size // 2 + 1 complex values and one real array of
-    `size`.  The buffer is reused while it is large enough and only grows,
+    a (3, size // 2 + 1) complex block of spectra and a (2, size) real
+    block.  The buffer is reused while it is large enough and only grows,
     so repeated calls fault in no fresh pages."""
     m = size // 2 + 1
-    need = 3 * m + (size + 1) // 2
+    need = 3 * m + size                 # 2 * size floats fill `size` complex slots
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < need:
         buf = _SCRATCH.buf = np.empty(need, dtype=complex)
-    real = buf[3 * m : need].view(float)[:size]
-    return buf[:m], buf[m : 2 * m], buf[2 * m : 3 * m], real
+    spectra = buf[: 3 * m].reshape(3, m)
+    real = buf[3 * m : need].view(float).reshape(2, size)
+    return spectra, real
 
 
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
@@ -92,36 +95,47 @@ def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndar
     for every node i, with f the piecewise-linear interpolant of `values`.
 
     Uniform spacing makes the cell sums convolutions, evaluated by FFT
-    against the cached kernel spectra.  Every transform and product is
+    against the cached kernel spectra in three numpy calls, each row with
+    the bits of a one-row transform.  Every transform and product is
     written into the thread's scratch (`_fft_scratch`); only the returned
-    array is allocated.
+    array is allocated.  Its layout, call by call:
+
+    - forward: the real rows hold f[1:] and diff(f); spectra rows 1 and 2
+      take their transforms S_f and S_df.
+    - first inverse: row 1 becomes S_f G1 in place and row 0 takes
+      S_df kG1; the real rows take their inverses.
+    - second inverse: row 1 takes S_df G1 and S_df G2 overwrites row 2;
+      the real rows take their inverses.
     """
     f = np.asarray(values, dtype=float)
     n = len(f) - 1
     if n == 0:
         return np.zeros(1)
     size, cg1, spec_g1, spec_kg1, spec_g2 = _kernel_spectra(n, alpha, h)
-    spec_f, spec_df, prod, real = _fft_scratch(size)
-    np.fft.rfft(f[1:], size, out=spec_f)
-    df = np.subtract(f[1:], f[:-1], out=real[:n])   # np.diff(f)
-    np.fft.rfft(df, size, out=spec_df)
-    conv = real[: n + 1]
-
-    def convolve(spec_in, spec_kernel):
-        np.multiply(spec_in, spec_kernel, out=prod)
-        np.fft.irfft(prod, size, out=real)
-        return conv
+    spectra, real = _fft_scratch(size)
+    rows = real[:, :n]
+    rows[0] = f[1:]
+    np.subtract(f[1:], f[:-1], out=rows[1])     # np.diff(f)
+    np.fft.rfft(rows, size, out=spectra[1:])
+    spec_f, spec_df = spectra[1], spectra[2]
+    conv = real[:, : n + 1]
 
     # cell j at lag k = i - j contributes c_j G1[k] + slope_j G2[k] with
     # slope_j = df[j]/h and c_j = f_i - f[j+1] - df[j] (k - 1); the three df
     # convolutions stay apart, since merging them by linearity moves the
     # sums; for the same reason the in-place updates keep the left-to-right
     # order of f cumsum(G1) - f*G1 - df*kG1 + df*G1 + (df*G2) / h
+    spec_f *= spec_g1
+    np.multiply(spec_df, spec_kg1, out=spectra[0])
+    np.fft.irfft(spectra[:2], size, out=real)   # rows df*kG1, f*G1
     out = f * cg1
-    out -= convolve(spec_f, spec_g1)         # index i -> sum f[j+1] G1[i-j]
-    out -= convolve(spec_df, spec_kg1)
-    out += convolve(spec_df, spec_g1)
-    out += np.divide(convolve(spec_df, spec_g2), h, out=conv)
+    out -= conv[1]                              # index i -> sum f[j+1] G1[i-j]
+    out -= conv[0]
+    np.multiply(spec_df, spec_g1, out=spec_f)
+    spec_df *= spec_g2
+    np.fft.irfft(spectra[1:], size, out=real)   # rows df*G1, df*G2
+    out += conv[0]
+    out += np.divide(conv[1], h, out=conv[1])
     out[0] = 0.0
     return out
 

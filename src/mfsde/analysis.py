@@ -742,6 +742,21 @@ class JumpMomentReport:
                          self.empirical, self.std_error, self.exact, self.z_score)]
 
 
+def _jump_product_exact(rate: float, marks: MarkLaw, gain, p: float,
+                        horizon: float) -> tuple:
+    """(4p, exp(rate * horizon * (E[g(Y)^(4p)] - 1))): the gain exponent and
+    the closed form of the jump-gain product moment.  A gain moment or a
+    closed form that overflows a float is a ParameterError; the CLI calls
+    this before it writes any artifact."""
+    power = 4.0 * float(p)
+    try:
+        mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
+        return power, math.exp(rate * horizon * (mean_gain - 1.0))
+    except OverflowError:
+        raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
+                             f" or its closed form overflows a float") from None
+
+
 def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
                                horizon: float, replicas: int, seed: Seed,
                                thresholds: Thresholds = DEFAULT_THRESHOLDS) -> JumpMomentReport:
@@ -756,13 +771,7 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
     _check_count("replicas", replicas, JUMPS_MIN_REPLICAS)
-    power = 4.0 * float(p)
-    try:
-        mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
-        exact = math.exp(rate * horizon * (mean_gain - 1.0))
-    except OverflowError:
-        raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
-                             f" or its closed form overflows a float") from None
+    power, exact = _jump_product_exact(rate, marks, gain, p, horizon)
     prods = np.empty(replicas)
     for r, child in enumerate(_replica_seeds(seed, range(replicas))):
         train = gen_jump_train(rate, marks, horizon, child)

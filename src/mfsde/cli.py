@@ -27,6 +27,7 @@ from .analysis import (
     SELFSIM_MIN_REPLICAS,
     TAIL_MIN_REPLICAS,
     _interval_cells,
+    _jump_product_exact,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -146,10 +147,14 @@ def _run_moments(cfg: RunConfig, kappa_scale: float) -> tuple:
             {"data": table, "tail": tail})
 
 
-def _run_jumps(cfg: RunConfig, kappa_scale: float) -> tuple:
+def _jump_gain(cfg: RunConfig):
+    """The gain 1 + jump_gain(y) whose product moment the jumps suite checks."""
     coeffs = cfg.build_coeffs()
-    gain = lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
-    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, gain,
+    return lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
+
+
+def _run_jumps(cfg: RunConfig, kappa_scale: float) -> tuple:
+    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, _jump_gain(cfg),
                                                cfg.jump_power, cfg.grid.horizon,
                                                cfg.replicas, cfg.seed(),
                                                thresholds=cfg.thresholds))
@@ -185,6 +190,9 @@ def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int
             raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
     if "selfsim" in selected:
         _interval_cells(SELFSIM_INTERVALS, cfg.grid.steps)
+    if "jumps" in selected:
+        _jump_product_exact(cfg.rate, cfg.marks, _jump_gain(cfg), cfg.jump_power,
+                            cfg.grid.horizon)
     artifacts: list = []
     _echo_config(cfg, out, artifacts)
     all_passed = True

@@ -39,16 +39,25 @@ def shared_grid(f: GridFunction, g: GridFunction) -> None:
         )
 
 
-def _rl_values(values: np.ndarray, order: float, h: float, dist: np.ndarray,
+def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, dist: np.ndarray,
                gamma_value: float) -> np.ndarray:
-    """(values * dist^-order + order * kernel sums) / gamma_value at every
-    node, NaN at node 0: the derivative body both sides share, with each
-    side's node distances and gamma value."""
-    kern = increment_kernel_sums(values, order, h)
+    """(values * dist^-order + order * kern) / gamma_value at every node,
+    NaN at node 0: the derivative body both sides share, with each side's
+    kernel sums, node distances and gamma value.
+
+    Built in place on `kern` and `dist`, which the caller hands over
+    fresh; the products are taken in swapped order, which IEEE
+    multiplication leaves bit for bit the same.  Callers make the kernel
+    sums before the distances, so the distances take no memory while the
+    kernel's transforms run."""
+    kern *= order
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (values * dist**-order + order * kern) / gamma_value
-    vals[0] = np.nan
-    return vals
+        dist **= -order
+        dist *= values
+    dist += kern
+    dist /= gamma_value
+    dist[0] = np.nan
+    return dist
 
 
 def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
@@ -63,7 +72,8 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
 
     _check_order(alpha)
     _check_finite("f", f)
-    vals = _rl_values(f.values, alpha, f.h, f.nodes - f.left, gamma(1.0 - alpha))
+    vals = _rl_values(f.values, alpha, increment_kernel_sums(f.values, alpha, f.h),
+                      f.nodes - f.left, gamma(1.0 - alpha))
     return GridFunction(f.left, f.right, vals)
 
 
@@ -79,10 +89,9 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     _check_order(alpha)
     _check_finite("g", g)
     order = 1.0 - alpha
-    shifted = g.values - g.values[-1]
-    rev = shifted[::-1].copy()
-    rev_vals = _rl_values(rev, order, g.h, np.arange(rev.size, dtype=float) * g.h,
-                          gamma(alpha))
+    rev = g.values[::-1] - g.values[-1]
+    rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
+                          np.arange(rev.size, dtype=float) * g.h, gamma(alpha))
     return GridFunction(g.left, g.right, rev_vals[::-1].copy())
 
 
@@ -115,6 +124,7 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
         xf = np.linspace(f.left, f.right, f.cells * refine + 1)
         f = GridFunction(f.left, f.right, np.interp(xf, xs, f.values))
         g = GridFunction(g.left, g.right, np.interp(xf, xs, g.values))
+        del xf          # held through the derivatives, it would add to their peak memory
     n = f.cells
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")

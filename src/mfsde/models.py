@@ -145,14 +145,15 @@ def mixed_geometric_model(sigma_w: float = 0.25,
     """
 
     def closed_form(x0, w_t, z_t, jumps):
-        """The solution at the horizon; inf when its exponential overflows."""
+        """The solution at the horizon.  When its exponential overflows it
+        is x0 itself for x0 == 0, else an infinity of x0's sign."""
         if jumps.rate > 0:
             raise ParameterError("the mixed_geometric closed form needs rate = 0")
         try:
             return x0 * math.exp(sigma_w * w_t - 0.5 * sigma_w ** 2 * jumps.horizon
                                  + sigma_h * z_t)
         except OverflowError:
-            return math.inf
+            return x0 if x0 == 0 else math.copysign(math.inf, x0)
 
     return CoefficientSet(
         name="mixed_geometric",

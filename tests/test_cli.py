@@ -204,9 +204,16 @@ def test_convergence_blow_up_exits_1(tmp_path, capsys):
     # a closed-form target past the float range fails the run before any solve
     (["convergence"], "[model]\nname = mixed_geometric\nsigma_h = 1000\n"
      "[grid]\nsteps = 16\n[mc]\nreplicas = 50\n", 1, "closed form is not finite"),
-    # E[g(Y)^1200] of the default two-point gain 2 is past the float range
+    # E[g(Y)^1200] of the default two-point gain 2 is past the float range;
+    # it is checked with the replica floors, before any artifact
     (["verify", "jumps"], "[noise]\nrate = 1\n[mc]\njump_power = 300\n",
      2, "p = 300.0 is too large"),
+    # the overflowing target keeps the sign of x0
+    (["convergence"], "[model]\nname = mixed_geometric\nsigma_h = 1000\nx0 = -1\n"
+     "[grid]\nsteps = 16\n[mc]\nreplicas = 50\n", 1, "not finite at replica 3: -inf"),
+    # `verify all` makes the same check with its floors
+    (["verify", "all"], "[noise]\nrate = 1\n[grid]\nsteps = 16\n[mc]\nreplicas = 120\n"
+     "jump_power = 300\n", 2, "p = 300.0 is too large"),
 ])
 def test_overflowing_configs_exit_with_an_error_line(tmp_path, capsys, command, text,
                                                      code, message):
@@ -215,10 +222,24 @@ def test_overflowing_configs_exit_with_an_error_line(tmp_path, capsys, command, 
     assert cli.main([*command, "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
-    if code == 1:
-        assert not any(out.iterdir())
-    elif command == ["simulate"]:
+    if command == ["simulate"]:
         assert not out.exists()
+    else:
+        assert list(out.iterdir()) == []
+
+
+def test_overflowing_geometric_closed_form_from_zero_is_exact(tmp_path, capsys):
+    # exp(sigma_h Z_T) overflows on some replicas; x0 = 0 makes every
+    # target and every Euler state exactly 0
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = mixed_geometric\nsigma_h = 1000\nx0 = 0\n"
+                 "[noise]\nrate = 0\n[grid]\nsteps = 16\n[mc]\nreplicas = 50\n")
+    out = tmp_path / "out"
+    assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    assert "convergence: PASS" in capsys.readouterr().out
+    summary = (out / "convergence_summary.txt").read_text()
+    assert "mean relative errors: 0 0 0 0" in summary
+    assert "exact for this model" in summary
 
 
 def test_lemma_without_survivors_exits_1(tmp_path, capsys):

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.signal import fftconvolve
 
-from mfsde._kernels import _SCRATCH, _kernel_spectra, _power_tables, increment_kernel_sums
+from mfsde._kernels import (
+    _SCRATCH,
+    _fft_scratch,
+    _kernel_spectra,
+    _power_tables,
+    increment_kernel_sums,
+)
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
@@ -282,6 +288,14 @@ def test_kernel_sums_share_no_memory_with_scratch():
     first = increment_kernel_sums(rng.standard_normal(513), 0.45, 1.0 / 512)
     kept = first.copy()
     assert not np.shares_memory(first, _SCRATCH.buf)
+    # the scratch is a block of three spectra and, after it, two real rows
+    size = _kernel_spectra(512, 0.45, 1.0 / 512)[0]
+    spectra, real = _fft_scratch(size)
+    assert spectra.shape == (3, size // 2 + 1) and spectra.dtype == complex
+    assert real.shape == (2, size) and real.dtype == float
+    assert spectra.flags.c_contiguous and real.flags.c_contiguous
+    assert np.shares_memory(spectra, _SCRATCH.buf) and np.shares_memory(real, _SCRATCH.buf)
+    assert not np.shares_memory(spectra, real)
     # a smaller call reuses the buffer, a larger one replaces it
     for n in (64, 8192):
         later = increment_kernel_sums(rng.standard_normal(n + 1), 0.45, 1.0 / n)
@@ -302,6 +316,11 @@ def test_kernel_scratch_is_reused_and_only_grows():
     seen = _in_fresh_thread(sizes)
     bufs = [buf for buf, _ in seen]
     lengths = [size for _, size in seen]
+    # three spectra of size // 2 + 1 values and two real rows of size,
+    # which fill size complex values
+    for k, n in ((0, 1000), (3, 5000)):
+        size = _kernel_spectra(n, 0.3, 1.0 / n)[0]
+        assert lengths[k] == 3 * (size // 2 + 1) + size
     assert bufs[1] is bufs[0] and bufs[2] is bufs[0]
     assert lengths[3] > lengths[0]
     assert bufs[4] is bufs[3] and bufs[5] is bufs[3]

@@ -2,11 +2,13 @@
 
 The suite dispatch, the report CSV rows, the config echo of the
 thresholds, the padded model coefficients and the two Riemann-Liouville
-derivative bodies were each spelled out in several places.  The
-references below are those copies as they stood, so each owner is checked
-against code it shares nothing with: whole output directories byte for
-byte, solver states bit for bit (the sign of a zero included), assumption
-reports line for line and derivative values bit for bit.
+derivative bodies were each spelled out in several places, and the kernel
+sums made one numpy FFT call per transform.  The references below are
+those copies as they stood, so each owner is checked against code it
+shares nothing with: whole output directories byte for byte, solver
+states bit for bit (the sign of a zero included), assumption reports line
+for line, and kernel sums, derivative values and pathwise integrals bit
+for bit.
 """
 
 import dataclasses
@@ -14,12 +16,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
 from mfsde import cli, models
-from mfsde._kernels import increment_kernel_sums
+from mfsde._kernels import _kernel_spectra, increment_kernel_sums, weighted_linear_integral
 from mfsde.analysis import (
     JUMPS_MIN_REPLICAS,
     LEMMA_MIN_REPLICAS,
@@ -43,9 +45,9 @@ from mfsde.analysis import (
 from mfsde.cli import ConvergenceReport, run_convergence
 from mfsde.config import parse_config
 from mfsde.errors import BlowUpError
-from mfsde.fractional import rl_left_derivative, rl_right_derivative
+from mfsde.fractional import gls_integral, rl_left_derivative, rl_right_derivative
 from mfsde.models import MODELS, build_model
-from mfsde.noise import GridFunction, GridSpec, Seed, UniformMarks, gen_driving_stack
+from mfsde.noise import GridFunction, GridSpec, Seed, UniformMarks, gen_driving_stack, gen_fbm
 from mfsde.solver import check_assumptions, euler_paths, solve_with_jumps
 
 FMT = "%.17g"
@@ -371,8 +373,8 @@ def test_unpadded_models_solve_and_check_as_the_padded_ones(name):
 # the two derivative bodies, as they stood
 
 
-def _ref_rl_left(f, alpha):
-    kern = increment_kernel_sums(f.values, alpha, f.h)
+def _ref_rl_left(f, alpha, kernel=increment_kernel_sums):
+    kern = kernel(f.values, alpha, f.h)
     x = f.nodes - f.left
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (f.values * x**-alpha + alpha * kern) / gamma(1.0 - alpha)
@@ -380,11 +382,11 @@ def _ref_rl_left(f, alpha):
     return vals
 
 
-def _ref_rl_right(g, alpha):
+def _ref_rl_right(g, alpha, kernel=increment_kernel_sums):
     order = 1.0 - alpha
     shifted = g.values - g.values[-1]
     rev = shifted[::-1].copy()
-    kern = increment_kernel_sums(rev, order, g.h)
+    kern = kernel(rev, order, g.h)
     y = np.arange(rev.size, dtype=float) * g.h
     with np.errstate(divide="ignore", invalid="ignore"):
         rev_vals = (rev * y**-order + order * kern) / gamma(alpha)
@@ -399,3 +401,86 @@ def test_derivatives_equal_their_old_bodies_bit_for_bit(values, alpha, left, wid
     f = GridFunction(left, left + width, np.array(values))
     assert rl_left_derivative(f, alpha).values.tobytes() == _ref_rl_left(f, alpha).tobytes()
     assert rl_right_derivative(f, alpha).values.tobytes() == _ref_rl_right(f, alpha).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the kernel sums with one numpy FFT call per transform, as they stood
+
+
+def _ref_increment_kernel_sums(values, alpha, h):
+    f = np.asarray(values, dtype=float)
+    n = len(f) - 1
+    if n == 0:
+        return np.zeros(1)
+    size, cg1, spec_g1, spec_kg1, spec_g2 = _kernel_spectra(n, alpha, h)
+    m = size // 2 + 1
+    spec_f, spec_df, prod = (np.empty(m, dtype=complex) for _ in range(3))
+    real = np.empty(size)
+    np.fft.rfft(f[1:], size, out=spec_f)
+    df = np.subtract(f[1:], f[:-1], out=real[:n])
+    np.fft.rfft(df, size, out=spec_df)
+    conv = real[: n + 1]
+
+    def convolve(spec_in, spec_kernel):
+        np.multiply(spec_in, spec_kernel, out=prod)
+        np.fft.irfft(prod, size, out=real)
+        return conv
+
+    out = f * cg1
+    out -= convolve(spec_f, spec_g1)
+    out -= convolve(spec_df, spec_kg1)
+    out += convolve(spec_df, spec_g1)
+    out += np.divide(convolve(spec_df, spec_g2), h, out=conv)
+    out[0] = 0.0
+    return out
+
+
+def _ref_gls_integral(f, g, alpha, refine):
+    """gls_integral on the derivative bodies and kernel sums above."""
+    xf = np.linspace(f.left, f.right, f.cells * refine + 1)
+    f = GridFunction(f.left, f.right, np.interp(xf, f.nodes, f.values))
+    g = GridFunction(g.left, g.right, np.interp(xf, g.nodes, g.values))
+    n = f.cells
+    dl = _ref_rl_left(f, alpha, _ref_increment_kernel_sums)
+    dr = _ref_rl_right(g, alpha, _ref_increment_kernel_sums)
+    x = f.nodes - f.left
+    psi = np.empty(n + 1)
+    psi[1:n] = dl[1:n] * dr[1:n] * x[1:n] ** alpha
+    psi[0] = 2.0 * psi[1] - psi[2]
+    psi[n] = 2.0 * psi[n - 1] - psi[n - 2]
+    return -weighted_linear_integral(psi, alpha, f.h)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 400),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       horizon=st.floats(0.1, 10.0),
+       kind=st.sampled_from(["random", "sign-changing"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4096, alpha=0.45, horizon=1.0, kind="random", seed=0)
+@example(n=32768, alpha=0.55, horizon=1.0, kind="sign-changing", seed=1)
+def test_kernel_sums_equal_their_one_row_body_bit_for_bit(n, alpha, horizon, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        values = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        values = rng.uniform(0.1, 2.0, n + 1) * np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    h = horizon / n
+    expected = _ref_increment_kernel_sums(values, alpha, h)
+    assert increment_kernel_sums(values, alpha, h).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=1234)
+def test_pathwise_integral_equals_its_one_row_body_bit_for_bit(seed):
+    # the c02 shape: one fBm at 2048 cells, subsampled to four grid levels
+    levels = (256, 512, 1024, 2048)
+    master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(seed).child(1))
+    for steps in levels:
+        xs = np.linspace(0.0, 1.0, steps + 1)
+        f = GridFunction(0.0, 1.0, 2.0 * xs + np.abs(xs - 0.4) ** 0.6)
+        g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // steps])
+        new = gls_integral(f, g, 0.45, refine=16)
+        assert np.float64(new).tobytes() == np.float64(
+            _ref_gls_integral(f, g, 0.45, 16)).tobytes()
