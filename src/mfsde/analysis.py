@@ -664,7 +664,8 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     number of cells as the interval under test, so the two discrete
     statistics share their exact law and the KS comparison carries no
     discretization bias.  Intervals lie in [0, 1], with endpoints on the
-    grid of `steps` cells.
+    grid of `steps` cells.  A kappa_scale whose interval scale overflows a
+    float is a ParameterError.
     """
     FracParams(hurst, alpha)    # refuses a hurst or alpha out of range
     grid_full = GridSpec(1.0, steps)
@@ -674,12 +675,16 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
         raise ParameterError(f"kappa_scale must be finite, got {kappa_scale}")
     kappa = (alpha + hurst - 1.0) / (1.0 - alpha)
     kappa_used = kappa_scale * kappa
+    try:
+        scales = [(b - a) ** (-kappa_used) for a, b, _ in intervals]
+    except OverflowError:
+        raise ParameterError(f"kappa_scale = {kappa_scale} is too large: an interval"
+                             " scale (b - a)^-kappa overflows a float") from None
     expo = 1.0 / (1.0 - alpha)
     from scipy.stats import ks_2samp
 
     rows = []
-    for k, (a, b, cells) in enumerate(intervals):
-        scale = (b - a) ** (-kappa_used)
+    for k, ((a, b, cells), scale) in enumerate(zip(intervals, scales)):
         grid_ref = GridSpec(1.0, cells)
         bhs = [GridFunction(0.0, 1.0, v) for v in gen_fbm_stack(
             grid_full, hurst, [seed.child(2 * k).child(r) for r in range(replicas)])]
@@ -742,21 +747,6 @@ class JumpMomentReport:
                          self.empirical, self.std_error, self.exact, self.z_score)]
 
 
-def _jump_product_exact(rate: float, marks: MarkLaw, gain, p: float,
-                        horizon: float) -> tuple:
-    """(4p, exp(rate * horizon * (E[g(Y)^(4p)] - 1))): the gain exponent and
-    the closed form of the jump-gain product moment.  A gain moment or a
-    closed form that overflows a float is a ParameterError; the CLI calls
-    this before it writes any artifact."""
-    power = 4.0 * float(p)
-    try:
-        mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
-        return power, math.exp(rate * horizon * (mean_gain - 1.0))
-    except OverflowError:
-        raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
-                             f" or its closed form overflows a float") from None
-
-
 def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
                                horizon: float, replicas: int, seed: Seed,
                                thresholds: Thresholds = DEFAULT_THRESHOLDS) -> JumpMomentReport:
@@ -771,7 +761,13 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
     _check_count("replicas", replicas, JUMPS_MIN_REPLICAS)
-    power, exact = _jump_product_exact(rate, marks, gain, p, horizon)
+    power = 4.0 * float(p)
+    try:
+        mean_gain = marks.expect(lambda y: float(np.asarray(gain(y), dtype=float)) ** power)
+        exact = math.exp(rate * horizon * (mean_gain - 1.0))
+    except OverflowError:
+        raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
+                             f" or its closed form overflows a float") from None
     prods = np.empty(replicas)
     for r, child in enumerate(_replica_seeds(seed, range(replicas))):
         train = gen_jump_train(rate, marks, horizon, child)

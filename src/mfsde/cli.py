@@ -1,11 +1,12 @@
 """Command-line front end: simulate, verify <suite>, convergence.
 
-Every run writes its artifacts plus a manifest into one directory.  The
-manifest records the effective command and a sha256 per artifact, and the
-config echo (output location excluded) pins every other input, so
-rerunning the recorded command against the echo reproduces each file bit
-for bit.  Exit codes: 0 success / all suites PASS, 1 run or suite
-failure, 2 configuration error.
+Every run computes all of its artifacts first and then writes them, with
+a manifest, into one directory; a run that ends with an `error:` line
+writes nothing.  The manifest records the effective command and a sha256
+per artifact, and the config echo (output location excluded) pins every
+other input, so rerunning the recorded command against the echo
+reproduces each file bit for bit.  Exit codes: 0 success / all suites
+PASS, 1 run or suite failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -26,8 +28,6 @@ from .analysis import (
     MOMENTS_MIN_REPLICAS,
     SELFSIM_MIN_REPLICAS,
     TAIL_MIN_REPLICAS,
-    _interval_cells,
-    _jump_product_exact,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -60,22 +60,25 @@ MONOTONE_FRACTION = 0.9
 # output plumbing
 
 
-def _write_text(out: Path, name: str, text: str, artifacts: list) -> None:
-    (out / name).write_text(text, encoding="utf-8")
-    artifacts.append(name)
+def _write_run(out: Path, cfg: RunConfig, command: str, artifacts: dict) -> None:
+    """Write config.echo.ini, each artifact (name -> text) and manifest.txt.
 
-
-def _write_manifest(out: Path, command: str, artifacts: list) -> None:
+    Every command computes all of its artifacts before it calls this, so a
+    run that fails or is refused leaves its output directory as it was.
+    """
+    files = {"config.echo.ini": serialize_config(cfg, include_output=False), **artifacts}
     lines = ["mfsde run manifest", f"command: {command}", "artifacts:"]
-    for name in sorted(artifacts):
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        lines.append(f"{name} sha256={digest}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name in sorted(files):
+        data = files[name].encode("utf-8")
+        (out / name).write_bytes(data)
+        lines.append(f"{name} sha256={hashlib.sha256(data).hexdigest()}")
+    (out / "manifest.txt").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _echo_config(cfg: RunConfig, out: Path, artifacts: list) -> None:
-    _write_text(out, "config.echo.ini", serialize_config(cfg, include_output=False),
-                artifacts)
+def _csv_text(obj) -> str:
+    buf = io.StringIO()
+    obj.to_csv(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +87,10 @@ def _echo_config(cfg: RunConfig, out: Path, artifacts: list) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     coeffs = cfg.build_coeffs()
-    artifacts: list = []
-    _echo_config(cfg, out, artifacts)
     wiener, fbm, train = gen_driving_triple(cfg.grid, cfg.frac.hurst, cfg.rate,
                                             cfg.marks, cfg.seed())
-    wiener.to_csv(str(out / "wiener.csv"))
-    fbm.to_csv(str(out / "fbm.csv"))
-    train.to_csv(str(out / "jumps.csv"))
-    artifacts += ["wiener.csv", "fbm.csv", "jumps.csv"]
+    artifacts = {"wiener.csv": _csv_text(wiener), "fbm.csv": _csv_text(fbm),
+                 "jumps.csv": _csv_text(train)}
     status = 0
     try:
         sol = solve_with_jumps(coeffs, cfg.x0, wiener, fbm, train)
@@ -99,10 +98,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         print(f"simulate: solve failed: {err}", file=sys.stderr)
         status = 1
     else:
-        sol.to_csv(str(out / "solution.csv"))
-        artifacts.append("solution.csv")
+        artifacts["solution.csv"] = _csv_text(sol)
         print(f"simulate: wrote solution with {sol.train.count} jumps to {out}")
-    _write_manifest(out, "simulate", artifacts)
+    _write_run(out, cfg, "simulate", artifacts)
     return status
 
 
@@ -147,16 +145,11 @@ def _run_moments(cfg: RunConfig, kappa_scale: float) -> tuple:
             {"data": table, "tail": tail})
 
 
-def _jump_gain(cfg: RunConfig):
-    """The gain 1 + jump_gain(y) whose product moment the jumps suite checks."""
-    coeffs = cfg.build_coeffs()
-    return lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
-
-
 def _run_jumps(cfg: RunConfig, kappa_scale: float) -> tuple:
-    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, _jump_gain(cfg),
-                                               cfg.jump_power, cfg.grid.horizon,
-                                               cfg.replicas, cfg.seed(),
+    coeffs = cfg.build_coeffs()
+    gain = lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
+    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, gain, cfg.jump_power,
+                                               cfg.grid.horizon, cfg.replicas, cfg.seed(),
                                                thresholds=cfg.thresholds))
 
 
@@ -173,13 +166,13 @@ SUITES = {
 }
 
 
-def _write_suite(out: Path, name: str, lines: list, tables: dict, artifacts: list) -> None:
+def _suite_artifacts(name: str, lines: list, tables: dict) -> dict:
     """A suite's summary as <name>_summary.txt, each table as <name>_<suffix>.csv."""
-    _write_text(out, f"{name}_summary.txt", "\n".join(lines) + "\n", artifacts)
+    artifacts = {f"{name}_summary.txt": "\n".join(lines) + "\n"}
     for suffix, report in tables.items():
-        _write_text(out, f"{name}_{suffix}.csv",
-                    report.CSV_HEADER + "\n" + "\n".join(report.csv_rows()) + "\n",
-                    artifacts)
+        artifacts[f"{name}_{suffix}.csv"] = (report.CSV_HEADER + "\n"
+                                             + "\n".join(report.csv_rows()) + "\n")
+    return artifacts
 
 
 def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int:
@@ -188,21 +181,15 @@ def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int
         floor = SUITES[name][0]
         if cfg.replicas < floor:
             raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
-    if "selfsim" in selected:
-        _interval_cells(SELFSIM_INTERVALS, cfg.grid.steps)
-    if "jumps" in selected:
-        _jump_product_exact(cfg.rate, cfg.marks, _jump_gain(cfg), cfg.jump_power,
-                            cfg.grid.horizon)
-    artifacts: list = []
-    _echo_config(cfg, out, artifacts)
+    artifacts: dict = {}
     all_passed = True
     for name in selected:
         lines, passed, tables = SUITES[name][1](cfg, kappa_scale)
-        _write_suite(out, name, lines, tables, artifacts)
+        artifacts.update(_suite_artifacts(name, lines, tables))
         all_passed &= passed
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
-    command = f"verify {suite} --kappa-scale {CSV_FLOAT_FMT % kappa_scale}"
-    _write_manifest(out, command, artifacts)
+    _write_run(out, cfg, f"verify {suite} --kappa-scale {CSV_FLOAT_FMT % kappa_scale}",
+               artifacts)
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 
@@ -316,10 +303,8 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
 
 def cmd_convergence(cfg: RunConfig, refinements: int, out: Path) -> int:
     report = run_convergence(cfg, refinements)
-    artifacts: list = []
-    _echo_config(cfg, out, artifacts)
-    _write_suite(out, "convergence", report.lines(), {"data": report}, artifacts)
-    _write_manifest(out, f"convergence --refinements {refinements}", artifacts)
+    _write_run(out, cfg, f"convergence --refinements {refinements}",
+               _suite_artifacts("convergence", report.lines(), {"data": report}))
     print(f"convergence: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

@@ -14,12 +14,14 @@ class RunFailure(RuntimeError):
 
 
 class BlowUpError(RunFailure):
-    """The solver state left the trust region or became non-finite."""
+    """The solver state left the trust region or became non-finite.
+
+    `step` is the Euler step that did it, or -1 for a jump.
+    """
 
     def __init__(self, step: int, time: float, state: float):
         self.step = step
         self.time = time
         self.state = state
-        super().__init__(
-            f"state blew up at step {step} (t={time:.6g}): x={state!r}"
-        )
+        where = "at a jump" if step == -1 else f"at step {step}"
+        super().__init__(f"state blew up {where} (t={time:.6g}): x={state!r}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -203,7 +204,9 @@ def _streams(seeds: list):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [0, horizon] with `steps` cells."""
+    """Uniform grid on [0, horizon] with `steps` cells.  The cell width must
+    be a normal float: a subnormal one is too coarse for `steps` cells to
+    end at the horizon."""
 
     horizon: float
     steps: int
@@ -212,6 +215,9 @@ class GridSpec:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
         _check_count("steps", self.steps, 1)
+        if self.horizon / self.steps < sys.float_info.min:
+            raise ParameterError(f"horizon / steps must be a normal float, got"
+                                 f" {self.horizon} / {self.steps}")
 
     @property
     def dt(self) -> float:
@@ -586,7 +592,13 @@ def _draw_trains(rate: float, marks: MarkLaw, horizon: float, seeds: list) -> li
     times, values = [], []
     for rng in _streams(seeds):
         count = int(rng.poisson(rate * horizon))
-        taus = np.sort(rng.uniform(0.0, horizon, size=count))
+        try:
+            taus = np.sort(rng.uniform(0.0, horizon, size=count))
+        except (ValueError, MemoryError):
+            # numpy draws Poisson means up to MAX_JUMP_MEAN, but cannot
+            # hold that many jump times
+            raise ParameterError(f"rate * horizon = {rate * horizon:.6g} drew {count}"
+                                 " jumps, more than memory holds") from None
         # ties and exact zeros have probability zero; redraw defensively
         while count and (taus[0] <= 0.0 or (taus[1:] <= taus[:-1]).any()):
             taus = np.sort(rng.uniform(0.0, horizon, size=count))

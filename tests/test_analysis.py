@@ -422,6 +422,9 @@ def test_self_similarity_validation():
         with pytest.raises(ParameterError, match="kappa_scale must be finite"):
             verify_self_similarity(0.75, 0.3, [(0.0, 1.0)], 50, Seed(0),
                                    kappa_scale=bad)
+    # a finite kappa_scale whose scale 0.5^(-kappa_scale * kappa) overflows
+    with pytest.raises(ParameterError, match="kappa_scale = 1e\\+308 is too large"):
+        verify_self_similarity(0.75, 0.3, [(0.5, 1.0)], 50, Seed(0), kappa_scale=1e308)
 
 
 def test_jump_product_trivial_cases():

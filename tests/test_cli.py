@@ -1,15 +1,22 @@
 """Command-line behavior: artifacts, manifests, exit codes, overrides."""
 
+import contextlib
+import dataclasses
 import inspect
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from mfsde import cli
 from mfsde.config import parse_config, serialize_config
 from mfsde.models import MODELS
-from mfsde.noise import MARK_LAWS
+from mfsde.noise import MARK_LAWS, MAX_JUMP_MEAN
 from mfsde.solver import read_solution_csv
 
 SIM_CFG = """\
@@ -205,13 +212,13 @@ def test_convergence_blow_up_exits_1(tmp_path, capsys):
     (["convergence"], "[model]\nname = mixed_geometric\nsigma_h = 1000\n"
      "[grid]\nsteps = 16\n[mc]\nreplicas = 50\n", 1, "closed form is not finite"),
     # E[g(Y)^1200] of the default two-point gain 2 is past the float range;
-    # it is checked with the replica floors, before any artifact
+    # the jumps suite refuses it before it draws any train
     (["verify", "jumps"], "[noise]\nrate = 1\n[mc]\njump_power = 300\n",
      2, "p = 300.0 is too large"),
     # the overflowing target keeps the sign of x0
     (["convergence"], "[model]\nname = mixed_geometric\nsigma_h = 1000\nx0 = -1\n"
      "[grid]\nsteps = 16\n[mc]\nreplicas = 50\n", 1, "not finite at replica 3: -inf"),
-    # `verify all` makes the same check with its floors
+    # `verify all` runs the four suites before it, then writes nothing
     (["verify", "all"], "[noise]\nrate = 1\n[grid]\nsteps = 16\n[mc]\nreplicas = 120\n"
      "jump_power = 300\n", 2, "p = 300.0 is too large"),
 ])
@@ -240,6 +247,34 @@ def test_overflowing_geometric_closed_form_from_zero_is_exact(tmp_path, capsys):
     summary = (out / "convergence_summary.txt").read_text()
     assert "mean relative errors: 0 0 0 0" in summary
     assert "exact for this model" in summary
+
+
+def test_a_suite_run_failure_writes_nothing(tmp_path, capsys):
+    # the kernel suite passes before the lemma suite finds every path blown
+    # up; its summary is not written either
+    cfg = _write(tmp_path, "run.ini",
+                 "[model]\nname = explosive\nx0 = 3\n[grid]\nsteps = 64\n"
+                 "[mc]\nreplicas = 120\n")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "all", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "kernel: PASS\n"
+    assert captured.err.startswith("error:") and "120 of 120 replicas blew up" in captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_a_blow_up_at_a_jump_names_the_jump(tmp_path, capsys):
+    # a mark of -1e308 takes the state out of the trust region at the jump
+    cfg = _write(tmp_path, "run.ini",
+                 "[noise]\nrate = 1\nmarks = two_point\nmark_low = -1e308\n"
+                 "mark_high = 1e308\n[grid]\nsteps = 16\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: solve failed: state blew up at a jump (t=0.254294):")
+    assert "step -1" not in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.echo.ini", "fbm.csv", "jumps.csv", "manifest.txt", "wiener.csv"]
 
 
 def test_lemma_without_survivors_exits_1(tmp_path, capsys):
@@ -388,3 +423,103 @@ def test_config_echo_excludes_output_directory(tmp_path):
     echo = (d1 / "config.echo.ini").read_text()
     assert echo == (d2 / "config.echo.ini").read_text()
     assert "somewhere" not in echo and "[output]" not in echo
+
+
+# ---------------------------------------------------------------------------
+# the 0/1/2 exit-code contract over the config grammar
+
+
+def _edges(*bounds):
+    """Each boundary of a range and its two float neighbours."""
+    return tuple(x for b in bounds for x in (math.nextafter(b, -math.inf), b,
+                                            math.nextafter(b, math.inf)))
+
+
+# every number is drawn from these finite extremes and its key's boundaries
+# (alpha, beta and eta at the default hurst 0.75)
+_EXTREMES = (1e308, -1e308, 1e-320, 0.0)
+_BOUNDS = {
+    "model": {"x0": ()},
+    "noise": {"hurst": _edges(0.5, 1.0), "rate": _edges(MAX_JUMP_MEAN)},
+    "grid": {"horizon": ()},
+    "frac": {"alpha": _edges(0.25, 0.5), "beta": _edges(0.25, 1.0), "lambda": (),
+             "eta": _edges(0.125)},
+    "mc": {"jump_power": (), "se_multiplier": (), "stability_se_multiplier": (),
+           "holdout_pass_fraction": _edges(1.0), "ks_pvalue_min": _edges(1.0),
+           "ratio_slack": ()},
+}
+_MARK_BOUNDS = {"p_low": _edges(1.0)}
+_COMMANDS = {"simulate": ["simulate"], "convergence": ["convergence"],
+             **{suite: ["verify", suite] for suite in cli.SUITES}}
+
+
+def _number(bounds):
+    return st.sampled_from(_EXTREMES + bounds).map(repr)
+
+
+@st.composite
+def _configs(draw):
+    """(command, {section: {key: value}}) on a tiny shape: at most 16 steps
+    and the command's own replica floor, with up to three numbers at an
+    extreme (more would almost always be refused at parse time)."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    model = draw(st.sampled_from(sorted(MODELS)))
+    law = draw(st.sampled_from(sorted(MARK_LAWS)))
+    keys = [(section, key, bounds) for section, table in _BOUNDS.items()
+            for key, bounds in table.items()]
+    keys += [("model", p, ()) for p in inspect.signature(MODELS[model]).parameters]
+    keys += [("noise", f"mark_{f.name}", _MARK_BOUNDS.get(f.name, ()))
+             for f in dataclasses.fields(MARK_LAWS[law])]
+    keys += [("mc", "p_list", ()), ("seed", "root", ())]
+    config = {"model": {"name": model}, "noise": {"marks": law},
+              "grid": {"steps": str(draw(st.sampled_from([0, 1, 4, 16])))},
+              "mc": {"replicas": str(cli.SUITES.get(name, (1,))[0] or 1)}}
+    for section, key, bounds in draw(st.lists(st.sampled_from(keys), max_size=3,
+                                              unique=True)):
+        if key == "root":
+            value = str(draw(st.sampled_from([0, 2**64 - 1])))
+        elif key == "p_list":
+            value = " ".join(draw(st.lists(_number(bounds), min_size=1, max_size=3)))
+        else:
+            value = draw(_number(bounds))
+        config.setdefault(section, {})[key] = value
+    command = list(_COMMANDS[name])
+    if name == "selfsim" and draw(st.booleans()):
+        command.append(f"--kappa-scale={draw(_number(_edges(1.0)))}")
+    return command, config
+
+
+def _ini(config):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in config.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_configs())
+@example(case=(["simulate"], {"noise": {"rate": "3", "marks": "uniform",
+                                        "mark_low": "-1e308", "mark_high": "1e308"}}))
+@example(case=(["convergence"], {"model": {"name": "mixed_geometric", "sigma_h": "1000"},
+                                 "grid": {"steps": "16"}, "mc": {"replicas": "50"}}))
+@example(case=(["verify", "jumps"], {"noise": {"rate": "1"}, "mc": {"jump_power": "300"}}))
+@example(case=(["verify", "all"], {"model": {"name": "explosive", "x0": "3"},
+                                   "grid": {"steps": "64"}, "mc": {"replicas": "120"}}))
+@example(case=(["simulate"], {"noise": {"rate": repr(MAX_JUMP_MEAN)}}))
+@example(case=(["verify", "selfsim", "--kappa-scale=1e308"],
+               {"grid": {"steps": "4"}, "mc": {"replicas": "10"}}))
+@example(case=(["verify", "lemma"], {"grid": {"steps": "16", "horizon": "1e-320"},
+                                     "mc": {"replicas": "4"}}))
+def test_every_config_exits_0_1_or_2_and_an_error_writes_nothing(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(_ini(config), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", str(path), "--out", str(out)])
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        failed = any(line.startswith("error:") for line in err.getvalue().splitlines())
+        assert failed or code != 2
+        if failed:
+            assert not out.exists() or list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 """Driving-noise generators: distributional laws, determinism, CSV I/O."""
 
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,11 @@ def test_grid_spec_basics():
     assert np.all(np.diff(g.times) > 0)
     with pytest.raises(ParameterError):
         GridSpec(0.0, 4)
+    # 1e-320 / 16 rounds to 6.225e-322, and 16 such cells end short of 1e-320
+    with pytest.raises(ParameterError, match="horizon / steps must be a normal float"):
+        GridSpec(1e-320, 16)
+    tiny = GridSpec(16 * sys.float_info.min, 16)
+    assert tiny.dt == sys.float_info.min and tiny.times[-1] == tiny.horizon
     with pytest.raises(ParameterError):
         GridSpec(1.0, 0)
     # steps must be an integer: nan or 4.0 would construct a grid whose
@@ -291,6 +297,9 @@ def test_jump_train_law():
     for rate, horizon in ((1e19, 1.0), (1e30, 1.0), (1e10, 1e9)):
         with pytest.raises(ParameterError, match="rate \\* horizon"):
             gen_jump_train(rate, TwoPointMarks(), horizon, Seed(0))
+    # at the largest mean numpy draws a count, but cannot hold that many jumps
+    with pytest.raises(ParameterError, match="more than memory holds"):
+        gen_jump_train(noise.MAX_JUMP_MEAN, TwoPointMarks(), 1.0, Seed(0))
 
 
 def test_interarrival_law():

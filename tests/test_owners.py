@@ -2,8 +2,9 @@
 
 The suite dispatch, the report CSV rows, the config echo of the
 thresholds, the padded model coefficients and the two Riemann-Liouville
-derivative bodies were each spelled out in several places, and the kernel
-sums made one numpy FFT call per transform.  The references below are
+derivative bodies were each spelled out in several places, the commands
+wrote each artifact as soon as it was made, and the kernel sums made one
+numpy FFT call per transform.  The references below are
 those copies as they stood, so each owner is checked against code it
 shares nothing with: whole output directories byte for byte, solver
 states bit for bit (the sign of a zero included), assumption reports line
@@ -13,6 +14,7 @@ for bit.
 
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +49,15 @@ from mfsde.config import parse_config
 from mfsde.errors import BlowUpError
 from mfsde.fractional import gls_integral, rl_left_derivative, rl_right_derivative
 from mfsde.models import MODELS, build_model
-from mfsde.noise import GridFunction, GridSpec, Seed, UniformMarks, gen_driving_stack, gen_fbm
+from mfsde.noise import (
+    GridFunction,
+    GridSpec,
+    Seed,
+    UniformMarks,
+    gen_driving_stack,
+    gen_driving_triple,
+    gen_fbm,
+)
 from mfsde.solver import check_assumptions, euler_paths, solve_with_jumps
 
 FMT = "%.17g"
@@ -217,6 +227,30 @@ def _ref_cmd_verify(cfg, suite, kappa_scale, out):
     return 0 if all_passed else 1
 
 
+def _ref_cmd_simulate(cfg, out):
+    coeffs = cfg.build_coeffs()
+    artifacts = []
+    _ref_write_text(out, "config.echo.ini", _ref_serialize_config(cfg), artifacts)
+    wiener, fbm, train = gen_driving_triple(cfg.grid, cfg.frac.hurst, cfg.rate,
+                                            cfg.marks, cfg.seed())
+    wiener.to_csv(str(out / "wiener.csv"))
+    fbm.to_csv(str(out / "fbm.csv"))
+    train.to_csv(str(out / "jumps.csv"))
+    artifacts += ["wiener.csv", "fbm.csv", "jumps.csv"]
+    status = 0
+    try:
+        sol = solve_with_jumps(coeffs, cfg.x0, wiener, fbm, train)
+    except BlowUpError as err:
+        print(f"simulate: solve failed: {err}", file=sys.stderr)
+        status = 1
+    else:
+        sol.to_csv(str(out / "solution.csv"))
+        artifacts.append("solution.csv")
+        print(f"simulate: wrote solution with {sol.train.count} jumps to {out}")
+    _ref_write_manifest(out, "simulate", artifacts)
+    return status
+
+
 def _ref_cmd_convergence(cfg, refinements, out):
     report = run_convergence(cfg, refinements)
     artifacts = []
@@ -275,6 +309,33 @@ replicas = 200
 root = 5
 """
 
+SIMULATE_CFG = """\
+[model]
+name = mixed_geometric
+[noise]
+rate = 2
+marks = uniform
+mark_low = -0.5
+mark_high = 0.5
+[grid]
+steps = 64
+[seed]
+root = 34
+"""
+
+# the explosive drift blows up at step 3, after the first of two jumps
+BLOW_UP_CFG = """\
+[model]
+name = explosive
+x0 = 3
+[noise]
+rate = 2
+[grid]
+steps = 64
+[seed]
+root = 34
+"""
+
 CONVERGENCE_CFG = """\
 [model]
 name = mixed_geometric
@@ -301,17 +362,23 @@ root = 33
     (CONVERGENCE_CFG, ["convergence", "--refinements", "3"],
      lambda cfg, out: _ref_cmd_convergence(cfg, 3, out), 0,
      {"convergence_summary.txt", "convergence_data.csv"}),
-], ids=["verify-all", "verify-moments-with-tail", "verify-selfsim-control", "convergence"])
+    (SIMULATE_CFG, ["simulate"], _ref_cmd_simulate, 0,
+     {"wiener.csv", "fbm.csv", "jumps.csv", "solution.csv"}),
+    (BLOW_UP_CFG, ["simulate"], _ref_cmd_simulate, 1,
+     {"wiener.csv", "fbm.csv", "jumps.csv"}),
+], ids=["verify-all", "verify-moments-with-tail", "verify-selfsim-control", "convergence",
+        "simulate", "simulate-blow-up"])
 def test_runs_write_the_bytes_of_the_old_dispatch(tmp_path, capsys, config, argv,
                                                   reference, code, written):
     path = tmp_path / "run.ini"
     path.write_text(config, encoding="utf-8")
     new, old = tmp_path / "new", tmp_path / "old"
     assert cli.main([*argv, "--config", str(path), "--out", str(new)]) == code
-    printed = capsys.readouterr().out
+    printed = capsys.readouterr()
     old.mkdir()
     assert reference(parse_config(config), old) == code
-    assert capsys.readouterr().out == printed
+    # simulate names its output directory
+    assert capsys.readouterr() == (printed.out.replace(str(new), str(old)), printed.err)
     files = {p.name: p.read_bytes() for p in new.iterdir()}
     assert files == {p.name: p.read_bytes() for p in old.iterdir()}
     assert set(files) == written | {"config.echo.ini", "manifest.txt"}

@@ -591,7 +591,7 @@ def test_block_blow_ups_equal_the_row_major_loop():
                                       [JumpTrain([1.0], [800.0], 1.0, 1.0), quiet])
     where = {name: [text.split(":")[0] for text in found] for name, found in texts.items()}
     assert where["short row"] == ["state blew up at step 5 (t=0.8125)"]
-    assert where["at a jump"] == ["state blew up at step -1 (t=0.3)"]
+    assert where["at a jump"] == ["state blew up at a jump (t=0.3)"]
     assert where["in a segment"][1:] == ["state blew up at step 7 (t=0.4375)"] * 4
     assert where["ended"] == []
 
