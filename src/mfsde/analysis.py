@@ -259,6 +259,11 @@ class MomentTable:
                          row.half_std_error, row.stable) for row in self.rows]
 
 
+def _check_positive(what: str, value) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
+
+
 def _moment_orders(p_list) -> tuple:
     """The moment orders as floats; refused unless there is one and each is
     positive and finite."""
@@ -266,8 +271,7 @@ def _moment_orders(p_list) -> tuple:
     if not orders:
         raise ParameterError("moment orders must not be empty")
     for p in orders:
-        if not (p > 0 and math.isfinite(p)):
-            raise ParameterError(f"moment orders must be positive and finite, got {p}")
+        _check_positive("moment orders", p)
     return orders
 
 
@@ -333,11 +337,9 @@ class TailReport:
         return [_csv_row(v, s) for v, s in zip(self.tail_values, self.tail_survival)]
 
 
-def tail_diagnostic(ens: Ensemble, p_max: float,
-                    thresholds: Thresholds = DEFAULT_THRESHOLDS) -> TailReport:
+def tail_diagnostic(ens: Ensemble, p_max: float) -> TailReport:
     """Fit the survival-function slope over the top decile of sup|X|."""
-    if not (p_max > 0 and math.isfinite(p_max)):
-        raise ParameterError(f"p_max must be positive and finite, got {p_max}")
+    _check_positive("p_max", p_max)
     _require_kept(ens, TAIL_MIN_REPLICAS,
                   f"tail diagnostic needs >= {TAIL_MIN_REPLICAS} kept replicas,"
                   f" got {ens.size}")
@@ -531,7 +533,11 @@ class KernelReport:
         return weighted + [_csv_row("beta", *self.beta_argmax, self.beta_ratio)]
 
 
-def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
+# nodes per axis of the (u, t) grid the beta bound is maximized over
+_KERNEL_GRID = 20
+
+
+def verify_kernel_estimates(alpha: float, lambda_list,
                             thresholds: Thresholds = DEFAULT_THRESHOLDS) -> KernelReport:
     """Check both kernel inequalities by adaptive quadrature on the unit
     interval.
@@ -544,7 +550,6 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
     """
     if not 0.0 < alpha < 0.5:
         raise ParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
-    _check_count("grid_size", grid_size, 2)
     lambda_list = list(lambda_list)
     if not lambda_list:
         raise ParameterError("need at least one lambda value")
@@ -554,8 +559,7 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
     gamma_factor = math.gamma(1.0 - alpha)
     for lam in lambda_list:
         lam = float(lam)
-        if not (lam > 0 and math.isfinite(lam)):
-            raise ParameterError(f"lambda values must be positive and finite, got {lam}")
+        _check_positive("lambda values", lam)
         bound = gamma_factor * lam ** (alpha - 1.0)
         s_lo = min(0.01 / lam, 0.25)
         best, best_s = -math.inf, math.nan
@@ -571,8 +575,8 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
     from scipy.special import beta
 
     beta_factor = beta(1.0 - alpha, 2.0 * alpha)
-    fracs = np.linspace(1.0, grid_size, grid_size) / (grid_size + 1.0)
-    t_vals = np.linspace(1.0 / grid_size, 1.0, grid_size)
+    fracs = np.linspace(1.0, _KERNEL_GRID, _KERNEL_GRID) / (_KERNEL_GRID + 1.0)
+    t_vals = np.linspace(1.0 / _KERNEL_GRID, 1.0, _KERNEL_GRID)
     beta_best, beta_arg = -math.inf, (math.nan, math.nan)
     for t in t_vals:
         for frac in fracs:
@@ -584,7 +588,7 @@ def verify_kernel_estimates(alpha: float, lambda_list, grid_size: int = 20,
             if ratio > beta_best:
                 beta_best, beta_arg = ratio, (float(u), float(t))
     return KernelReport(alpha, tuple(weighted_rows), beta_best,
-                        beta_arg, grid_size, thresholds.ratio_slack,
+                        beta_arg, _KERNEL_GRID, thresholds.ratio_slack,
                         tuple(issues))
 
 

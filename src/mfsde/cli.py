@@ -43,6 +43,7 @@ from .noise import (
     CSV_FLOAT_FMT,
     GridSpec,
     Seed,
+    _MAX_NODES,
     _check_count,
     _csv_row,
     _replica_seeds,
@@ -140,7 +141,7 @@ def _run_moments(cfg: RunConfig, kappa_scale: float) -> tuple:
     if ens.size < TAIL_MIN_REPLICAS:
         return (table.lines() + [f"tail: skipped (needs >= {TAIL_MIN_REPLICAS} replicas)"],
                 table.passed, {"data": table})
-    tail = tail_diagnostic(ens, max(cfg.p_list), cfg.thresholds)
+    tail = tail_diagnostic(ens, max(cfg.p_list))
     return (table.lines() + tail.lines(), table.passed and tail.passed,
             {"data": table, "tail": tail})
 
@@ -250,6 +251,12 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
     solve_with_jumps_stack with them.
     """
     _check_count("refinements", refinements, 3)
+    # the finest grid's steps << refinements must stay below _MAX_NODES, as
+    # GridSpec requires; shifting the bound keeps a huge count from
+    # building a huge integer
+    if cfg.grid.steps > (_MAX_NODES - 1) >> int(refinements):
+        raise ParameterError(f"refinements must keep the finest grid below {_MAX_NODES}"
+                             f" steps, got {refinements} from {cfg.grid.steps} steps")
     coeffs = cfg.build_coeffs()
     if coeffs.closed_form is None:
         known = ", ".join(sorted(name for name, build in MODELS.items()

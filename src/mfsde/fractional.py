@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import increment_kernel_sums, weighted_linear_integral
-from .errors import GridMismatchError, ParameterError
-from .noise import GridFunction
+from .errors import ParameterError
+from .noise import GridFunction, _check_one_grid
 
 
 def _check_order(alpha: float) -> None:
@@ -26,17 +26,6 @@ def _check_order(alpha: float) -> None:
 def _check_finite(name: str, fn: GridFunction) -> None:
     if not np.isfinite(fn.values).all():
         raise ParameterError(f"{name} holds non-finite values")
-
-
-def shared_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.values.size != g.values.size:
-        raise GridMismatchError("grid functions have different node counts")
-    scale = max(abs(f.left), abs(f.right), 1.0)
-    if abs(f.left - g.left) > 1e-12 * scale or abs(f.right - g.right) > 1e-12 * scale:
-        raise GridMismatchError(
-            f"grid functions live on different intervals: [{f.left}, {f.right}] "
-            f"vs [{g.left}, {g.right}]"
-        )
 
 
 def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, dist: np.ndarray,
@@ -114,7 +103,7 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     way; only the outer x-integration sharpens, which matters when g is a
     rough path whose derivative oscillates between nodes.
     """
-    shared_grid(f, g)
+    _check_one_grid("grid functions", [f, g])
     if not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ParameterError("refine must be a positive integer")
     _check_finite("f", f)
@@ -140,5 +129,5 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
 
 def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:
     """Forward Riemann-Stieltjes sum: sum of f(t_k) (g(t_{k+1}) - g(t_k))."""
-    shared_grid(f, g)
+    _check_one_grid("grid functions", [f, g])
     return float(np.dot(f.values[:-1], np.diff(g.values)))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import GridMismatchError, ParameterError
 
 WIENER_STREAM = 0
 FBM_STREAM = 1
@@ -60,6 +60,10 @@ ALPHA_RANGE_MESSAGE = "alpha must lie in (1-H, 1/2)"
 
 # largest Poisson mean numpy's Generator.poisson draws from
 MAX_JUMP_MEAN = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
+# most float64 nodes an array can hold: numpy refuses a larger one as "array
+# is too big" (its byte count must fit in intp)
+_MAX_NODES = np.iinfo(np.intp).max // 8
 
 
 def _check_count(name: str, value, floor: int) -> None:
@@ -204,9 +208,10 @@ def _streams(seeds: list):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [0, horizon] with `steps` cells.  The cell width must
-    be a normal float: a subnormal one is too coarse for `steps` cells to
-    end at the horizon."""
+    """Uniform grid on [0, horizon] with `steps` cells.  Its steps + 1
+    nodes must fit in one numpy array, and the cell width must be a normal
+    float: a subnormal one is too coarse for `steps` cells to end at the
+    horizon."""
 
     horizon: float
     steps: int
@@ -215,6 +220,8 @@ class GridSpec:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
         _check_count("steps", self.steps, 1)
+        if self.steps >= _MAX_NODES:
+            raise ParameterError(f"steps must be below {_MAX_NODES}, got {self.steps}")
         if self.horizon / self.steps < sys.float_info.min:
             raise ParameterError(f"horizon / steps must be a normal float, got"
                                  f" {self.horizon} / {self.steps}")
@@ -303,6 +310,14 @@ class GridFunction:
         if not np.allclose(t, path.nodes, rtol=0.0, atol=1e-9 * scale):
             raise ParameterError("CSV nodes are not a uniform grid")
         return path
+
+
+def _check_one_grid(what: str, paths: list) -> None:
+    """Refuse grid functions unless they share one grid: the same left end,
+    right end and cell count, exactly."""
+    grid = (paths[0].left, paths[0].right, paths[0].cells)
+    if any((p.left, p.right, p.cells) != grid for p in paths[1:]):
+        raise GridMismatchError(f"{what} must share one grid")
 
 
 @dataclass
@@ -488,6 +503,16 @@ def _fgn_amplitudes(n: int, hurst: float) -> tuple:
 _CHUNK = 65536
 
 
+def _path_stack(rows: int, nodes: int) -> np.ndarray:
+    """A zeroed (rows, nodes) float array, refused as a ParameterError when
+    numpy cannot describe it ("array is too big") or memory cannot hold it."""
+    try:
+        return np.zeros((rows, nodes))
+    except (ValueError, MemoryError):
+        raise ParameterError(f"a {rows} x {nodes} path stack is more than memory"
+                             " holds") from None
+
+
 def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
     """Exact fractional Brownian motion on the grid for each seed, as an
     (R, n+1) array of paths started at 0; row r draws from seeds[r] alone.
@@ -499,7 +524,7 @@ def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
         raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
     seeds = list(seeds)
     n = grid.steps
-    out = np.zeros((len(seeds), n + 1))
+    out = _path_stack(len(seeds), n + 1)
     scale = grid.dt**hurst
     a0, an, amp = _fgn_amplitudes(n, hurst)
     streams = _streams(seeds)
@@ -524,7 +549,7 @@ def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:
 
 def _wiener_stack(grid: GridSpec, seeds: list) -> np.ndarray:
     """Standard Wiener paths on the grid, one (n+1)-row per seed."""
-    out = np.zeros((len(seeds), grid.steps + 1))
+    out = _path_stack(len(seeds), grid.steps + 1)
     for row, rng in zip(out, _streams(seeds)):
         rng.standard_normal(out=row[1:])
     out[:, 1:] *= math.sqrt(grid.dt)

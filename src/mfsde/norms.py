@@ -31,7 +31,7 @@ from ._kernels import (
 )
 from .errors import GridMismatchError, ParameterError
 from .fractional import _check_order
-from .noise import GridFunction
+from .noise import GridFunction, _check_one_grid
 
 __all__ = [
     "norm_inf",
@@ -73,15 +73,12 @@ def _stack(paths, alpha: float) -> tuple[GridFunction, np.ndarray]:
     paths = list(paths)
     if not paths:
         raise ParameterError("need at least one path")
-    first = paths[0]
-    grid = (first.left, first.right, first.cells)
-    if any((g.left, g.right, g.cells) != grid for g in paths[1:]):
-        raise GridMismatchError("paths must share one grid")
+    _check_one_grid("paths", paths)
     vals = np.stack([g.values for g in paths])
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=-1))
     if bad.size:
         raise ParameterError(f"path {bad[0]} holds non-finite values")
-    return first, vals
+    return paths[0], vals
 
 
 def norm_inf_stack(paths, t: float, alpha: float) -> np.ndarray:

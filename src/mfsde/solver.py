@@ -24,7 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, GridMismatchError, ParameterError
-from .noise import CSV_FLOAT_FMT, GridFunction, GridSpec, JumpTrain, Seed, _check_count
+from .fractional import _check_order
+from .noise import (CSV_FLOAT_FMT, GridFunction, GridSpec, JumpTrain, Seed, _check_count,
+                    _check_one_grid)
 
 __all__ = [
     "BLOWUP_LIMIT",
@@ -511,8 +513,7 @@ def solve_with_jumps(coeffs: CoefficientSet, x0: float, W: GridFunction,
     """
     if W.left != 0.0 or BH.left != 0.0:
         raise GridMismatchError(f"drivers must start at 0, got {W.left} and {BH.left}")
-    if (W.right, W.cells) != (BH.right, BH.cells):
-        raise GridMismatchError("drivers must share one grid")
+    _check_one_grid("drivers", [W, BH])
     result = solve_with_jumps_stack(coeffs, x0, GridSpec(float(W.right), W.cells),
                                     lambda rows: (W.values[None], BH.values[None], [jumps]),
                                     1)[0]
@@ -549,8 +550,7 @@ def pathwise_bound_rhs(Lambda: float, Jb: float, alpha: float, K: float) -> floa
         raise ParameterError("Jb must be nonnegative")
     if K <= 0.0:
         raise ParameterError("K must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    _check_order(alpha)
     expo = K * Lambda ** (1.0 / (1.0 - alpha))
     if expo > 700.0:
         return float("inf")

@@ -121,8 +121,7 @@ def test_c03_fractional_derivative_power_oracles(capsys):
 
 def test_c04_kernel_estimates(capsys):
     start = time.monotonic()
-    rep = verify_kernel_estimates(0.25, (1.0, 10.0, 100.0, 1000.0),
-                                  grid_size=20)
+    rep = verify_kernel_estimates(0.25, (1.0, 10.0, 100.0, 1000.0))
     elapsed = time.monotonic() - start
     ratios = [r for _, r, _ in rep.weighted_rows] + [rep.beta_ratio]
     ok = rep.passed and max(ratios) <= 1.0 + 1e-3 and elapsed < 60.0

@@ -372,11 +372,6 @@ def test_kernel_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="positive and finite"):
             verify_kernel_estimates(0.25, [bad])
-    with pytest.raises(ParameterError):
-        verify_kernel_estimates(0.25, [1.0], grid_size=1)
-    for bad in BAD_COUNTS:
-        with pytest.raises(ParameterError, match="grid_size must be an integer"):
-            verify_kernel_estimates(0.25, [1.0], grid_size=bad)
     # an empty list would pass the suite vacuously
     with pytest.raises(ParameterError, match="at least one lambda"):
         verify_kernel_estimates(0.25, [])

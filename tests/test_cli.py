@@ -461,7 +461,9 @@ def _number(bounds):
 def _configs(draw):
     """(command, {section: {key: value}}) on a tiny shape: at most 16 steps
     and the command's own replica floor, with up to three numbers at an
-    extreme (more would almost always be refused at parse time)."""
+    extreme (more would almost always be refused at parse time).  A grid
+    numpy cannot hold is drawn too: 2**62 steps, or a convergence refined
+    past 2**62 steps, is refused before anything is allocated."""
     name = draw(st.sampled_from(sorted(_COMMANDS)))
     model = draw(st.sampled_from(sorted(MODELS)))
     law = draw(st.sampled_from(sorted(MARK_LAWS)))
@@ -472,7 +474,7 @@ def _configs(draw):
              for f in dataclasses.fields(MARK_LAWS[law])]
     keys += [("mc", "p_list", ()), ("seed", "root", ())]
     config = {"model": {"name": model}, "noise": {"marks": law},
-              "grid": {"steps": str(draw(st.sampled_from([0, 1, 4, 16])))},
+              "grid": {"steps": str(draw(st.sampled_from([0, 1, 4, 16, 2**62])))},
               "mc": {"replicas": str(cli.SUITES.get(name, (1,))[0] or 1)}}
     for section, key, bounds in draw(st.lists(st.sampled_from(keys), max_size=3,
                                               unique=True)):
@@ -486,6 +488,8 @@ def _configs(draw):
     command = list(_COMMANDS[name])
     if name == "selfsim" and draw(st.booleans()):
         command.append(f"--kappa-scale={draw(_number(_edges(1.0)))}")
+    if name == "convergence":
+        command.append(f"--refinements={draw(st.sampled_from([3, 70, 1100]))}")
     return command, config
 
 
@@ -508,6 +512,14 @@ def _ini(config):
                {"grid": {"steps": "4"}, "mc": {"replicas": "10"}}))
 @example(case=(["verify", "lemma"], {"grid": {"steps": "16", "horizon": "1e-320"},
                                      "mc": {"replicas": "4"}}))
+@example(case=(["simulate"], {"grid": {"steps": str(2**62)}}))
+@example(case=(["simulate"], {"grid": {"steps": str(2**59)}}))
+@example(case=(["simulate"], {"grid": {"steps": str(10**400)}}))
+@example(case=(["convergence", "--refinements=55"], {"grid": {"steps": "16"}}))
+@example(case=(["convergence", "--refinements=70"], {"grid": {"steps": "16"}}))
+@example(case=(["convergence", "--refinements=1100"], {"grid": {"steps": "16"}}))
+@example(case=(["convergence", "--refinements=51"], {"grid": {"steps": "16"},
+                                                      "mc": {"replicas": "1000"}}))
 def test_every_config_exits_0_1_or_2_and_an_error_writes_nothing(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -38,6 +38,11 @@ def test_grid_spec_basics():
     # 1e-320 / 16 rounds to 6.225e-322, and 16 such cells end short of 1e-320
     with pytest.raises(ParameterError, match="horizon / steps must be a normal float"):
         GridSpec(1e-320, 16)
+    # steps + 1 float nodes must fit in one numpy array
+    assert GridSpec(1.0, noise._MAX_NODES - 1).steps == noise._MAX_NODES - 1
+    for steps in (noise._MAX_NODES, 10**400):
+        with pytest.raises(ParameterError, match="steps must be below"):
+            GridSpec(1.0, steps)
     tiny = GridSpec(16 * sys.float_info.min, 16)
     assert tiny.dt == sys.float_info.min and tiny.times[-1] == tiny.horizon
     with pytest.raises(ParameterError):
@@ -204,9 +209,9 @@ def test_fbm_cov_at_one_and_two():
     # Cov(B_1, B_2) = (1 + 2^(2H) - 1)/2 = sqrt(2) at H = 0.75
     g = GridSpec(2.0, 2)
     m = 100_000
-    vals = np.empty((m, 2))
-    for r in range(m):
-        vals[r] = gen_fbm(g, 0.75, Seed(2).child(3 + r).child(1)).values[1:]
+    # one stack, each row drawn as gen_fbm draws it alone
+    vals = noise.gen_fbm_stack(g, 0.75, [Seed(2).child(3 + r).child(1)
+                                         for r in range(m)])[:, 1:]
     c11, c22 = 1.0, 2.0 ** 1.5
     c12 = 0.5 * (1.0 + c22 - 1.0)
     emp = float(np.mean(vals[:, 0] * vals[:, 1]))
@@ -217,10 +222,8 @@ def test_fbm_cov_at_one_and_two():
 def test_fbm_half_matches_wiener_in_law():
     g = GridSpec(1.0, 16)
     m = 10_000
-    a = np.array([gen_fbm(g, 0.5, Seed(1).child(3 + r).child(1)).terminal
-                  for r in range(m)])
-    b = np.array([gen_wiener(g, Seed(2).child(3 + r).child(0)).terminal
-                  for r in range(m)])
+    a = noise.gen_fbm_stack(g, 0.5, [Seed(1).child(3 + r).child(1) for r in range(m)])[:, -1]
+    b = noise._wiener_stack(g, [Seed(2).child(3 + r).child(0) for r in range(m)])[:, -1]
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
@@ -269,11 +272,10 @@ def test_long_fbm_near_hurst_one_stays_on_the_circulant_path():
 def test_wiener_law():
     g = GridSpec(2.0, 4)
     m = 100_000
-    vals = np.empty((m, 2))
-    for r in range(m):
-        w = gen_wiener(g, Seed(4).child(3 + r).child(0))
-        assert w.values[0] == 0.0
-        vals[r] = w.values[1], w.values[-1]  # W_0.5 and W_2
+    # one stack, each row drawn as gen_wiener draws it alone
+    w = noise._wiener_stack(g, [Seed(4).child(3 + r).child(0) for r in range(m)])
+    assert (w[:, 0] == 0.0).all()
+    vals = w[:, [1, -1]]  # W_0.5 and W_2
     var = float(np.mean(vals[:, 1] ** 2))
     assert abs(var - 2.0) < 4.0 * 2.0 * np.sqrt(2.0 / m)
     cov = float(np.mean(vals[:, 0] * vals[:, 1]))

@@ -9,11 +9,13 @@ those copies as they stood, so each owner is checked against code it
 shares nothing with: whole output directories byte for byte, solver
 states bit for bit (the sign of a zero included), assumption reports line
 for line, and kernel sums, derivative values and pathwise integrals bit
-for bit.
+for bit.  The same-grid rule, once written under two tolerances, is
+checked at every caller.
 """
 
 import dataclasses
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -46,18 +48,25 @@ from mfsde.analysis import (
 )
 from mfsde.cli import ConvergenceReport, run_convergence
 from mfsde.config import parse_config
-from mfsde.errors import BlowUpError
-from mfsde.fractional import gls_integral, rl_left_derivative, rl_right_derivative
+from mfsde.errors import BlowUpError, GridMismatchError
+from mfsde.fractional import (
+    forward_sum_integral,
+    gls_integral,
+    rl_left_derivative,
+    rl_right_derivative,
+)
 from mfsde.models import MODELS, build_model
 from mfsde.noise import (
     GridFunction,
     GridSpec,
+    JumpTrain,
     Seed,
     UniformMarks,
     gen_driving_stack,
     gen_driving_triple,
     gen_fbm,
 )
+from mfsde.norms import norm_0_interval_stack, norm_inf_stack
 from mfsde.solver import check_assumptions, euler_paths, solve_with_jumps
 
 FMT = "%.17g"
@@ -173,7 +182,7 @@ def _ref_run_moments(cfg):
     table = estimate_moments(ens, cfg.p_list, cfg.thresholds)
     tail = None
     if ens.size >= TAIL_MIN_REPLICAS:
-        tail = tail_diagnostic(ens, max(cfg.p_list), cfg.thresholds)
+        tail = tail_diagnostic(ens, max(cfg.p_list))
     return table, tail
 
 
@@ -551,3 +560,32 @@ def test_pathwise_integral_equals_its_one_row_body_bit_for_bit(seed):
         new = gls_integral(f, g, 0.45, refine=16)
         assert np.float64(new).tobytes() == np.float64(
             _ref_gls_integral(f, g, 0.45, 16)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one same-grid rule
+
+
+def _solve_pair(W, BH):
+    return solve_with_jumps(build_model("zero"), 1.0, W, BH,
+                            JumpTrain(np.empty(0), np.empty(0), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda f, g: gls_integral(f, g, 0.3),
+    forward_sum_integral,
+    lambda f, g: norm_inf_stack([f, g], 1.0, 0.3),
+    lambda f, g: norm_0_interval_stack([f, g], 0.0, 1.0, 0.3),
+    _solve_pair,
+], ids=["gls_integral", "forward_sum_integral", "norm_inf_stack",
+        "norm_0_interval_stack", "solve_with_jumps"])
+def test_every_pairing_needs_one_grid(pair):
+    xs = np.linspace(0.0, 1.0, 17)
+    f = GridFunction(0.0, 1.0, np.sin(xs))
+    g = GridFunction(0.0, 1.0, np.cos(xs))
+    pair(f, g)
+    # an interval one ulp longer, or another cell count, is another grid
+    for other in (GridFunction(0.0, math.nextafter(1.0, 2.0), g.values),
+                  GridFunction(0.0, 1.0, np.cos(np.linspace(0.0, 1.0, 33)))):
+        with pytest.raises(GridMismatchError, match="share one grid"):
+            pair(f, other)
