@@ -11,11 +11,13 @@ uniform-grid path type (defined in `noise`, re-exported here).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._kernels import increment_kernel_sums, weighted_linear_integral
 from .errors import ParameterError
-from .noise import GridFunction, _check_one_grid
+from .noise import _MAX_NODES, GridFunction, _check_one_grid
 
 
 def _check_order(alpha: float) -> None:
@@ -84,6 +86,36 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(g.left, g.right, rev_vals[::-1].copy())
 
 
+def _refined(fn: GridFunction, refine: int) -> GridFunction:
+    """fn's piecewise-linear interpolant sampled on a grid `refine` times
+    finer."""
+    if refine == 1:
+        return fn
+    xf = np.linspace(fn.left, fn.right, fn.cells * refine + 1)
+    return GridFunction(fn.left, fn.right, np.interp(xf, fn.nodes, fn.values))
+
+
+@functools.lru_cache(maxsize=8)
+def _integrand_side(left: float, right: float, values: bytes, alpha: float,
+                    refine: int) -> tuple:
+    """The half of gls_integral that depends on the integrand alone: its
+    left derivative and the weight x^alpha at the refined grid's interior
+    nodes.
+
+    Keyed on the integrand's exact bytes, so a changed array is a new key.
+    Every rough driver paired with one integrand reuses them, so they are
+    cached, read-only; 8 keys cover the four grid levels of a
+    forward-sum comparison with room to spare.
+    """
+    f = _refined(GridFunction(left, right, np.frombuffer(values)), refine)
+    n = f.cells
+    dl = rl_left_derivative(f, alpha).values[1:n]
+    xa = (f.nodes - f.left)[1:n] ** alpha
+    for a in (dl, xa):
+        a.flags.writeable = False
+    return dl, xa
+
+
 def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
                  refine: int = 1) -> float:
     """Generalized Lebesgue-Stieltjes integral of f against dg on [a, b].
@@ -101,30 +133,37 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     refine > 1 re-evaluates the same piecewise-linear data on a finer grid
     before pairing.  The derivative kernels are exact for the data either
     way; only the outer x-integration sharpens, which matters when g is a
-    rough path whose derivative oscillates between nodes.
+    rough path whose derivative oscillates between nodes.  The fine grid's
+    node count must stay below the bound `GridSpec` puts on any grid.
+
+    The integrand side (f's refined left derivative and the x^alpha weight)
+    is cached per exact (grid, values, alpha, refine), 8 keys at most, so a
+    call with an integrand seen before computes only g's side; the result
+    is bit for bit that of computing both sides afresh.
     """
     _check_one_grid("grid functions", [f, g])
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
+    if (isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
+            or refine < 1):
         raise ParameterError("refine must be a positive integer")
+    refine = int(refine)        # a numpy integer would wrap in the node count
+    if f.cells * refine + 1 >= _MAX_NODES:
+        raise ParameterError(f"refine must keep the fine grid below {_MAX_NODES} nodes,"
+                             f" got {refine} on {f.cells} cells")
     _check_finite("f", f)
     _check_finite("g", g)
-    if refine > 1:
-        xs = f.nodes
-        xf = np.linspace(f.left, f.right, f.cells * refine + 1)
-        f = GridFunction(f.left, f.right, np.interp(xf, xs, f.values))
-        g = GridFunction(g.left, g.right, np.interp(xf, xs, g.values))
-        del xf          # held through the derivatives, it would add to their peak memory
-    n = f.cells
+    n = f.cells * refine
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")
-    dl = rl_left_derivative(f, alpha).values
+    _check_order(alpha)
+    alpha = float(alpha)
+    dl, xa = _integrand_side(f.left, f.right, f.values.tobytes(), alpha, refine)
+    g = _refined(g, refine)
     dr = rl_right_derivative(g, alpha).values
-    x = f.nodes - f.left
     psi = np.empty(n + 1)
-    psi[1:n] = dl[1:n] * dr[1:n] * x[1:n] ** alpha
+    psi[1:n] = dl * dr[1:n] * xa
     psi[0] = 2.0 * psi[1] - psi[2]
     psi[n] = 2.0 * psi[n - 1] - psi[n - 2]
-    return -weighted_linear_integral(psi, alpha, f.h)
+    return -weighted_linear_integral(psi, alpha, g.h)
 
 
 def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:

@@ -24,17 +24,23 @@ from mfsde._kernels import (
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
+    _integrand_side,
     forward_sum_integral,
     gls_integral,
     rl_left_derivative,
     rl_right_derivative,
 )
-from mfsde.noise import GridSpec, Seed, gen_fbm
+from mfsde.noise import _MAX_NODES, GridSpec, Seed, gen_fbm
 
 
 def _grid_fn(fn, n, a=0.0, b=1.0):
     xs = np.linspace(a, b, n + 1)
     return GridFunction(a, b, fn(xs))
+
+
+def _hold(x):
+    """The c02 integrand: smooth but for a cusp at 0.4."""
+    return 2.0 * x + np.abs(x - 0.4) ** 0.6
 
 
 def _halves(f):
@@ -152,13 +158,12 @@ def test_gls_additivity_over_subintervals():
 def test_gls_agrees_with_forward_sums_on_rough_path():
     # the pairing and the forward sums approximate the same integral; their
     # gap closes under refinement of a common master path
-    hold = lambda x: 2.0 * x + np.abs(x - 0.4) ** 0.6
     master = gen_fbm(GridSpec(1.0, 2048), 0.8, Seed(101).child(1))
     diffs = []
     for steps in (256, 512, 1024, 2048):
         stride = 2048 // steps
         xs = np.linspace(0.0, 1.0, steps + 1)
-        f = GridFunction(0.0, 1.0, hold(xs))
+        f = GridFunction(0.0, 1.0, _hold(xs))
         g = GridFunction(0.0, 1.0, master.values[::stride])
         diffs.append(abs(gls_integral(f, g, 0.45, refine=16)
                          - forward_sum_integral(f, g)))
@@ -175,9 +180,16 @@ def test_gls_parameter_errors():
         gls_integral(short, short, 0.3)
     with pytest.raises(ParameterError):
         gls_integral(f, f, 0.3, refine=0)
-    for refine in (2.0, 2.5):
+    for refine in (2.0, 2.5, True):
         with pytest.raises(ParameterError, match="refine must be a positive integer"):
             gls_integral(f, f, 0.3, refine=refine)
+    # a fine grid of _MAX_NODES nodes or more is refused before f is keyed;
+    # the first refine is the smallest such
+    for refine in (-(-(_MAX_NODES - 1) // f.cells), 2**62, np.int64(2**62), 10**400):
+        misses = _integrand_side.cache_info().misses
+        with pytest.raises(ParameterError, match="refine must keep the fine grid below"):
+            gls_integral(f, f, 0.3, refine=refine)
+        assert _integrand_side.cache_info().misses == misses
     assert gls_integral(f, f, 0.3, refine=np.int64(2)) == gls_integral(f, f, 0.3, refine=2)
     with pytest.raises(ParameterError):
         gls_integral(f, f, 1.2)
@@ -198,6 +210,58 @@ def test_non_finite_values_are_refused():
             gls_integral(bad, good, 0.3)
         with pytest.raises(ParameterError, match="^g holds non-finite values"):
             gls_integral(good, bad, 0.3, refine=4)
+
+
+@pytest.mark.parametrize("refine", [1, 16])
+def test_cached_integrand_side_gives_the_cold_bits(refine):
+    rng = np.random.default_rng(6)
+    f = _grid_fn(_hold, 256)
+    gs = [GridFunction(0.0, 1.0, np.cumsum(rng.standard_normal(257))) for _ in range(3)]
+    cold = []
+    for g in gs:
+        _integrand_side.cache_clear()
+        cold.append(np.float64(gls_integral(f, g, 0.45, refine)).tobytes())
+    # a copy of the integrand has the same content, so the same key
+    twin = GridFunction(0.0, 1.0, f.values.copy())
+    warm = [np.float64(gls_integral(twin, g, 0.45, refine)).tobytes() for g in gs]
+    assert warm == cold
+    info = _integrand_side.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+
+
+def test_integrand_changed_in_place_is_a_new_key():
+    f = _grid_fn(np.sin, 256)
+    g = _grid_fn(np.cos, 256)
+    before = gls_integral(f, g, 0.3, refine=4)
+    f.values[100] += 0.5
+    changed = gls_integral(f, g, 0.3, refine=4)
+    _integrand_side.cache_clear()
+    assert np.float64(changed).tobytes() == np.float64(gls_integral(f, g, 0.3, refine=4)).tobytes()
+    assert changed != before
+
+
+def test_cached_integrand_side_is_read_only():
+    f = _grid_fn(np.sin, 64)
+    gls_integral(f, f, 0.3, refine=2)
+    arrays = _integrand_side(f.left, f.right, f.values.tobytes(), 0.3, 2)
+    assert [a.size for a in arrays] == [64 * 2 - 1] * 2
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_c02_loop_computes_each_integrand_side_once():
+    # the c02 shape: one integrand per grid level, a fresh fBm per seed
+    levels = (256, 512, 1024, 2048)
+    integrands = [_grid_fn(_hold, steps) for steps in levels]
+    _integrand_side.cache_clear()
+    for s in range(40):
+        master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
+        for f in integrands:
+            g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
+            gls_integral(f, g, 0.45, refine=16)
+    info = _integrand_side.cache_info()
+    assert (info.misses, info.hits) == (4, 156)
 
 
 def test_forward_sum_examples():
@@ -357,3 +421,38 @@ def test_kernel_sums_in_concurrent_threads_match_serial_bits():
         assert len(results[k]) == 10
         for got in results[k]:
             np.testing.assert_array_equal(got, expected)
+
+
+def test_gls_integral_in_concurrent_threads_matches_serial_bits():
+    rng = np.random.default_rng(7)
+    cases = [(_grid_fn(_hold, n), GridFunction(0.0, 1.0, np.cumsum(rng.standard_normal(n + 1))),
+              alpha, refine)
+             for n, alpha, refine in ((256, 0.45, 16), (512, 0.3, 1), (1024, 0.55, 4), (300, 0.7, 8))]
+    serial = [np.float64(gls_integral(*case)).tobytes() for case in cases]
+    _integrand_side.cache_clear()
+    # two threads per case race on its first lookup
+    results = {}
+    errors = []
+
+    def work(k):
+        try:
+            results[k] = [np.float64(gls_integral(*cases[k % len(cases)])).tobytes()
+                          for _ in range(5)]
+        except Exception as exc:            # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(2 * len(cases))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    for k, got in results.items():
+        assert got == [serial[k % len(cases)]] * 5
+    assert len(results) == 2 * len(cases)
