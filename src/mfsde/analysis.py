@@ -659,18 +659,10 @@ def _interval_cells(intervals, steps: int) -> list:
     return out
 
 
-def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
-                           seed: Seed, steps: int = 256, kappa_scale: float = 1.0,
-                           thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SelfSimReport:
-    """Sample the scaled interval statistic against its unit-interval law.
-
-    The reference sample is drawn on a unit-interval grid with the same
-    number of cells as the interval under test, so the two discrete
-    statistics share their exact law and the KS comparison carries no
-    discretization bias.  Intervals lie in [0, 1], with endpoints on the
-    grid of `steps` cells.  A kappa_scale whose interval scale overflows a
-    float is a ParameterError.
-    """
+def _selfsim_setup(hurst: float, alpha: float, interval_list, replicas: int,
+                   steps: int, kappa_scale: float) -> tuple:
+    """verify_self_similarity's rules, applied before anything is drawn:
+    (grid, [(a, b, cells)], kappa, interval scales), or ParameterError."""
     FracParams(hurst, alpha)    # refuses a hurst or alpha out of range
     grid_full = GridSpec(1.0, steps)
     intervals = _interval_cells(list(interval_list), steps)
@@ -684,6 +676,23 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     except OverflowError:
         raise ParameterError(f"kappa_scale = {kappa_scale} is too large: an interval"
                              " scale (b - a)^-kappa overflows a float") from None
+    return grid_full, intervals, kappa, scales
+
+
+def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
+                           seed: Seed, steps: int = 256, kappa_scale: float = 1.0,
+                           thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SelfSimReport:
+    """Sample the scaled interval statistic against its unit-interval law.
+
+    The reference sample is drawn on a unit-interval grid with the same
+    number of cells as the interval under test, so the two discrete
+    statistics share their exact law and the KS comparison carries no
+    discretization bias.  Intervals lie in [0, 1], with endpoints on the
+    grid of `steps` cells.  A kappa_scale whose interval scale overflows a
+    float is a ParameterError.
+    """
+    grid_full, intervals, kappa, scales = _selfsim_setup(
+        hurst, alpha, interval_list, replicas, steps, kappa_scale)
     expo = 1.0 / (1.0 - alpha)
     from scipy.stats import ks_2samp
 
@@ -751,16 +760,10 @@ class JumpMomentReport:
                          self.empirical, self.std_error, self.exact, self.z_score)]
 
 
-def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
-                               horizon: float, replicas: int, seed: Seed,
-                               thresholds: Thresholds = DEFAULT_THRESHOLDS) -> JumpMomentReport:
-    """Compare the empirical jump-gain product moment with its closed form.
-
-    `gain` must accept an ndarray of marks; the exponent applied is 4p.
-    An empty train contributes the empty product 1, which is also the
-    closed form at rate 0.  The closed form is computed before any train
-    is drawn, and one that overflows a float is a ParameterError.
-    """
+def _jump_closed_form(rate: float, marks: MarkLaw, gain, p: float, horizon: float,
+                      replicas: int) -> tuple:
+    """verify_jump_product_moment's rules, applied before anything is drawn:
+    (the gain exponent 4p, the closed form), or ParameterError."""
     _check_jump_mean(rate, horizon)
     if not math.isfinite(p):
         raise ParameterError(f"p must be finite, got {p}")
@@ -772,6 +775,20 @@ def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
     except OverflowError:
         raise ParameterError(f"p = {p} is too large: the gain moment E[g(Y)^{power:g}]"
                              f" or its closed form overflows a float") from None
+    return power, exact
+
+
+def verify_jump_product_moment(rate: float, marks: MarkLaw, gain, p: float,
+                               horizon: float, replicas: int, seed: Seed,
+                               thresholds: Thresholds = DEFAULT_THRESHOLDS) -> JumpMomentReport:
+    """Compare the empirical jump-gain product moment with its closed form.
+
+    `gain` must accept an ndarray of marks; the exponent applied is 4p.
+    An empty train contributes the empty product 1, which is also the
+    closed form at rate 0.  The closed form is computed before any train
+    is drawn, and one that overflows a float is a ParameterError.
+    """
+    power, exact = _jump_closed_form(rate, marks, gain, p, horizon, replicas)
     prods = np.empty(replicas)
     for r, child in enumerate(_replica_seeds(seed, range(replicas))):
         train = gen_jump_train(rate, marks, horizon, child)

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    JUMPS_MIN_REPLICAS,
     LEMMA_MIN_REPLICAS,
     MOMENTS_MIN_REPLICAS,
-    SELFSIM_MIN_REPLICAS,
     TAIL_MIN_REPLICAS,
+    _jump_closed_form,
+    _selfsim_setup,
     estimate_moments,
     simulate_ensemble,
     tail_diagnostic,
@@ -113,6 +113,11 @@ def _outcome(report) -> tuple:
     return report.lines(), report.passed, {"data": report}
 
 
+def _jump_gain(cfg: RunConfig):
+    coeffs = cfg.build_coeffs()
+    return lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
+
+
 def _run_kernel(cfg: RunConfig, kappa_scale: float) -> tuple:
     return _outcome(verify_kernel_estimates(cfg.frac.alpha, KERNEL_LAMBDAS,
                                             thresholds=cfg.thresholds))
@@ -147,23 +152,30 @@ def _run_moments(cfg: RunConfig, kappa_scale: float) -> tuple:
 
 
 def _run_jumps(cfg: RunConfig, kappa_scale: float) -> tuple:
-    coeffs = cfg.build_coeffs()
-    gain = lambda y: 1.0 + np.asarray(coeffs.jump_gain(y), dtype=float)
-    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, gain, cfg.jump_power,
-                                               cfg.grid.horizon, cfg.replicas, cfg.seed(),
+    return _outcome(verify_jump_product_moment(cfg.rate, cfg.marks, _jump_gain(cfg),
+                                               cfg.jump_power, cfg.grid.horizon,
+                                               cfg.replicas, cfg.seed(),
                                                thresholds=cfg.thresholds))
 
 
-# suite: (fewest replicas it needs, runner), in the order `verify all` runs
-# them; the kernel suite draws none.  A runner takes (cfg, kappa_scale) and
-# returns the suite's summary lines, its verdict and its data tables,
-# {file suffix: report with CSV_HEADER and csv_rows()}.
+# suite: (check, run), in the order `verify all` runs them; both take
+# (cfg, kappa_scale).  A check draws nothing and raises ParameterError
+# through the rules its suite applies in `analysis`; the kernel suite has
+# none a parsed config can break.  A run returns the suite's summary lines,
+# its verdict and its data tables, {file suffix: report with CSV_HEADER and
+# csv_rows()}.
 SUITES = {
-    "kernel": (0, _run_kernel),
-    "lemma": (LEMMA_MIN_REPLICAS, _run_lemma),
-    "selfsim": (SELFSIM_MIN_REPLICAS, _run_selfsim),
-    "moments": (MOMENTS_MIN_REPLICAS, _run_moments),
-    "jumps": (JUMPS_MIN_REPLICAS, _run_jumps),
+    "kernel": (lambda cfg, kappa_scale: None, _run_kernel),
+    "lemma": (lambda cfg, kappa_scale: _check_count("replicas", cfg.replicas,
+                                                    LEMMA_MIN_REPLICAS), _run_lemma),
+    "selfsim": (lambda cfg, kappa_scale: _selfsim_setup(
+        cfg.frac.hurst, cfg.frac.alpha, SELFSIM_INTERVALS, cfg.replicas, cfg.grid.steps,
+        kappa_scale), _run_selfsim),
+    "moments": (lambda cfg, kappa_scale: _check_count("replicas", cfg.replicas,
+                                                      MOMENTS_MIN_REPLICAS), _run_moments),
+    "jumps": (lambda cfg, kappa_scale: _jump_closed_form(
+        cfg.rate, cfg.marks, _jump_gain(cfg), cfg.jump_power, cfg.grid.horizon,
+        cfg.replicas), _run_jumps),
 }
 
 
@@ -178,10 +190,12 @@ def _suite_artifacts(name: str, lines: list, tables: dict) -> dict:
 
 def cmd_verify(cfg: RunConfig, suite: str, kappa_scale: float, out: Path) -> int:
     selected = list(SUITES) if suite == "all" else [suite]
+    # every selected suite is checked before any of them draws
     for name in selected:
-        floor = SUITES[name][0]
-        if cfg.replicas < floor:
-            raise ParameterError(f"suite {name} needs >= {floor} replicas, got {cfg.replicas}")
+        try:
+            SUITES[name][0](cfg, kappa_scale)
+        except ParameterError as err:
+            raise ParameterError(f"suite {name}: {err}") from None
     artifacts: dict = {}
     all_passed = True
     for name in selected:

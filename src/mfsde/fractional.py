@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import increment_kernel_sums, weighted_linear_integral
 from .errors import ParameterError
-from .noise import _MAX_NODES, GridFunction, _check_one_grid
+from .noise import _MAX_NODES, GridFunction, _allocate, _check_one_grid
 
 
 def _check_order(alpha: float) -> None:
@@ -88,11 +88,14 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
 
 def _refined(fn: GridFunction, refine: int) -> GridFunction:
     """fn's piecewise-linear interpolant sampled on a grid `refine` times
-    finer."""
+    finer; a fine grid numpy cannot hold is a ParameterError."""
     if refine == 1:
         return fn
-    xf = np.linspace(fn.left, fn.right, fn.cells * refine + 1)
-    return GridFunction(fn.left, fn.right, np.interp(xf, fn.nodes, fn.values))
+    nodes = fn.cells * refine + 1
+    values = _allocate(lambda: np.interp(np.linspace(fn.left, fn.right, nodes),
+                                         fn.nodes, fn.values),
+                       f"a fine grid of {nodes} nodes")
+    return GridFunction(fn.left, fn.right, values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,6 +138,9 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     way; only the outer x-integration sharpens, which matters when g is a
     rough path whose derivative oscillates between nodes.  The fine grid's
     node count must stay below the bound `GridSpec` puts on any grid.
+    The value approximated is the Riemann-Stieltjes integral of the
+    piecewise-linear data, which is exactly the trapezoid sum
+    sum_k (f_k + f_(k+1))/2 (g_(k+1) - g_k) (Zaehle 1998).
 
     The integrand side (f's refined left derivative and the x^alpha weight)
     is cached per exact (grid, values, alpha, refine), 8 keys at most, so a

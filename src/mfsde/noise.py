@@ -503,14 +503,19 @@ def _fgn_amplitudes(n: int, hurst: float) -> tuple:
 _CHUNK = 65536
 
 
-def _path_stack(rows: int, nodes: int) -> np.ndarray:
-    """A zeroed (rows, nodes) float array, refused as a ParameterError when
-    numpy cannot describe it ("array is too big") or memory cannot hold it."""
+def _allocate(make, what: str):
+    """make(), with numpy's refusal of an array it cannot describe ("array
+    is too big") or memory cannot hold raised as a ParameterError about
+    `what`."""
     try:
-        return np.zeros((rows, nodes))
+        return make()
     except (ValueError, MemoryError):
-        raise ParameterError(f"a {rows} x {nodes} path stack is more than memory"
-                             " holds") from None
+        raise ParameterError(f"{what} is more than memory holds") from None
+
+
+def _path_stack(rows: int, nodes: int) -> np.ndarray:
+    """A zeroed (rows, nodes) float array, through `_allocate`."""
+    return _allocate(lambda: np.zeros((rows, nodes)), f"a {rows} x {nodes} path stack")
 
 
 def gen_fbm_stack(grid: GridSpec, hurst: float, seeds) -> np.ndarray:

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from mfsde import cli
+from mfsde import cli, noise
+from mfsde.analysis import (
+    JUMPS_MIN_REPLICAS,
+    LEMMA_MIN_REPLICAS,
+    MOMENTS_MIN_REPLICAS,
+    SELFSIM_MIN_REPLICAS,
+)
 from mfsde.config import parse_config, serialize_config
 from mfsde.models import MODELS
 from mfsde.noise import MARK_LAWS, MAX_JUMP_MEAN
@@ -32,6 +38,11 @@ steps = 32
 [seed]
 root = 3
 """
+
+
+# the replica floor of each suite that draws, as `analysis` owns it
+_FLOORS = {"lemma": LEMMA_MIN_REPLICAS, "selfsim": SELFSIM_MIN_REPLICAS,
+           "moments": MOMENTS_MIN_REPLICAS, "jumps": JUMPS_MIN_REPLICAS}
 
 
 def _write(tmp_path, name, text):
@@ -307,16 +318,47 @@ def test_suite_floors_are_checked_before_any_artifact(tmp_path, capsys):
                  "[model]\nname = zero\n[grid]\nsteps = 16\n[mc]\nreplicas = 30\n")
     out = tmp_path / "out"
     assert cli.main(["verify", "all", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: suite moments needs >= 100 replicas, got 30\n"
+    assert capsys.readouterr().err == ("error: suite moments: replicas must be an integer"
+                                       " >= 100, got 30\n")
     assert list(out.iterdir()) == []
-    for suite, (floor, _) in cli.SUITES.items():
-        if floor == 0:
-            continue
+    for suite, floor in _FLOORS.items():
         few = _write(tmp_path, f"{suite}.ini", f"[mc]\nreplicas = {floor - 1}\n")
         assert cli.main(["verify", suite, "--config", few,
                          "--out", str(tmp_path / suite)]) == 2
-        assert f"needs >= {floor} replicas" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: suite {suite}: replicas must be an"
+                                           f" integer >= {floor}, got {floor - 1}\n")
         assert list((tmp_path / suite).iterdir()) == []
+
+
+# the `cli_pipeline` benchmark's verify shape, whose gain moment overflows
+# at jump_power 300, and a grid the self-similarity intervals miss
+_REFUSED_LATE = {
+    "jumps": ("[model]\nname = trigonometric\n[noise]\nhurst = 0.75\nrate = 2.0\n"
+              "marks = uniform\nmark_low = -0.5\nmark_high = 0.5\n[grid]\nsteps = 128\n"
+              "[mc]\nreplicas = 120\njump_power = 300\n",
+              "p = 300.0 is too large"),
+    "selfsim": ("[grid]\nsteps = 6\n[mc]\nreplicas = 120\n",
+                "must align with the grid"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_REFUSED_LATE))
+def test_verify_all_checks_every_suite_before_any_draws(tmp_path, capsys, monkeypatch,
+                                                        suite):
+    # a config that only a later suite refuses exits 2 before the earlier
+    # suites draw or print anything
+    streams = []
+    real = noise._streams
+    monkeypatch.setattr(noise, "_streams", lambda seeds: streams.append(1) or real(seeds))
+    text, reason = _REFUSED_LATE[suite]
+    out = tmp_path / "out"
+    assert cli.main(["verify", "all", "--config", _write(tmp_path, "run.ini", text),
+                     "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: suite {suite}: ") and reason in printed.err
+    assert list(out.iterdir()) == []
+    assert streams == []
 
 
 def test_misaligned_selfsim_grid_exits_2_before_writing(tmp_path, capsys):
@@ -475,7 +517,7 @@ def _configs(draw):
     keys += [("mc", "p_list", ()), ("seed", "root", ())]
     config = {"model": {"name": model}, "noise": {"marks": law},
               "grid": {"steps": str(draw(st.sampled_from([0, 1, 4, 16, 2**62])))},
-              "mc": {"replicas": str(cli.SUITES.get(name, (1,))[0] or 1)}}
+              "mc": {"replicas": str(_FLOORS.get(name, 1))}}
     for section, key, bounds in draw(st.lists(st.sampled_from(keys), max_size=3,
                                               unique=True)):
         if key == "root":

@@ -4,6 +4,7 @@ Closed forms and adaptive-quadrature oracles are computed independently in
 each test; the implementation under test never feeds its own oracle.
 """
 
+import math
 import sys
 import threading
 
@@ -170,6 +171,50 @@ def test_gls_agrees_with_forward_sums_on_rough_path():
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
+def _trapezoid_error(f, g, alpha, refine):
+    """|gls_integral - trapezoid sum| over sum |(f_k + f_(k+1))/2 (g_(k+1) - g_k)|.
+
+    Grid data are piecewise linear, so g is Lipschitz and the integral
+    equals the Riemann-Stieltjes one (Zaehle 1998), which is exactly the
+    trapezoid sum; both sums are taken with math.fsum.
+    """
+    terms = [(f.values[k] + f.values[k + 1]) / 2.0 * (g.values[k + 1] - g.values[k])
+             for k in range(f.cells)]
+    exact = math.fsum(terms)
+    return abs(gls_integral(f, g, alpha, refine=refine) - exact) / math.fsum(map(abs, terms))
+
+
+# twice the largest error of today's code over the drivers and orders
+# below, rounded up to one digit: 1.07e-2, 8.5e-4, 1.6e-4 and 3.1e-5
+_TRAPEZOID_BOUNDS = {1: 3e-2, 4: 2e-3, 16: 4e-4, 64: 7e-5}
+
+
+def _oracle_drivers():
+    """fBm, a smooth path, and an fBm moved to start at 1, on 256 cells."""
+    grid = GridSpec(1.0, 256)
+    return {"fbm": gen_fbm(grid, 0.75, Seed(1234)),
+            "smooth": GridFunction(0.0, 1.0, np.sin(3.0 * grid.times) + grid.times ** 2),
+            "from 1": GridFunction(0.0, 1.0, 1.0 + gen_fbm(grid, 0.75, Seed(1235)).values)}
+
+
+@pytest.mark.parametrize("driver", ["fbm", "smooth", "from 1"])
+@pytest.mark.parametrize("alpha", [0.2, 0.45, 0.7])
+def test_gls_converges_to_the_trapezoid_sum(driver, alpha):
+    g = _oracle_drivers()[driver]
+    f = _grid_fn(_hold, g.cells)
+    errors = [_trapezoid_error(f, g, alpha, refine) for refine in _TRAPEZOID_BOUNDS]
+    assert all(b < a for a, b in zip(errors, errors[1:])), errors
+    assert all(e <= bound for e, bound in zip(errors, _TRAPEZOID_BOUNDS.values())), errors
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.45, 0.7])
+def test_gls_of_a_constant_is_the_increment_at_refine_16(alpha):
+    # the trapezoid sum of a constant 1 is g(b) - g(a), whatever g(a) is
+    for g in _oracle_drivers().values():
+        one = GridFunction(0.0, 1.0, np.ones(g.cells + 1))
+        assert _trapezoid_error(one, g, alpha, 16) <= _TRAPEZOID_BOUNDS[16]
+
+
 def test_gls_parameter_errors():
     f = _grid_fn(np.sin, 64)
     g = _grid_fn(np.cos, 128)
@@ -190,6 +235,10 @@ def test_gls_parameter_errors():
         with pytest.raises(ParameterError, match="refine must keep the fine grid below"):
             gls_integral(f, f, 0.3, refine=refine)
         assert _integrand_side.cache_info().misses == misses
+    # a fine grid below that bound whose array numpy cannot describe is
+    # refused before anything is allocated
+    with pytest.raises(ParameterError, match="fine grid of .* is more than memory holds"):
+        gls_integral(f, f, 0.3, refine=2**54 - 1)
     assert gls_integral(f, f, 0.3, refine=np.int64(2)) == gls_integral(f, f, 0.3, refine=2)
     with pytest.raises(ParameterError):
         gls_integral(f, f, 1.2)
