@@ -3,13 +3,14 @@
 The suite dispatch, the report CSV rows, the config echo of the
 thresholds, the padded model coefficients and the two Riemann-Liouville
 derivative bodies were each spelled out in several places, the commands
-wrote each artifact as soon as it was made, and the kernel sums made one
-numpy FFT call per transform.  The references below are
+wrote each artifact as soon as it was made, the kernel sums made one
+numpy FFT call per transform, and the pathwise integral's outer rule built
+its weights on every call.  The references below are
 those copies as they stood, so each owner is checked against code it
 shares nothing with: whole output directories byte for byte, solver
 states bit for bit (the sign of a zero included), assumption reports line
-for line, and kernel sums, derivative values and pathwise integrals bit
-for bit.  The same-grid rule, once written under two tolerances, is
+for line, and kernel sums, derivative values, outer-rule integrals and
+pathwise integrals bit for bit.  The same-grid rule, once written under two tolerances, is
 checked at every caller.
 """
 
@@ -511,8 +512,45 @@ def _ref_increment_kernel_sums(values, alpha, h):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the outer rule of the pathwise integral, building its weights on every call,
+# as it stood
+
+
+def _ref_weighted_linear_integral(psi, alpha, h):
+    psi = np.asarray(psi, dtype=float)
+    m = len(psi) - 1
+    j = np.arange(m + 1, dtype=float)
+    y_lo = j[:-1] * h
+    p1 = (j * h) ** (1.0 - alpha)
+    p2 = (j * h) ** (2.0 - alpha)
+    r1 = (p1[1:] - p1[:-1]) / (1.0 - alpha)
+    r2 = (p2[1:] - p2[:-1]) / (2.0 - alpha) - y_lo * r1
+    slope = np.diff(psi) / h
+    return float(np.dot(psi[:-1], r1) + np.dot(slope, r2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(1, 400),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       horizon=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=4096, alpha=0.45, horizon=1.0, seed=0)
+@example(m=32768, alpha=0.45, horizon=1.0, seed=1)
+def test_weighted_linear_integral_equals_its_old_body_bit_for_bit(m, alpha, horizon, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(m + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+    h = horizon / m
+    # twice: a second call with the same grid may reuse what the first built
+    for _ in range(2):
+        got = weighted_linear_integral(psi, alpha, h)
+        assert np.float64(got).tobytes() == np.float64(
+            _ref_weighted_linear_integral(psi, alpha, h)).tobytes()
+
+
 def _ref_gls_integral(f, g, alpha, refine):
-    """gls_integral on the derivative bodies and kernel sums above."""
+    """gls_integral on the derivative bodies, kernel sums and outer rule
+    above."""
     xf = np.linspace(f.left, f.right, f.cells * refine + 1)
     f = GridFunction(f.left, f.right, np.interp(xf, f.nodes, f.values))
     g = GridFunction(g.left, g.right, np.interp(xf, g.nodes, g.values))
@@ -524,7 +562,7 @@ def _ref_gls_integral(f, g, alpha, refine):
     psi[1:n] = dl[1:n] * dr[1:n] * x[1:n] ** alpha
     psi[0] = 2.0 * psi[1] - psi[2]
     psi[n] = 2.0 * psi[n - 1] - psi[n - 2]
-    return -weighted_linear_integral(psi, alpha, f.h)
+    return -_ref_weighted_linear_integral(psi, alpha, f.h)
 
 
 @settings(max_examples=120, deadline=None)
