@@ -12,6 +12,7 @@ uniform-grid path type (defined in `noise`, re-exported here).
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -20,9 +21,16 @@ from .errors import ParameterError
 from .noise import _MAX_NODES, GridFunction, _allocate, _check_one_grid
 
 
-def _check_order(alpha: float) -> None:
+def _check_order(alpha) -> float:
+    """alpha as a Python float, if it is a real scalar or a 0-d real array
+    in (0, 1); anything else is a ParameterError."""
+    if isinstance(alpha, np.ndarray) and alpha.ndim == 0:
+        alpha = alpha[()]
+    if not isinstance(alpha, numbers.Real):
+        raise ParameterError(f"fractional order must be a real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"fractional order must lie in (0, 1), got {alpha}")
+    return float(alpha)
 
 
 def _check_finite(name: str, fn: GridFunction) -> None:
@@ -30,25 +38,33 @@ def _check_finite(name: str, fn: GridFunction) -> None:
         raise ParameterError(f"{name} holds non-finite values")
 
 
-def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, dist: np.ndarray,
-               gamma_value: float) -> np.ndarray:
-    """(values * dist^-order + order * kern) / gamma_value at every node,
-    NaN at node 0: the derivative body both sides share, with each side's
-    kernel sums, node distances and gamma value.
-
-    Built in place on `kern` and `dist`, which the caller hands over
-    fresh; the products are taken in swapped order, which IEEE
-    multiplication leaves bit for bit the same.  Callers make the kernel
-    sums before the distances, so the distances take no memory while the
-    kernel's transforms run."""
-    kern *= order
+@functools.lru_cache(maxsize=8)
+def _distance_powers(cells: int, order: float, h: float) -> np.ndarray:
+    """(j h)^-order at the nodes j = 0..cells of a uniform grid (inf at
+    j = 0): the right derivative's distance factor, which depends on the
+    grid and the order alone.  Every driver on one grid reuses it, so it is
+    cached, read-only, one key per grid level."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist **= -order
-        dist *= values
-    dist += kern
-    dist /= gamma_value
-    dist[0] = np.nan
-    return dist
+        pow_ = (np.arange(cells + 1, dtype=float) * h) ** -order
+    pow_.flags.writeable = False
+    return pow_
+
+
+def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, pow_: np.ndarray,
+               gamma_value: float) -> np.ndarray:
+    """(values * pow_ + order * kern) / gamma_value at every node, NaN at
+    node 0: the derivative body both sides share, with each side's kernel
+    sums, node distances raised to -order, and gamma value.
+
+    Built in place on `kern`, which the caller hands over fresh; the
+    products and the sum take their operands in swapped order, which IEEE
+    arithmetic leaves bit for bit the same."""
+    kern *= order
+    with np.errstate(invalid="ignore"):
+        kern += values * pow_
+    kern /= gamma_value
+    kern[0] = np.nan
+    return kern
 
 
 def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
@@ -61,10 +77,13 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     """
     from scipy.special import gamma
 
-    _check_order(alpha)
+    alpha = _check_order(alpha)
     _check_finite("f", f)
+    pow_ = f.nodes - f.left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pow_ **= -alpha
     vals = _rl_values(f.values, alpha, increment_kernel_sums(f.values, alpha, f.h),
-                      f.nodes - f.left, gamma(1.0 - alpha))
+                      pow_, gamma(1.0 - alpha))
     return GridFunction(f.left, f.right, vals)
 
 
@@ -73,16 +92,18 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     end-shifted function g - g(b), real convention, on the grid of g.
 
     Computed by reflecting the grid and reusing the left-derivative kernel at
-    order 1 - alpha.  The node x = b is undefined (NaN).
+    order 1 - alpha; the distance powers come from the cache of
+    `_distance_powers`, bit for bit those computed afresh.  The node x = b
+    is undefined (NaN).
     """
     from scipy.special import gamma
 
-    _check_order(alpha)
+    alpha = _check_order(alpha)
     _check_finite("g", g)
     order = 1.0 - alpha
     rev = g.values[::-1] - g.values[-1]
     rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
-                          np.arange(rev.size, dtype=float) * g.h, gamma(alpha))
+                          _distance_powers(g.cells, order, g.h), gamma(alpha))
     return GridFunction(g.left, g.right, rev_vals[::-1].copy())
 
 
@@ -143,9 +164,12 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     sum_k (f_k + f_(k+1))/2 (g_(k+1) - g_k) (Zaehle 1998).
 
     The integrand side (f's refined left derivative and the x^alpha weight)
-    is cached per exact (grid, values, alpha, refine), 8 keys at most, so a
-    call with an integrand seen before computes only g's side; the result
-    is bit for bit that of computing both sides afresh.
+    is cached per exact (grid, values, alpha, refine), and the grid-only
+    tables (the right derivative's distance powers and the outer rule's
+    weights) per fine grid and alpha, 8 keys each.  So a call with an
+    integrand seen before computes, for the driver, only g's interpolation,
+    its kernel sums and the pairing; the result is bit for bit that of
+    computing everything afresh.
     """
     _check_one_grid("grid functions", [f, g])
     if (isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
@@ -160,8 +184,7 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     n = f.cells * refine
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")
-    _check_order(alpha)
-    alpha = float(alpha)
+    alpha = _check_order(alpha)
     dl, xa = _integrand_side(f.left, f.right, f.values.tobytes(), alpha, refine)
     g = _refined(g, refine)
     dr = rl_right_derivative(g, alpha).values

@@ -19,12 +19,14 @@ from mfsde._kernels import (
     _SCRATCH,
     _fft_scratch,
     _kernel_spectra,
+    _linear_weights,
     _power_tables,
     increment_kernel_sums,
 )
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
+    _distance_powers,
     _integrand_side,
     forward_sum_integral,
     gls_integral,
@@ -244,6 +246,22 @@ def test_gls_parameter_errors():
         gls_integral(f, f, 1.2)
 
 
+def test_orders_are_real_scalars_taken_as_python_floats():
+    f = _grid_fn(np.sin, 64)
+    g = _grid_fn(np.cos, 64)
+    calls = [lambda a: rl_left_derivative(f, a).values,
+             lambda a: rl_right_derivative(g, a).values,
+             lambda a: np.float64(gls_integral(f, g, a, refine=2))]
+    for call in calls:
+        # a 0-d array is the float it holds, also as a cache key
+        assert call(np.array(0.45)).tobytes() == call(0.45).tobytes()
+        for bad in ("0.45", np.array([0.45]), 0.45j, None):
+            with pytest.raises(ParameterError, match="fractional order must be a real number"):
+                call(bad)
+        with pytest.raises(ParameterError, match="must lie in"):
+            call(np.array(1.2))
+
+
 def test_non_finite_values_are_refused():
     n = 64
     good = _grid_fn(np.sin, n)
@@ -311,6 +329,51 @@ def test_c02_loop_computes_each_integrand_side_once():
             gls_integral(f, g, 0.45, refine=16)
     info = _integrand_side.cache_info()
     assert (info.misses, info.hits) == (4, 156)
+
+
+def _clear_grid_tables():
+    _linear_weights.cache_clear()
+    _distance_powers.cache_clear()
+
+
+@pytest.mark.parametrize("refine", [1, 16])
+def test_cached_grid_tables_give_the_cold_bits(refine):
+    rng = np.random.default_rng(8)
+    f = _grid_fn(_hold, 256)
+    gs = [GridFunction(0.0, 1.0, np.cumsum(rng.standard_normal(257))) for _ in range(3)]
+    cold = []
+    for g in gs:
+        _clear_grid_tables()
+        cold.append(np.float64(gls_integral(f, g, 0.45, refine)).tobytes())
+    warm = [np.float64(gls_integral(f, g, 0.45, refine)).tobytes() for g in gs]
+    assert warm == cold
+    for cache in (_linear_weights, _distance_powers):
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
+
+
+def test_cached_grid_tables_are_read_only():
+    h = 1.0 / 128
+    arrays = (*_linear_weights(128, 0.3, h), _distance_powers(128, 0.7, h))
+    assert [a.size for a in arrays] == [128, 128, 129]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_c02_loop_builds_each_grid_table_once():
+    # the c02 shape: a fresh fBm per seed, paired at four grid levels
+    levels = (256, 512, 1024, 2048)
+    integrands = [_grid_fn(_hold, steps) for steps in levels]
+    _clear_grid_tables()
+    for s in range(40):
+        master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
+        for f in integrands:
+            g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
+            gls_integral(f, g, 0.45, refine=16)
+    for cache in (_linear_weights, _distance_powers):
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (4, 156)
 
 
 def test_forward_sum_examples():
@@ -479,7 +542,8 @@ def test_gls_integral_in_concurrent_threads_matches_serial_bits():
              for n, alpha, refine in ((256, 0.45, 16), (512, 0.3, 1), (1024, 0.55, 4), (300, 0.7, 8))]
     serial = [np.float64(gls_integral(*case)).tobytes() for case in cases]
     _integrand_side.cache_clear()
-    # two threads per case race on its first lookup
+    _clear_grid_tables()
+    # two threads per case race on its first lookup of each cache
     results = {}
     errors = []
 
