@@ -297,34 +297,23 @@ def abs_left_singular_cells(values: np.ndarray, start: int, alpha: float, h: flo
     return cells
 
 
-@functools.lru_cache(maxsize=8)
 def _linear_weights(m: int, alpha: float, h: float):
     """The weights r1, r2 of weighted_linear_integral on m cells of width h:
     the integrals of y^(-alpha) and (y - y_j) y^(-alpha) over each cell
-    [y_j, y_(j+1)], y_j = j h.
-
-    They depend on the grid and alpha alone, so every psi on one grid
-    reuses them: cached, read-only, one key per grid level.
-    """
+    [y_j, y_(j+1)], y_j = j h.  They depend on the grid and alpha alone."""
     j = np.arange(m + 1, dtype=float)
     y_lo = j[:-1] * h
     p1 = (j * h) ** (1.0 - alpha)
     p2 = (j * h) ** (2.0 - alpha)
     r1 = (p1[1:] - p1[:-1]) / (1.0 - alpha)
     r2 = (p2[1:] - p2[:-1]) / (2.0 - alpha) - y_lo * r1
-    for a in (r1, r2):
-        a.flags.writeable = False
     return r1, r2
 
 
-def weighted_linear_integral(psi: np.ndarray, alpha: float, h: float) -> float:
-    """Integral of y^(-alpha) psi_lin(y) over [0, m h], psi sampled at y = j h.
-
-    The weights depend on (m, alpha, h) only and come from the cache of
-    `_linear_weights`, bit for bit those built afresh; a call computes
-    only psi's slopes and the two dot products.
-    """
+def weighted_linear_integral(psi: np.ndarray, r1: np.ndarray, r2: np.ndarray,
+                             h: float) -> float:
+    """Integral of y^(-alpha) psi_lin(y) over [0, m h], psi sampled at y = j h,
+    against the weights r1, r2 that `_linear_weights(m, alpha, h)` builds."""
     psi = np.asarray(psi, dtype=float)
-    r1, r2 = _linear_weights(len(psi) - 1, alpha, h)
     slope = np.diff(psi) / h
     return float(np.dot(psi[:-1], r1) + np.dot(slope, r2))

@@ -16,7 +16,7 @@ import numbers
 
 import numpy as np
 
-from ._kernels import increment_kernel_sums, weighted_linear_integral
+from ._kernels import _linear_weights, increment_kernel_sums, weighted_linear_integral
 from .errors import ParameterError
 from .noise import _MAX_NODES, GridFunction, _allocate, _check_one_grid
 
@@ -38,16 +38,12 @@ def _check_finite(name: str, fn: GridFunction) -> None:
         raise ParameterError(f"{name} holds non-finite values")
 
 
-@functools.lru_cache(maxsize=8)
 def _distance_powers(cells: int, order: float, h: float) -> np.ndarray:
     """(j h)^-order at the nodes j = 0..cells of a uniform grid (inf at
     j = 0): the right derivative's distance factor, which depends on the
-    grid and the order alone.  Every driver on one grid reuses it, so it is
-    cached, read-only, one key per grid level."""
+    grid and the order alone."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        pow_ = (np.arange(cells + 1, dtype=float) * h) ** -order
-    pow_.flags.writeable = False
-    return pow_
+        return (np.arange(cells + 1, dtype=float) * h) ** -order
 
 
 def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, pow_: np.ndarray,
@@ -87,24 +83,30 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.left, f.right, vals)
 
 
+def _rl_right_values(g: GridFunction, alpha: float, pow_: np.ndarray) -> np.ndarray:
+    """The values of rl_right_derivative(g, alpha), as a reversed view, for
+    an alpha and a g already checked; pow_ is
+    `_distance_powers(g.cells, 1 - alpha, g.h)`."""
+    from scipy.special import gamma
+
+    order = 1.0 - alpha
+    rev = g.values[::-1] - g.values[-1]
+    rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
+                          pow_, gamma(alpha))
+    return rev_vals[::-1]
+
+
 def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """Right Riemann-Liouville derivative of order 1 - alpha of the
     end-shifted function g - g(b), real convention, on the grid of g.
 
     Computed by reflecting the grid and reusing the left-derivative kernel at
-    order 1 - alpha; the distance powers come from the cache of
-    `_distance_powers`, bit for bit those computed afresh.  The node x = b
-    is undefined (NaN).
+    order 1 - alpha.  The node x = b is undefined (NaN).
     """
-    from scipy.special import gamma
-
     alpha = _check_order(alpha)
     _check_finite("g", g)
-    order = 1.0 - alpha
-    rev = g.values[::-1] - g.values[-1]
-    rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
-                          _distance_powers(g.cells, order, g.h), gamma(alpha))
-    return GridFunction(g.left, g.right, rev_vals[::-1].copy())
+    pow_ = _distance_powers(g.cells, 1.0 - alpha, g.h)
+    return GridFunction(g.left, g.right, _rl_right_values(g, alpha, pow_).copy())
 
 
 def _refined(fn: GridFunction, refine: int) -> GridFunction:
@@ -122,22 +124,26 @@ def _refined(fn: GridFunction, refine: int) -> GridFunction:
 @functools.lru_cache(maxsize=8)
 def _integrand_side(left: float, right: float, values: bytes, alpha: float,
                     refine: int) -> tuple:
-    """The half of gls_integral that depends on the integrand alone: its
+    """Every array gls_integral reuses across drivers: the integrand's
     left derivative and the weight x^alpha at the refined grid's interior
-    nodes.
+    nodes, the right derivative's distance powers (j h)^-(1 - alpha) and
+    the outer rule's weights r1, r2 on the fine grid.
 
-    Keyed on the integrand's exact bytes, so a changed array is a new key.
-    Every rough driver paired with one integrand reuses them, so they are
-    cached, read-only; 8 keys cover the four grid levels of a
-    forward-sum comparison with room to spare.
+    Keyed on the integrand's exact bytes, so a changed array is a new key;
+    the key fixes the fine grid too.  Every rough driver paired with one
+    integrand reuses the five arrays, so they are cached, read-only; 8 keys
+    cover the four grid levels of a forward-sum comparison with room to
+    spare.
     """
     f = _refined(GridFunction(left, right, np.frombuffer(values)), refine)
     n = f.cells
     dl = rl_left_derivative(f, alpha).values[1:n]
     xa = (f.nodes - f.left)[1:n] ** alpha
-    for a in (dl, xa):
+    arrays = (dl, xa, _distance_powers(n, 1.0 - alpha, f.h),
+              *_linear_weights(n, alpha, f.h))
+    for a in arrays:
         a.flags.writeable = False
-    return dl, xa
+    return arrays
 
 
 def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
@@ -163,13 +169,13 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     piecewise-linear data, which is exactly the trapezoid sum
     sum_k (f_k + f_(k+1))/2 (g_(k+1) - g_k) (Zaehle 1998).
 
-    The integrand side (f's refined left derivative and the x^alpha weight)
-    is cached per exact (grid, values, alpha, refine), and the grid-only
-    tables (the right derivative's distance powers and the outer rule's
-    weights) per fine grid and alpha, 8 keys each.  So a call with an
-    integrand seen before computes, for the driver, only g's interpolation,
-    its kernel sums and the pairing; the result is bit for bit that of
-    computing everything afresh.
+    Everything but the driver's own work is cached per exact (grid,
+    values, alpha, refine), 8 keys (`_integrand_side`): f's refined left
+    derivative, the x^alpha weight, the right derivative's distance powers
+    and the outer rule's weights.  So a call with an integrand seen before
+    computes, for the driver, only g's interpolation, its kernel sums and
+    the pairing; the result is bit for bit that of computing everything
+    afresh.
     """
     _check_one_grid("grid functions", [f, g])
     if (isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
@@ -185,14 +191,15 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")
     alpha = _check_order(alpha)
-    dl, xa = _integrand_side(f.left, f.right, f.values.tobytes(), alpha, refine)
+    dl, xa, pow_, r1, r2 = _integrand_side(f.left, f.right, f.values.tobytes(), alpha,
+                                           refine)
     g = _refined(g, refine)
-    dr = rl_right_derivative(g, alpha).values
+    dr = _rl_right_values(g, alpha, pow_)
     psi = np.empty(n + 1)
     psi[1:n] = dl * dr[1:n] * xa
     psi[0] = 2.0 * psi[1] - psi[2]
     psi[n] = 2.0 * psi[n - 1] - psi[n - 2]
-    return -weighted_linear_integral(psi, alpha, g.h)
+    return -weighted_linear_integral(psi, r1, r2, g.h)
 
 
 def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:

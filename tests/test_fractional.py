@@ -15,18 +15,17 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.signal import fftconvolve
 
+from mfsde import fractional
 from mfsde._kernels import (
     _SCRATCH,
     _fft_scratch,
     _kernel_spectra,
-    _linear_weights,
     _power_tables,
     increment_kernel_sums,
 )
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
-    _distance_powers,
     _integrand_side,
     forward_sum_integral,
     gls_integral,
@@ -311,7 +310,9 @@ def test_cached_integrand_side_is_read_only():
     f = _grid_fn(np.sin, 64)
     gls_integral(f, f, 0.3, refine=2)
     arrays = _integrand_side(f.left, f.right, f.values.tobytes(), 0.3, 2)
-    assert [a.size for a in arrays] == [64 * 2 - 1] * 2
+    # dl and x^alpha at the interior nodes, the distance powers at every
+    # node, and the outer rule's weights per cell
+    assert [a.size for a in arrays] == [127, 127, 129, 128, 128]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -331,49 +332,29 @@ def test_c02_loop_computes_each_integrand_side_once():
     assert (info.misses, info.hits) == (4, 156)
 
 
-def _clear_grid_tables():
-    _linear_weights.cache_clear()
-    _distance_powers.cache_clear()
-
-
-@pytest.mark.parametrize("refine", [1, 16])
-def test_cached_grid_tables_give_the_cold_bits(refine):
-    rng = np.random.default_rng(8)
-    f = _grid_fn(_hold, 256)
-    gs = [GridFunction(0.0, 1.0, np.cumsum(rng.standard_normal(257))) for _ in range(3)]
-    cold = []
-    for g in gs:
-        _clear_grid_tables()
-        cold.append(np.float64(gls_integral(f, g, 0.45, refine)).tobytes())
-    warm = [np.float64(gls_integral(f, g, 0.45, refine)).tobytes() for g in gs]
-    assert warm == cold
-    for cache in (_linear_weights, _distance_powers):
-        info = cache.cache_info()
-        assert (info.hits, info.misses) == (3, 1)
-
-
-def test_cached_grid_tables_are_read_only():
-    h = 1.0 / 128
-    arrays = (*_linear_weights(128, 0.3, h), _distance_powers(128, 0.7, h))
-    assert [a.size for a in arrays] == [128, 128, 129]
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-
-
-def test_c02_loop_builds_each_grid_table_once():
-    # the c02 shape: a fresh fBm per seed, paired at four grid levels
+def test_c02_loop_builds_each_grid_table_once(monkeypatch):
+    # the grid tables are built on an integrand-side miss only
     levels = (256, 512, 1024, 2048)
     integrands = [_grid_fn(_hold, steps) for steps in levels]
-    _clear_grid_tables()
+    calls = {"powers": 0, "weights": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(fractional, "_distance_powers",
+                        counted("powers", fractional._distance_powers))
+    monkeypatch.setattr(fractional, "_linear_weights",
+                        counted("weights", fractional._linear_weights))
+    _integrand_side.cache_clear()
     for s in range(40):
         master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
         for f in integrands:
             g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
             gls_integral(f, g, 0.45, refine=16)
-    for cache in (_linear_weights, _distance_powers):
-        info = cache.cache_info()
-        assert (info.misses, info.hits) == (4, 156)
+    assert calls == {"powers": 4, "weights": 4}
 
 
 def test_forward_sum_examples():
@@ -542,8 +523,7 @@ def test_gls_integral_in_concurrent_threads_matches_serial_bits():
              for n, alpha, refine in ((256, 0.45, 16), (512, 0.3, 1), (1024, 0.55, 4), (300, 0.7, 8))]
     serial = [np.float64(gls_integral(*case)).tobytes() for case in cases]
     _integrand_side.cache_clear()
-    _clear_grid_tables()
-    # two threads per case race on its first lookup of each cache
+    # two threads per case race on its first lookup of the cache
     results = {}
     errors = []
 

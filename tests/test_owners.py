@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from mfsde import cli, models
-from mfsde._kernels import _kernel_spectra, increment_kernel_sums, weighted_linear_integral
+from mfsde._kernels import (
+    _kernel_spectra,
+    _linear_weights,
+    increment_kernel_sums,
+    weighted_linear_integral,
+)
 from mfsde.analysis import (
     JUMPS_MIN_REPLICAS,
     LEMMA_MIN_REPLICAS,
@@ -541,9 +546,9 @@ def test_weighted_linear_integral_equals_its_old_body_bit_for_bit(m, alpha, hori
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(m + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
     h = horizon / m
-    # twice: a second call with the same grid may reuse what the first built
+    # twice: a call must leave psi as it found it
     for _ in range(2):
-        got = weighted_linear_integral(psi, alpha, h)
+        got = weighted_linear_integral(psi, *_linear_weights(m, alpha, h), h)
         assert np.float64(got).tobytes() == np.float64(
             _ref_weighted_linear_integral(psi, alpha, h)).tobytes()
 
