@@ -22,6 +22,7 @@ only grows, so a call allocates nothing large but the array it returns.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import threading
 from itertools import repeat
@@ -52,24 +53,50 @@ def _power_tables(n: int, a: float, b: float, h: float):
     return t1, t2, pow_a, pow_b
 
 
-@functools.lru_cache(maxsize=16)
-def _kernel_spectra(n: int, alpha: float, h: float):
+@functools.cache
+def _smooth_lengths() -> list:
+    """Every 5-smooth number 2^i 3^j 5^k up to 2^63, ascending."""
+    top = 1 << 63
+    out = []
+    p5 = 1
+    while p5 <= top:
+        p35 = p5
+        while p35 <= top:
+            out.extend(p35 << i for i in range((top // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth number >= target (1 <= target <= 2^63): the
+    length `scipy.fft.next_fast_len(target, real=True)` returns."""
+    lengths = _smooth_lengths()
+    return lengths[bisect.bisect_left(lengths, target)]
+
+
+def _build_kernel_spectra(n: int, alpha: float, h: float):
     """The kernel side of increment_kernel_sums on n cells: the FFT length,
-    cumsum(G1) and the rfft spectra of G1, k G1 and G2 at that length.
+    cumsum(G1) and the rfft spectra of G1, k G1 and G2 at that length,
+    read-only.
 
-    Every seed of a grid level reuses them, so they are cached, read-only.
     The length is the one scipy's fftconvolve picks for the same
-    convolutions, which keeps the sums bit for bit those of fftconvolve.
+    convolutions (`_next_fast_len`, a stdlib port of scipy's
+    `next_fast_len`), and numpy's rfft gives scipy's bits at it, which keeps
+    the sums bit for bit those of fftconvolve with no scipy import.
     """
-    from scipy import fft
-
     g1, g2, _, _ = _power_tables(n, -alpha, 1.0 - alpha, h)
-    size = fft.next_fast_len(2 * n, True)
+    size = _next_fast_len(2 * n)
     kg1 = np.arange(n + 1, dtype=float) * g1
-    arrays = (np.cumsum(g1), *(fft.rfft(g, size) for g in (g1, kg1, g2)))
+    arrays = (np.cumsum(g1), *(np.fft.rfft(g, size) for g in (g1, kg1, g2)))
     for a in arrays:
         a.flags.writeable = False
     return (size, *arrays)
+
+
+# Every seed of a grid level reuses its spectra, so increment_kernel_sums
+# reads them from this cache; a caller that uses them once builds them apart.
+_kernel_spectra = functools.lru_cache(maxsize=16)(_build_kernel_spectra)
 
 
 _SCRATCH = threading.local()
@@ -92,13 +119,21 @@ def _fft_scratch(size: int):
 
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """I[i] = integral over [t_0, t_i] of (f(t_i) - f(u)) (t_i - u)^(-1-alpha) du
-    for every node i, with f the piecewise-linear interpolant of `values`.
+    for every node i, with f the piecewise-linear interpolant of `values`,
+    against the cached kernel spectra (`_increment_kernel_sums`)."""
+    return _increment_kernel_sums(values, alpha, h, _kernel_spectra)
 
-    Uniform spacing makes the cell sums convolutions, evaluated by FFT
-    against the cached kernel spectra in three numpy calls, each row with
-    the bits of a one-row transform.  Every transform and product is
-    written into the thread's scratch (`_fft_scratch`); only the returned
-    array is allocated.  Its layout, call by call:
+
+def _increment_kernel_sums(values: np.ndarray, alpha: float, h: float,
+                           kernel_spectra) -> np.ndarray:
+    """increment_kernel_sums against `kernel_spectra(n, alpha, h)`: the
+    cache `_kernel_spectra` or, for spectra used once, its builder.
+
+    Uniform spacing makes the cell sums convolutions, evaluated by FFT in
+    three numpy calls, each row with the bits of a one-row transform.
+    Every transform and product is written into the thread's scratch
+    (`_fft_scratch`); only the returned array is allocated.  Its layout,
+    call by call:
 
     - forward: the real rows hold f[1:] and diff(f); spectra rows 1 and 2
       take their transforms S_f and S_df.
@@ -111,7 +146,7 @@ def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndar
     n = len(f) - 1
     if n == 0:
         return np.zeros(1)
-    size, cg1, spec_g1, spec_kg1, spec_g2 = _kernel_spectra(n, alpha, h)
+    size, cg1, spec_g1, spec_kg1, spec_g2 = kernel_spectra(n, alpha, h)
     spectra, real = _fft_scratch(size)
     rows = real[:, :n]
     rows[0] = f[1:]

@@ -16,7 +16,13 @@ import numbers
 
 import numpy as np
 
-from ._kernels import _linear_weights, increment_kernel_sums, weighted_linear_integral
+from ._kernels import (
+    _build_kernel_spectra,
+    _increment_kernel_sums,
+    _linear_weights,
+    increment_kernel_sums,
+    weighted_linear_integral,
+)
 from .errors import ParameterError
 from .noise import _MAX_NODES, GridFunction, _allocate, _check_one_grid
 
@@ -36,6 +42,47 @@ def _check_order(alpha) -> float:
 def _check_finite(name: str, fn: GridFunction) -> None:
     if not np.isfinite(fn.values).all():
         raise ParameterError(f"{name} holds non-finite values")
+
+
+def _refuse_overflow(what: str, result) -> None:
+    """A ParameterError if `result`, computed from finite data, is not
+    finite: the data are too large for the kernels' floating point."""
+    if not np.isfinite(result).all():
+        raise ParameterError(f"{what} overflows: finite data give non-finite values")
+
+
+# Cephes' Gamma (S. L. Moshier), the rational approximation on [2, 3] that
+# scipy.special.gamma evaluates; numerators P and denominators Q, leading
+# coefficient first
+_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3, 1.04213797561761569935E-2,
+            4.76367800457137231464E-2, 2.07448227648435975150E-1, 4.94214826801497100753E-1,
+            9.99999999999999996796E-1)
+_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4, -4.45641913851797240494E-3,
+            1.18139785222060435552E-2, 3.58236398605498653373E-2, -2.34591795718243348568E-1,
+            7.14304917030273074085E-2, 1.00000000000000000320E0)
+
+
+def _horner(coeffs: tuple, x: float) -> float:
+    value = coeffs[0]
+    for c in coeffs[1:]:
+        value = value * x + c
+    return value
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 < x <= 1, bit for bit scipy.special.gamma: Cephes'
+    steps, shifted up to [2, 3) by the recurrence, with 1 / ((1 + gamma_E x) x)
+    below x = 1e-9."""
+    z = 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _horner(_GAMMA_P, x) / _horner(_GAMMA_Q, x)
 
 
 def _distance_powers(cells: int, order: float, h: float) -> np.ndarray:
@@ -63,23 +110,29 @@ def _rl_values(values: np.ndarray, order: float, kern: np.ndarray, pow_: np.ndar
     return kern
 
 
+def _rl_left_values(f: GridFunction, alpha: float, kern: np.ndarray) -> np.ndarray:
+    """The values of rl_left_derivative(f, alpha) for an alpha and f already
+    checked, built in place on kern, f's increment kernel sums at order
+    alpha."""
+    pow_ = f.nodes - f.left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pow_ **= -alpha
+    return _rl_values(f.values, alpha, kern, pow_, _gamma(1.0 - alpha))
+
+
 def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     """Left Riemann-Liouville derivative of order alpha on [a, b], on the
     grid of f.
 
     Uses the boundary + increment form: the singular increment integral is
     evaluated by product integration, exact for piecewise-linear f.  The
-    node x = a is undefined (NaN).
+    node x = a is undefined (NaN).  Data so large that a defined node
+    overflows are a ParameterError.
     """
-    from scipy.special import gamma
-
     alpha = _check_order(alpha)
     _check_finite("f", f)
-    pow_ = f.nodes - f.left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pow_ **= -alpha
-    vals = _rl_values(f.values, alpha, increment_kernel_sums(f.values, alpha, f.h),
-                      pow_, gamma(1.0 - alpha))
+    vals = _rl_left_values(f, alpha, increment_kernel_sums(f.values, alpha, f.h))
+    _refuse_overflow("the left derivative of f", vals[1:])
     return GridFunction(f.left, f.right, vals)
 
 
@@ -87,12 +140,10 @@ def _rl_right_values(g: GridFunction, alpha: float, pow_: np.ndarray) -> np.ndar
     """The values of rl_right_derivative(g, alpha), as a reversed view, for
     an alpha and a g already checked; pow_ is
     `_distance_powers(g.cells, 1 - alpha, g.h)`."""
-    from scipy.special import gamma
-
     order = 1.0 - alpha
     rev = g.values[::-1] - g.values[-1]
     rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
-                          pow_, gamma(alpha))
+                          pow_, _gamma(alpha))
     return rev_vals[::-1]
 
 
@@ -101,12 +152,15 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     end-shifted function g - g(b), real convention, on the grid of g.
 
     Computed by reflecting the grid and reusing the left-derivative kernel at
-    order 1 - alpha.  The node x = b is undefined (NaN).
+    order 1 - alpha.  The node x = b is undefined (NaN).  Data so large
+    that a defined node overflows are a ParameterError.
     """
     alpha = _check_order(alpha)
     _check_finite("g", g)
     pow_ = _distance_powers(g.cells, 1.0 - alpha, g.h)
-    return GridFunction(g.left, g.right, _rl_right_values(g, alpha, pow_).copy())
+    vals = _rl_right_values(g, alpha, pow_).copy()
+    _refuse_overflow("the right derivative of g", vals[:-1])
+    return GridFunction(g.left, g.right, vals)
 
 
 def _refined(fn: GridFunction, refine: int) -> GridFunction:
@@ -137,7 +191,10 @@ def _integrand_side(left: float, right: float, values: bytes, alpha: float,
     """
     f = _refined(GridFunction(left, right, np.frombuffer(values)), refine)
     n = f.cells
-    dl = rl_left_derivative(f, alpha).values[1:n]
+    # f's kernel spectra serve this one derivative, so they stay out of the
+    # cache that the drivers' right derivatives share
+    kern = _increment_kernel_sums(f.values, alpha, f.h, _build_kernel_spectra)
+    dl = _rl_left_values(f, alpha, kern)[1:n]
     xa = (f.nodes - f.left)[1:n] ** alpha
     arrays = (dl, xa, _distance_powers(n, 1.0 - alpha, f.h),
               *_linear_weights(n, alpha, f.h))
@@ -165,6 +222,7 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     way; only the outer x-integration sharpens, which matters when g is a
     rough path whose derivative oscillates between nodes.  The fine grid's
     node count must stay below the bound `GridSpec` puts on any grid.
+    Finite data so large that the value overflows are a ParameterError.
     The value approximated is the Riemann-Stieltjes integral of the
     piecewise-linear data, which is exactly the trapezoid sum
     sum_k (f_k + f_(k+1))/2 (g_(k+1) - g_k) (Zaehle 1998).
@@ -199,7 +257,9 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     psi[1:n] = dl * dr[1:n] * xa
     psi[0] = 2.0 * psi[1] - psi[2]
     psi[n] = 2.0 * psi[n - 1] - psi[n - 2]
-    return -weighted_linear_integral(psi, r1, r2, g.h)
+    value = -weighted_linear_integral(psi, r1, r2, g.h)
+    _refuse_overflow("gls_integral", value)
+    return value
 
 
 def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:

@@ -43,7 +43,9 @@ analysis.tail_diagnostic(ens, 2.0)
 assert loaded() == [], ("ensemble, moments and tail", loaded())
 xs = fractional.GridFunction(0.0, 1.0, [0.0, 0.3, 0.1, 0.6, 1.0])
 fractional.gls_integral(xs, xs, 0.45, refine=4)
-assert "scipy.signal" not in sys.modules, "gls_integral"
+fractional.rl_left_derivative(xs, 0.45)
+fractional.rl_right_derivative(xs, 0.45)
+assert loaded() == [], ("the pathwise integral and both derivatives", loaded())
 """
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import fft, integrate, special
 from scipy.signal import fftconvolve
 
 from mfsde import fractional
@@ -20,12 +20,14 @@ from mfsde._kernels import (
     _SCRATCH,
     _fft_scratch,
     _kernel_spectra,
+    _next_fast_len,
     _power_tables,
     increment_kernel_sums,
 )
 from mfsde.errors import GridMismatchError, ParameterError
 from mfsde.fractional import (
     GridFunction,
+    _gamma,
     _integrand_side,
     forward_sum_integral,
     gls_integral,
@@ -278,6 +280,27 @@ def test_non_finite_values_are_refused():
             gls_integral(good, bad, 0.3, refine=4)
 
 
+def test_overflowing_finite_data_are_refused():
+    n = 64
+    smooth = _grid_fn(np.sin, n)
+    # a difference of two neighbours overflows; and all neighbour differences
+    # are finite but the kernel sums overflow
+    jump = np.zeros(n + 1)
+    jump[n // 2], jump[n // 2 + 1] = 1.7e308, -1.7e308
+    alternating = np.where(np.arange(n + 1) % 2, 0.9e307, 1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in (jump, alternating):
+            big = GridFunction(0.0, 1.0, values)
+            for refine in (1, 4):
+                for f, g in ((big, smooth), (smooth, big)):
+                    with pytest.raises(ParameterError, match="^gls_integral overflows"):
+                        gls_integral(f, g, 0.3, refine)
+            with pytest.raises(ParameterError, match="^the left derivative of f overflows"):
+                rl_left_derivative(big, 0.3)
+            with pytest.raises(ParameterError, match="^the right derivative of g overflows"):
+                rl_right_derivative(big, 0.3)
+
+
 @pytest.mark.parametrize("refine", [1, 16])
 def test_cached_integrand_side_gives_the_cold_bits(refine):
     rng = np.random.default_rng(6)
@@ -330,6 +353,26 @@ def test_c02_loop_computes_each_integrand_side_once():
             gls_integral(f, g, 0.45, refine=16)
     info = _integrand_side.cache_info()
     assert (info.misses, info.hits) == (4, 156)
+
+
+def test_c02_loop_caches_only_the_drivers_kernel_spectra():
+    # f's left derivative builds its spectra once, outside the cache; the
+    # cache keeps the right derivatives' order 1 - alpha at the fine levels
+    levels = (256, 512, 1024, 2048)
+    integrands = [_grid_fn(_hold, steps) for steps in levels]
+    _integrand_side.cache_clear()
+    _kernel_spectra.cache_clear()
+    for s in range(40):
+        master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
+        for f in integrands:
+            g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
+            gls_integral(f, g, 0.45, refine=16)
+    info = _kernel_spectra.cache_info()
+    assert (info.currsize, info.misses) == (4, 4)
+    for steps in levels:
+        fine = GridFunction(0.0, 1.0, np.zeros(16 * steps + 1))
+        _kernel_spectra(fine.cells, 1.0 - 0.45, fine.h)
+    assert _kernel_spectra.cache_info().misses == 4
 
 
 def test_c02_loop_builds_each_grid_table_once(monkeypatch):
@@ -420,6 +463,28 @@ def test_kernel_sums_equal_fftconvolve_bit_for_bit(n, alpha, horizon, kind, seed
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_gamma_port_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    uniform = rng.uniform(0.0, 1.0, 200_000)
+    tiny = np.finfo(float).smallest_subnormal
+    xs = np.concatenate([
+        uniform[uniform > 0.0],
+        10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+        tiny * rng.integers(1, 2**52, 1_000),
+        [tiny, np.finfo(float).smallest_normal, 1e-9, np.nextafter(1e-9, 0.0), 1e-10,
+         1.0 - 2.0**-53, 1.0, 0.45, 0.55]])
+    got = np.array([_gamma(x) for x in xs.tolist()])
+    assert got.tobytes() == special.gamma(xs).tobytes()
+
+
+def test_next_fast_len_equals_scipy():
+    targets = range(1, 2**20 + 1)
+    assert list(map(_next_fast_len, targets)) == [fft.next_fast_len(t, True) for t in targets]
+    rng = np.random.default_rng(9)
+    large = [2**30 + 1, 3**30, 5**25 - 1, 2**60, *rng.integers(2**20, 2**60, 1_000).tolist()]
+    assert [_next_fast_len(t) for t in large] == [fft.next_fast_len(t, True) for t in large]
 
 
 def test_kernel_spectra_cache_is_bounded():
