@@ -346,6 +346,7 @@ def test_c02_loop_computes_each_integrand_side_once():
     levels = (256, 512, 1024, 2048)
     integrands = [_grid_fn(_hold, steps) for steps in levels]
     _integrand_side.cache_clear()
+    _kernel_spectra.cache_clear()
     for s in range(40):
         master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
         for f in integrands:
@@ -353,20 +354,8 @@ def test_c02_loop_computes_each_integrand_side_once():
             gls_integral(f, g, 0.45, refine=16)
     info = _integrand_side.cache_info()
     assert (info.misses, info.hits) == (4, 156)
-
-
-def test_c02_loop_caches_only_the_drivers_kernel_spectra():
-    # f's left derivative builds its spectra once, outside the cache; the
-    # cache keeps the right derivatives' order 1 - alpha at the fine levels
-    levels = (256, 512, 1024, 2048)
-    integrands = [_grid_fn(_hold, steps) for steps in levels]
-    _integrand_side.cache_clear()
-    _kernel_spectra.cache_clear()
-    for s in range(40):
-        master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
-        for f in integrands:
-            g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
-            gls_integral(f, g, 0.45, refine=16)
+    # f's left derivative builds its spectra outside the cache, which keeps
+    # the right derivatives' order 1 - alpha at the four fine levels alone
     info = _kernel_spectra.cache_info()
     assert (info.currsize, info.misses) == (4, 4)
     for steps in levels:
