@@ -18,6 +18,8 @@ inverse ones, every row with the bits of a one-row transform.  The calls
 write through their `out=` arguments (numpy >= 2.0) into one scratch
 buffer per thread, three spectra and two real rows, that is reused and
 only grows, so a call allocates nothing large but the array it returns.
+Their kernel side (`_kernel_spectra`) is built per call; the pathwise
+integral keeps its own and hands it to the body `_increment_kernel_sums`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _next_fast_len(target: int) -> int:
     return lengths[bisect.bisect_left(lengths, target)]
 
 
-def _build_kernel_spectra(n: int, alpha: float, h: float):
+def _kernel_spectra(n: int, alpha: float, h: float):
     """The kernel side of increment_kernel_sums on n cells: the FFT length,
     cumsum(G1) and the rfft spectra of G1, k G1 and G2 at that length,
     read-only.
@@ -92,11 +94,6 @@ def _build_kernel_spectra(n: int, alpha: float, h: float):
     for a in arrays:
         a.flags.writeable = False
     return (size, *arrays)
-
-
-# Every seed of a grid level reuses its spectra, so increment_kernel_sums
-# reads them from this cache; a caller that uses them once builds them apart.
-_kernel_spectra = functools.lru_cache(maxsize=16)(_build_kernel_spectra)
 
 
 _SCRATCH = threading.local()
@@ -120,14 +117,14 @@ def _fft_scratch(size: int):
 def increment_kernel_sums(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """I[i] = integral over [t_0, t_i] of (f(t_i) - f(u)) (t_i - u)^(-1-alpha) du
     for every node i, with f the piecewise-linear interpolant of `values`,
-    against the cached kernel spectra (`_increment_kernel_sums`)."""
-    return _increment_kernel_sums(values, alpha, h, _kernel_spectra)
+    against kernel spectra built for this call (`_increment_kernel_sums`)."""
+    f = np.asarray(values, dtype=float)
+    return _increment_kernel_sums(f, h, _kernel_spectra(len(f) - 1, alpha, h))
 
 
-def _increment_kernel_sums(values: np.ndarray, alpha: float, h: float,
-                           kernel_spectra) -> np.ndarray:
-    """increment_kernel_sums against `kernel_spectra(n, alpha, h)`: the
-    cache `_kernel_spectra` or, for spectra used once, its builder.
+def _increment_kernel_sums(values: np.ndarray, h: float, kernel: tuple) -> np.ndarray:
+    """increment_kernel_sums against `kernel`, the `_kernel_spectra` of
+    its cell count, order and spacing.
 
     Uniform spacing makes the cell sums convolutions, evaluated by FFT in
     three numpy calls, each row with the bits of a one-row transform.
@@ -146,7 +143,7 @@ def _increment_kernel_sums(values: np.ndarray, alpha: float, h: float,
     n = len(f) - 1
     if n == 0:
         return np.zeros(1)
-    size, cg1, spec_g1, spec_kg1, spec_g2 = kernel_spectra(n, alpha, h)
+    size, cg1, spec_g1, spec_kg1, spec_g2 = kernel
     spectra, real = _fft_scratch(size)
     rows = real[:, :n]
     rows[0] = f[1:]

@@ -17,14 +17,14 @@ import numbers
 import numpy as np
 
 from ._kernels import (
-    _build_kernel_spectra,
     _increment_kernel_sums,
+    _kernel_spectra,
     _linear_weights,
     increment_kernel_sums,
     weighted_linear_integral,
 )
 from .errors import ParameterError
-from .noise import _MAX_NODES, GridFunction, _allocate, _check_one_grid
+from .noise import _MAX_NODES, GridFunction, _allocate, _check_count, _check_one_grid
 
 
 def _check_order(alpha) -> float:
@@ -136,13 +136,14 @@ def rl_left_derivative(f: GridFunction, alpha: float) -> GridFunction:
     return GridFunction(f.left, f.right, vals)
 
 
-def _rl_right_values(g: GridFunction, alpha: float, pow_: np.ndarray) -> np.ndarray:
+def _rl_right_values(g: GridFunction, alpha: float, pow_: np.ndarray,
+                     kernel: tuple) -> np.ndarray:
     """The values of rl_right_derivative(g, alpha), as a reversed view, for
-    an alpha and a g already checked; pow_ is
-    `_distance_powers(g.cells, 1 - alpha, g.h)`."""
+    an alpha and a g already checked; pow_ and kernel are the
+    `_distance_powers` and `_kernel_spectra` of g's grid at order 1 - alpha."""
     order = 1.0 - alpha
     rev = g.values[::-1] - g.values[-1]
-    rev_vals = _rl_values(rev, order, increment_kernel_sums(rev, order, g.h),
+    rev_vals = _rl_values(rev, order, _increment_kernel_sums(rev, g.h, kernel),
                           pow_, _gamma(alpha))
     return rev_vals[::-1]
 
@@ -157,8 +158,8 @@ def rl_right_derivative(g: GridFunction, alpha: float) -> GridFunction:
     """
     alpha = _check_order(alpha)
     _check_finite("g", g)
-    pow_ = _distance_powers(g.cells, 1.0 - alpha, g.h)
-    vals = _rl_right_values(g, alpha, pow_).copy()
+    vals = _rl_right_values(g, alpha, _distance_powers(g.cells, 1.0 - alpha, g.h),
+                            _kernel_spectra(g.cells, 1.0 - alpha, g.h)).copy()
     _refuse_overflow("the right derivative of g", vals[:-1])
     return GridFunction(g.left, g.right, vals)
 
@@ -178,29 +179,30 @@ def _refined(fn: GridFunction, refine: int) -> GridFunction:
 @functools.lru_cache(maxsize=8)
 def _integrand_side(left: float, right: float, values: bytes, alpha: float,
                     refine: int) -> tuple:
-    """Every array gls_integral reuses across drivers: the integrand's
-    left derivative and the weight x^alpha at the refined grid's interior
-    nodes, the right derivative's distance powers (j h)^-(1 - alpha) and
-    the outer rule's weights r1, r2 on the fine grid.
+    """Everything gls_integral reuses across drivers, read-only: the
+    integrand's left derivative and the weight x^alpha at the refined
+    grid's interior nodes, the right derivative's distance powers
+    (j h)^-(1 - alpha), the outer rule's weights r1, r2 on the fine grid
+    and, last, the right derivative's `_kernel_spectra`.
 
     Keyed on the integrand's exact bytes, so a changed array is a new key;
-    the key fixes the fine grid too.  Every rough driver paired with one
-    integrand reuses the five arrays, so they are cached, read-only; 8 keys
-    cover the four grid levels of a forward-sum comparison with room to
-    spare.
+    the key fixes the fine grid, and with it the spectra's key.  Every
+    rough driver paired with one integrand reuses the entry; 8 keys cover
+    the four grid levels of a forward-sum comparison with room to spare.
     """
     f = _refined(GridFunction(left, right, np.frombuffer(values)), refine)
     n = f.cells
-    # f's kernel spectra serve this one derivative, so they stay out of the
-    # cache that the drivers' right derivatives share
-    kern = _increment_kernel_sums(f.values, alpha, f.h, _build_kernel_spectra)
-    dl = _rl_left_values(f, alpha, kern)[1:n]
+    dl = _rl_left_values(f, alpha, increment_kernel_sums(f.values, alpha, f.h))[1:n]
+    # after f's derivative has freed its own spectra, so a miss holds one
+    # set at a time; before the grid tables, the one such order that gave
+    # fault-free warm passes in every heap layout tried
+    kernel = _kernel_spectra(n, 1.0 - alpha, f.h)
     xa = (f.nodes - f.left)[1:n] ** alpha
     arrays = (dl, xa, _distance_powers(n, 1.0 - alpha, f.h),
               *_linear_weights(n, alpha, f.h))
     for a in arrays:
         a.flags.writeable = False
-    return arrays
+    return (*arrays, kernel)
 
 
 def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
@@ -230,15 +232,13 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     Everything but the driver's own work is cached per exact (grid,
     values, alpha, refine), 8 keys (`_integrand_side`): f's refined left
     derivative, the x^alpha weight, the right derivative's distance powers
-    and the outer rule's weights.  So a call with an integrand seen before
-    computes, for the driver, only g's interpolation, its kernel sums and
-    the pairing; the result is bit for bit that of computing everything
-    afresh.
+    and kernel spectra, and the outer rule's weights.  So a call with an
+    integrand seen before computes, for the driver, only g's interpolation,
+    its kernel sums and the pairing; the result is bit for bit that of
+    computing everything afresh.
     """
     _check_one_grid("grid functions", [f, g])
-    if (isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
-            or refine < 1):
-        raise ParameterError("refine must be a positive integer")
+    _check_count("refine", refine, 1)
     refine = int(refine)        # a numpy integer would wrap in the node count
     if f.cells * refine + 1 >= _MAX_NODES:
         raise ParameterError(f"refine must keep the fine grid below {_MAX_NODES} nodes,"
@@ -249,10 +249,13 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
     if n < 4:
         raise ParameterError("gls_integral needs at least 4 cells")
     alpha = _check_order(alpha)
-    dl, xa, pow_, r1, r2 = _integrand_side(f.left, f.right, f.values.tobytes(), alpha,
-                                           refine)
+    # g first, so that a miss builds the entry while g's fine values are
+    # held: built before them, it left glibc trimming and re-faulting the
+    # heap on every warm c02 pass in 9 of 24 heap layouts tried
     g = _refined(g, refine)
-    dr = _rl_right_values(g, alpha, pow_)
+    dl, xa, pow_, r1, r2, kernel = _integrand_side(f.left, f.right, f.values.tobytes(),
+                                                   alpha, refine)
+    dr = _rl_right_values(g, alpha, pow_, kernel)
     psi = np.empty(n + 1)
     psi[1:n] = dl * dr[1:n] * xa
     psi[0] = 2.0 * psi[1] - psi[2]

@@ -67,9 +67,9 @@ _MAX_NODES = np.iinfo(np.intp).max // 8
 
 
 def _check_count(name: str, value, floor: int) -> None:
-    """Refuse a count argument unless it is an integer (np.integer too) of
-    at least `floor`."""
-    if not isinstance(value, (int, np.integer)) or value < floor:
+    """Refuse a count argument unless it is an integer (np.integer too, a
+    bool not) of at least `floor`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
         bound = "a nonnegative integer" if floor == 0 else f"an integer >= {floor}"
         raise ParameterError(f"{name} must be {bound}, got {value!r}")
 
@@ -126,15 +126,12 @@ _XSHIFT = np.uint32(16)
 _BULK_MIN = 16
 
 
-@functools.lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """The hash constant before and after each of `count` hashes."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    out = np.array(consts, dtype=np.uint32)
-    out.flags.writeable = False
-    return out
+    return np.array(consts, dtype=np.uint32)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ from mfsde.solver import (
 
 FRAC = FracParams(0.75, alpha=0.3)
 
-# counts that are not integers, whatever their size
-BAD_COUNTS = (2.5, 64.0, "64", None, math.nan)
+# counts that are not integers, whatever their size; a bool is no count
+BAD_COUNTS = (2.5, 64.0, "64", None, math.nan, True)
 
 
 def _cubic_coeffs():

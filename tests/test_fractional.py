@@ -4,9 +4,14 @@ Closed forms and adaptive-quadrature oracles are computed independently in
 each test; the implementation under test never feeds its own oracle.
 """
 
+import importlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import fft, integrate, special
 from scipy.signal import fftconvolve
 
-from mfsde import fractional
+from mfsde import _kernels, fractional
 from mfsde._kernels import (
     _SCRATCH,
     _fft_scratch,
@@ -229,7 +234,7 @@ def test_gls_parameter_errors():
     with pytest.raises(ParameterError):
         gls_integral(f, f, 0.3, refine=0)
     for refine in (2.0, 2.5, True):
-        with pytest.raises(ParameterError, match="refine must be a positive integer"):
+        with pytest.raises(ParameterError, match="refine must be an integer >= 1"):
             gls_integral(f, f, 0.3, refine=refine)
     # a fine grid of _MAX_NODES nodes or more is refused before f is keyed;
     # the first refine is the smallest such
@@ -332,11 +337,14 @@ def test_integrand_changed_in_place_is_a_new_key():
 def test_cached_integrand_side_is_read_only():
     f = _grid_fn(np.sin, 64)
     gls_integral(f, f, 0.3, refine=2)
-    arrays = _integrand_side(f.left, f.right, f.values.tobytes(), 0.3, 2)
+    *arrays, (size, *spectra) = _integrand_side(f.left, f.right, f.values.tobytes(), 0.3, 2)
     # dl and x^alpha at the interior nodes, the distance powers at every
-    # node, and the outer rule's weights per cell
+    # node, and the outer rule's weights per cell; then the right
+    # derivative's kernel spectra on the 128 fine cells
     assert [a.size for a in arrays] == [127, 127, 129, 128, 128]
-    for a in arrays:
+    assert size == _next_fast_len(2 * 128)
+    assert [a.size for a in spectra] == [129] + [size // 2 + 1] * 3
+    for a in [*arrays, *spectra]:
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -346,7 +354,6 @@ def test_c02_loop_computes_each_integrand_side_once():
     levels = (256, 512, 1024, 2048)
     integrands = [_grid_fn(_hold, steps) for steps in levels]
     _integrand_side.cache_clear()
-    _kernel_spectra.cache_clear()
     for s in range(40):
         master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
         for f in integrands:
@@ -354,21 +361,14 @@ def test_c02_loop_computes_each_integrand_side_once():
             gls_integral(f, g, 0.45, refine=16)
     info = _integrand_side.cache_info()
     assert (info.misses, info.hits) == (4, 156)
-    # f's left derivative builds its spectra outside the cache, which keeps
-    # the right derivatives' order 1 - alpha at the four fine levels alone
-    info = _kernel_spectra.cache_info()
-    assert (info.currsize, info.misses) == (4, 4)
-    for steps in levels:
-        fine = GridFunction(0.0, 1.0, np.zeros(16 * steps + 1))
-        _kernel_spectra(fine.cells, 1.0 - 0.45, fine.h)
-    assert _kernel_spectra.cache_info().misses == 4
 
 
 def test_c02_loop_builds_each_grid_table_once(monkeypatch):
-    # the grid tables are built on an integrand-side miss only
+    # the grid tables and both derivatives' kernel spectra are built on an
+    # integrand-side miss only
     levels = (256, 512, 1024, 2048)
     integrands = [_grid_fn(_hold, steps) for steps in levels]
-    calls = {"powers": 0, "weights": 0}
+    calls = {"powers": 0, "weights": 0, "left spectra": 0, "right spectra": 0}
 
     def counted(name, build):
         def wrapper(*args):
@@ -376,17 +376,66 @@ def test_c02_loop_builds_each_grid_table_once(monkeypatch):
             return build(*args)
         return wrapper
 
+    def spectra(n, order, h, build=_kernels._kernel_spectra):
+        # f's left derivative builds its spectra at order alpha in _kernels,
+        # the drivers' right derivatives theirs at 1 - alpha in fractional
+        calls["left spectra" if order == 0.45 else "right spectra"] += 1
+        return build(n, order, h)
+
     monkeypatch.setattr(fractional, "_distance_powers",
                         counted("powers", fractional._distance_powers))
     monkeypatch.setattr(fractional, "_linear_weights",
                         counted("weights", fractional._linear_weights))
+    monkeypatch.setattr(_kernels, "_kernel_spectra", spectra)
+    monkeypatch.setattr(fractional, "_kernel_spectra", spectra)
     _integrand_side.cache_clear()
     for s in range(40):
         master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
         for f in integrands:
             g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
             gls_integral(f, g, 0.45, refine=16)
-    assert calls == {"powers": 4, "weights": 4}
+    assert calls == {"powers": 4, "weights": 4, "left spectra": 4, "right spectra": 4}
+
+
+_FAULT_PROBE = """
+import json, resource
+import numpy as np
+from mfsde.fractional import GridFunction, gls_integral
+from mfsde.noise import GridSpec, Seed, gen_fbm
+
+levels = (256, 512, 1024, 2048)
+integrands = []
+for steps in levels:
+    xs = np.linspace(0.0, 1.0, steps + 1)
+    integrands.append(GridFunction(0.0, 1.0, 2.0 * xs + np.abs(xs - 0.4) ** 0.6))
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for s in range(8):
+        master = gen_fbm(GridSpec(1.0, levels[-1]), 0.75, Seed(s).child(1))
+        for f in integrands:
+            g = GridFunction(0.0, 1.0, master.values[:: levels[-1] // f.cells])
+            gls_integral(f, g, 0.45, refine=16)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts glibc's minor page faults")
+def test_warm_c02_loop_faults_in_no_fresh_pages():
+    # a fresh single-threaded interpreter, as the benchmark's workers run:
+    # once every cache entry is built, a pass of the c02 loop reuses the
+    # heap it freed instead of giving it back and faulting it in again
+    src = str(Path(importlib.import_module("mfsde").__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout)
+    assert max(faults[1:]) <= 64, faults
 
 
 def test_forward_sum_examples():
@@ -476,12 +525,13 @@ def test_next_fast_len_equals_scipy():
     assert [_next_fast_len(t) for t in large] == [fft.next_fast_len(t, True) for t in large]
 
 
-def test_kernel_spectra_cache_is_bounded():
-    maxsize = _kernel_spectra.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 16
-    for n in range(1, maxsize + 10):
-        _kernel_spectra(n, 0.3, 1.0 / n)
-    assert _kernel_spectra.cache_info().currsize == maxsize
+def test_integrand_side_cache_is_bounded():
+    maxsize = _integrand_side.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in range(4, maxsize + 14):
+        f = _grid_fn(np.sin, n)
+        gls_integral(f, f, 0.3)
+    assert _integrand_side.cache_info().currsize == maxsize
 
 
 def _in_fresh_thread(fn):

@@ -48,8 +48,8 @@ def test_grid_spec_basics():
     with pytest.raises(ParameterError):
         GridSpec(1.0, 0)
     # steps must be an integer: nan or 4.0 would construct a grid whose
-    # times numpy cannot build
-    for bad in (float("nan"), 4.0, 2.5, "4"):
+    # times numpy cannot build, and True would hold steps=True
+    for bad in (float("nan"), 4.0, 2.5, "4", True):
         with pytest.raises(ParameterError, match="steps must be an integer"):
             GridSpec(1.0, bad)
     assert np.array_equal(GridSpec(2.0, np.int64(4)).times, g.times)
@@ -155,7 +155,7 @@ def test_seed_determinism_bytes():
 
 
 def test_seed_refuses_words_that_are_not_nonnegative_integers():
-    for bad in (-1, 1.5, float("nan"), "3", None):
+    for bad in (-1, 1.5, float("nan"), "3", None, True):
         with pytest.raises(ParameterError, match="seed root must be a nonnegative integer"):
             Seed(bad)
     for bad in (-2, 1.5):
