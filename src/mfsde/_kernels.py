@@ -329,6 +329,22 @@ def abs_left_singular_cells(values: np.ndarray, start: int, alpha: float, h: flo
     return cells
 
 
+# elements per np.dot call of _blocked_dot: OpenBLAS runs a dot of up to
+# 10,000 elements on one thread, so a block's bits do not depend on the
+# BLAS thread count
+_DOT_BLOCK = 8192
+
+
+def _blocked_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two equal-length vectors, one np.dot per block of
+    _DOT_BLOCK elements, with the partial sums added left to right; up to
+    one block it is np.dot bit for bit."""
+    total = np.dot(a[:_DOT_BLOCK], b[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, a.size, _DOT_BLOCK):
+        total += np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
+    return float(total)
+
+
 def _linear_weights(m: int, alpha: float, h: float):
     """The weights r1, r2 of weighted_linear_integral on m cells of width h:
     the integrals of y^(-alpha) and (y - y_j) y^(-alpha) over each cell

@@ -679,6 +679,43 @@ def _selfsim_setup(hurst: float, alpha: float, interval_list, replicas: int,
     return grid_full, intervals, kappa, scales
 
 
+# the largest size at which scipy's ks_2samp takes its exact p-value
+_KS_EXACT_MAX = 10000
+
+
+def _ks_pvalue(sample: np.ndarray, reference: np.ndarray) -> float:
+    """scipy.stats.ks_2samp(sample, reference).pvalue, two-sided, bit for bit.
+
+    Two finite samples of one size up to 10,000 take a port of scipy's
+    exact path, in its own operation order: the ECDF difference via
+    searchsorted, h = round(D n), and the Horner form of scipy's
+    _compute_prob_outside_square.  Any other pair, or an exact probability
+    outside [0, 1], goes to scipy itself, so scipy.stats loads only then.
+    """
+    a, b = np.sort(sample), np.sort(reference)
+    n = a.size
+    if 0 < n == b.size <= _KS_EXACT_MAX and np.isfinite(a).all() and np.isfinite(b).all():
+        both = np.concatenate([a, b])
+        diffs = (np.searchsorted(a, both, side="right") / n
+                 - np.searchsorted(b, both, side="right") / n)
+        low = np.clip(-diffs[np.argmin(diffs)], 0, 1)
+        high = diffs[np.argmax(diffs)]
+        h = int(np.round((low if low > high else high) * n))
+        if h == 0:
+            return 1.0
+        prob = 0.0
+        for k in range(n // h, -1, -1):
+            term = 1.0
+            for j in range(h):
+                term = (n - k * h - j) * term / (n + k * h + j + 1)
+            prob = term * (1.0 - prob)
+        prob = 2 * prob
+        if 0.0 <= prob <= 1.0:
+            return prob
+    from scipy.stats import ks_2samp
+    return float(ks_2samp(sample, reference).pvalue)
+
+
 def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: int,
                            seed: Seed, steps: int = 256, kappa_scale: float = 1.0,
                            thresholds: Thresholds = DEFAULT_THRESHOLDS) -> SelfSimReport:
@@ -694,8 +731,6 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
     grid_full, intervals, kappa, scales = _selfsim_setup(
         hurst, alpha, interval_list, replicas, steps, kappa_scale)
     expo = 1.0 / (1.0 - alpha)
-    from scipy.stats import ks_2samp
-
     rows = []
     for k, ((a, b, cells), scale) in enumerate(zip(intervals, scales)):
         grid_ref = GridSpec(1.0, cells)
@@ -709,7 +744,7 @@ def verify_self_similarity(hurst: float, alpha: float, interval_list, replicas: 
                            for v in norm_0_interval_stack(bhs, a, b, alpha).tolist()])
         reference = np.array([v ** expo
                               for v in norm_0_interval_stack(refs, 0.0, 1.0, alpha).tolist()])
-        pval = float(ks_2samp(sample, reference).pvalue)
+        pval = _ks_pvalue(sample, reference)
         rows.append((a, b, cells, pval))
     return SelfSimReport(hurst, alpha, kappa, kappa_scale, replicas,
                          tuple(rows), thresholds.ks_pvalue_min)

@@ -298,7 +298,8 @@ def run_convergence(cfg: RunConfig, refinements: int) -> ConvergenceReport:
         grid_j = GridSpec(cfg.grid.horizon, steps)
         w_j, z_j = w_fine[:, ::stride], z_fine[:, ::stride]
         if cfg.rate == 0.0:
-            terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1]
+            # a copy, so this level's paths are freed before the next solve
+            terminal = euler_paths(coeffs, cfg.x0, grid_j, w_j, z_j)[:, -1].copy()
         else:
             draw = lambda rows: (w_j[rows], z_j[rows], trains[rows])
             terminal = np.empty(m)

@@ -17,6 +17,7 @@ import numbers
 import numpy as np
 
 from ._kernels import (
+    _blocked_dot,
     _increment_kernel_sums,
     _kernel_spectra,
     _linear_weights,
@@ -266,6 +267,7 @@ def gls_integral(f: GridFunction, g: GridFunction, alpha: float,
 
 
 def forward_sum_integral(f: GridFunction, g: GridFunction) -> float:
-    """Forward Riemann-Stieltjes sum: sum of f(t_k) (g(t_{k+1}) - g(t_k))."""
+    """Forward Riemann-Stieltjes sum: sum of f(t_k) (g(t_{k+1}) - g(t_k)),
+    with the same bits at any BLAS thread count."""
     _check_one_grid("grid functions", [f, g])
-    return float(np.dot(f.values[:-1], np.diff(g.values)))
+    return _blocked_dot(f.values[:-1], np.diff(g.values))

@@ -47,6 +47,10 @@ __all__ = [
 # abort threshold for the state; protects moment experiments from overflow
 BLOWUP_LIMIT = 1e12
 
+# increment elements per chunk of a jump-free solve: a chunk's Wiener and
+# rough increments share one buffer that stays about 1 MB at any width
+_CHUNK = 131072
+
 
 @dataclass(frozen=True)
 class SamplingBox:
@@ -206,27 +210,25 @@ def check_assumptions(coeffs: CoefficientSet, samples: int = 4000,
 _JUMP = -1
 
 
-def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
+def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
                 dt: np.ndarray, dw: np.ndarray, dz: np.ndarray,
-                active: list | None = None, jumps: dict | None = None) -> tuple:
+                active: list | None = None, jumps: dict | None = None) -> dict:
     """The one step loop behind every solve; it advances all rows at once.
 
-    Step k takes [k, r] to [k + 1, r] of the returned (K + 1, rows) states
-    by the forward Euler step x + a(t, x) dt + b(t, x) dw + c(t, x) dz,
-    with t, dt, dw, dz read at [k, r] from (K, rows) or (K, 1) arrays.
-    `jumps` maps k to the (row indices, marks) that take the jump map
-    x + q(t, x, mark) instead, and the rows from active[k] on hold their
-    value (rows ranked longest first end in a suffix).  The state is an
-    array at every width, so a row alone sees the same operations as in a
-    batch.  A row whose state leaves the trust region is frozen at its last
-    finite value; the second result maps each such row to (k, state) of its
-    first bad transition, in order of k.
+    Row 0 of the caller's (K + 1, rows) array `out` holds the start; step k
+    takes [k, r] to [k + 1, r] of it by the forward Euler step
+    x + a(t, x) dt + b(t, x) dw + c(t, x) dz, with t, dt, dw, dz read at
+    [k, r] from (K, rows) or (K, 1) arrays.  `jumps` maps k to the (row
+    indices, marks) that take the jump map x + q(t, x, mark) instead, and
+    the rows from active[k] on hold their value (rows ranked longest first
+    end in a suffix).  The state is an array at every width, so a row alone
+    sees the same operations as in a batch.  A row whose state leaves the
+    trust region is frozen at its last finite value; the result maps each
+    such row to (k, state) of its first bad transition, in order of k.
     """
-    x, steps = x0, dw.shape[0]
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
+    x = out[0]
     jumps, frozen, failed = jumps or {}, None, {}
-    for k in range(steps):
+    for k in range(dw.shape[0]):
         tk = t[k]
         new = (x + coeffs.a(tk, x) * dt[k] + coeffs.b(tk, x) * dw[k]
                + coeffs.c(tk, x) * dz[k])
@@ -246,7 +248,7 @@ def _euler_loop(coeffs: CoefficientSet, x0: np.ndarray, t: np.ndarray,
             frozen = bad if frozen is None else frozen | bad
         out[k + 1] = new
         x = new
-    return out, failed
+    return failed
 
 
 def _check_start(x0) -> None:
@@ -259,8 +261,10 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
     """Batched jump-free solve: driver value arrays of shape (m, n+1) give
     an (m, n+1) state array in one pass (shape (n+1,) for a single path;
     x0 may be a scalar or one start per path).  A blow-up in any path
-    raises BlowUpError for the earliest one, the lowest path at a tie.
-    Used by the convergence study."""
+    raises BlowUpError for the earliest one, the lowest path at a tie, once
+    the chunk of steps that holds it is solved: the increments are formed a
+    chunk at a time in one buffer of about 1 MB, so a call holds little
+    besides its result.  Used by the convergence study."""
     _check_start(x0)
     w = np.asarray(wiener_values, dtype=float)
     z = np.asarray(frac_values, dtype=float)
@@ -271,18 +275,24 @@ def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
     except ValueError:
         raise ParameterError(f"x0 of shape {np.shape(x0)} does not broadcast against"
                              f" driver arrays of shape {w.shape}") from None
-    n, ts = grid.steps, grid.times
-    dw, dz = np.empty((2, n) + shape)
-    for d, values in ((dw, w), (dz, z)):
-        # time-major increments, one column per start
-        v = np.moveaxis(np.broadcast_to(values, shape + (n + 1,)), -1, 0)
-        np.subtract(v[1:], v[:-1], out=d)
-    vals, failed = _euler_loop(coeffs, np.full(shape, x0, dtype=float).reshape(-1),
-                               ts[:-1, None], np.diff(ts)[:, None],
-                               dw.reshape(n, -1), dz.reshape(n, -1))
-    if failed:
-        k, state = next(iter(failed.values()))
-        raise BlowUpError(step=k + 1, time=ts[k + 1], state=state)
+    n, ts, cols = grid.steps, grid.times, math.prod(shape)
+    # time-major driver views, one column per start; each chunk's
+    # increments are formed from them into one reused buffer
+    views = [np.moveaxis(np.broadcast_to(v, shape + (n + 1,)), -1, 0) for v in (w, z)]
+    chunk = min(max(_CHUNK // (2 * cols), 1), n)
+    buf = np.empty((2, chunk, cols))
+    vals = np.empty((n + 1, cols))
+    vals[0] = np.full(shape, x0, dtype=float).reshape(-1)
+    t, dt = ts[:-1, None], np.diff(ts)[:, None]
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        inc = buf[:, :b - a]
+        for d, v in zip(inc, views):
+            np.subtract(v[a + 1:b + 1], v[a:b], out=d.reshape((b - a,) + shape))
+        failed = _euler_loop(coeffs, vals[a:b + 1], t[a:b], dt[a:b], *inc)
+        if failed:
+            k, state = next(iter(failed.values()))
+            raise BlowUpError(step=a + k + 1, time=ts[a + k + 1], state=state)
     return vals.T.reshape(shape + (n + 1,))
 
 
@@ -451,8 +461,9 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
 def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
                  BH: np.ndarray, trains: list) -> list:
     steps, active, jumps, rank, kinds, times, row_end = _restart_layout(grid, W, BH, trains)
-    states, failed = _euler_loop(coeffs, np.full(len(trains), float(x0)), *steps,
-                                 active, jumps)
+    states = np.empty((steps[0].shape[0] + 1, len(trains)))
+    states[0] = float(x0)
+    failed = _euler_loop(coeffs, states, *steps, active, jumps)
     states = states.T.copy()            # each path's values: one contiguous row
     flags = (kinds == _JUMP).astype(int)
     results = []

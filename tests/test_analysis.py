@@ -3,6 +3,7 @@ bound, kernel quadrature, interval scaling, and the jump product moment."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,13 +319,13 @@ def test_self_similarity_equals_the_per_path_loop(monkeypatch, intervals, replic
     # the KS p-values only see ranks, so the two samples the suite hands to
     # the KS test are captured and compared bit for bit as well
     seen = []
-    ks_2samp = stats.ks_2samp
+    ks_pvalue = analysis._ks_pvalue
 
     def capture(sample, reference):
         seen.append((sample.copy(), reference.copy()))
-        return ks_2samp(sample, reference)
+        return ks_pvalue(sample, reference)
 
-    monkeypatch.setattr(stats, "ks_2samp", capture)
+    monkeypatch.setattr(analysis, "_ks_pvalue", capture)
     rep = verify_self_similarity(0.75, 0.3, intervals, replicas, Seed(5), steps=steps,
                                  kappa_scale=kappa_scale)
     expected = _reference_selfsim_samples(0.75, 0.3, intervals, replicas, Seed(5), steps,
@@ -334,7 +335,53 @@ def test_self_similarity_equals_the_per_path_loop(monkeypatch, intervals, replic
                                                                      rep.rows):
         assert sample.tobytes() == ref_sample.tobytes()
         assert reference.tobytes() == ref_reference.tobytes()
-        assert row[3] == float(ks_2samp(ref_sample, ref_reference).pvalue)
+        assert row[3] == float(stats.ks_2samp(ref_sample, ref_reference).pvalue)
+
+
+def _ks_pairs():
+    """(label, sample, reference) pairs across the exact path's inputs and
+    every way out of it."""
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 201), 997, 1000, 2500, 5000, 10000]:
+        a = rng.standard_normal(n)
+        yield "exact", a, rng.normal(rng.uniform(0.0, 1.0), 1.0, n)
+        if n <= 200:
+            # ties within and across the samples
+            yield "exact", np.round(a, 1), np.round(rng.standard_normal(n), 1)
+            yield "exact", a, a[::-1].copy()                  # h = 0
+    for n, h in ((1000, 1), (1000, 2), (5000, 2)):
+        # h points apart: D = h/n, whose exact probability exceeds 1 here
+        a = rng.standard_normal(n)
+        b = a.copy()
+        b[np.argsort(a)[-h:]] += 10.0
+        yield "fallback", a, b
+    yield "fallback", rng.standard_normal(50), rng.standard_normal(60)
+    yield "fallback", rng.standard_normal(10001), rng.standard_normal(10001)
+    nan = rng.standard_normal(40)
+    nan[7] = math.nan
+    yield "fallback", nan, rng.standard_normal(40)
+    yield "fallback", rng.standard_normal(40), np.append(rng.standard_normal(39), math.inf)
+
+
+def test_ks_pvalue_equals_scipy_bit_for_bit(monkeypatch):
+    calls = []
+    ks_2samp = stats.ks_2samp
+
+    def counted(sample, reference):
+        calls.append(len(sample))
+        return ks_2samp(sample, reference)
+
+    monkeypatch.setattr(stats, "ks_2samp", counted)
+    with warnings.catch_warnings():
+        # scipy warns when it leaves its exact path
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for label, sample, reference in _ks_pairs():
+            calls.clear()
+            got = analysis._ks_pvalue(sample, reference)
+            assert calls == ([] if label == "exact" else [len(sample)]), (label, len(sample))
+            assert type(got) is float
+            want = float(ks_2samp(sample, reference).pvalue)
+            assert got.hex() == want.hex(), (label, len(sample), len(reference))
 
 
 def test_kernel_estimates_pass_and_agree_at_large_rates():

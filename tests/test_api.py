@@ -46,6 +46,9 @@ fractional.gls_integral(xs, xs, 0.45, refine=4)
 fractional.rl_left_derivative(xs, 0.45)
 fractional.rl_right_derivative(xs, 0.45)
 assert loaded() == [], ("the pathwise integral and both derivatives", loaded())
+analysis.verify_self_similarity(0.75, 0.3, [(0.0, 0.5)], analysis.SELFSIM_MIN_REPLICAS,
+                                noise.Seed(3), steps=16)
+assert loaded() == [], ("the self-similarity suite", loaded())
 """
 
 

@@ -22,7 +22,9 @@ from scipy.signal import fftconvolve
 
 from mfsde import _kernels, fractional
 from mfsde._kernels import (
+    _DOT_BLOCK,
     _SCRATCH,
+    _blocked_dot,
     _fft_scratch,
     _kernel_spectra,
     _next_fast_len,
@@ -457,6 +459,47 @@ def test_forward_sum_examples():
     assert whole == parts
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, _DOT_BLOCK), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.0, 200.0))
+def test_blocked_dot_is_np_dot_up_to_one_block(n, seed, spread):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * np.exp2(rng.uniform(-spread, spread, n))
+    b = rng.standard_normal(n)
+    assert _blocked_dot(a, b).hex() == float(np.dot(a, b)).hex()
+
+
+_THREADS_PROBE = """
+import json
+import numpy as np
+from mfsde.fractional import GridFunction, forward_sum_integral
+
+sums = []
+for seed in range(5):
+    rng = np.random.default_rng(seed)
+    f = GridFunction(0.0, 1.0, rng.standard_normal(32769))
+    g = GridFunction(0.0, 1.0, np.cumsum(rng.standard_normal(32769)))
+    sums.append(forward_sum_integral(f, g).hex())
+print(json.dumps(sums))
+"""
+
+
+def test_forward_sums_have_the_same_bits_at_any_blas_thread_count():
+    # OpenBLAS splits a dot longer than 10,000 elements across its threads;
+    # 32,768 cells are four blocks of one-thread dots
+    src = str(Path(importlib.import_module("mfsde").__file__).parents[1])
+    sums = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        sums.append(json.loads(run.stdout))
+    assert sums[0] == sums[1]
+
+
 def _fftconvolve_kernel_sums(values, alpha, h):
     """increment_kernel_sums as computed before its kernel spectra were
     cached: four scipy.signal.fftconvolve calls."""
@@ -494,7 +537,7 @@ def test_kernel_sums_equal_fftconvolve_bit_for_bit(n, alpha, horizon, kind, seed
     expected = _fftconvolve_kernel_sums(values, alpha, h)
     first = increment_kernel_sums(values, alpha, h)
     np.testing.assert_array_equal(first, expected)
-    # the second call reads the cached spectra
+    # the second call builds the same spectra again and gives the same bits
     np.testing.assert_array_equal(increment_kernel_sums(values, alpha, h), first)
     size, *arrays = _kernel_spectra(n, alpha, h)
     assert size >= 2 * n

@@ -9,7 +9,13 @@ checked against code they share nothing with.
 """
 
 import dataclasses
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,7 +602,7 @@ def test_block_blow_ups_equal_the_row_major_loop():
     assert where["ended"] == []
 
 
-def test_euler_paths_equals_the_row_major_loop():
+def test_euler_paths_equals_the_row_major_loop(monkeypatch):
     rng = np.random.default_rng(5)
     w = np.cumsum(rng.normal(0.0, 0.1, (6, 257)), axis=1)
     z = np.cumsum(rng.normal(0.0, 0.1, (6, 257)), axis=1)
@@ -613,6 +619,20 @@ def test_euler_paths_equals_the_row_major_loop():
             shapes.append(got.shape)
     assert shapes[:4] == [(6, 65), (257,), (5, 257), (2, 2, 257)]
 
+    # the increments come a chunk of steps at a time: chunks of 8 steps at
+    # every width, around one and two chunks, on the same kinds of driver
+    chunk = 8
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        grid = GridSpec(1.0, n)
+        ws, zs = w[:, :4 * n + 1:4], z[:, :4 * n + 1:4]
+        for x0, wi, zi, cols in ((1.0, ws, zs, 6), (0.7, ws[0], zs[0], 1),
+                                 (np.array([[0.5], [1.5]]), ws[:2], zs[:2], 4)):
+            monkeypatch.setattr(solver, "_CHUNK", 2 * chunk * cols)
+            for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
+                assert _same(euler_paths(coeffs, x0, grid, wi, zi),
+                             _ref_euler_paths(coeffs, x0, grid, wi, zi))
+    monkeypatch.undo()
+
     # two rows blow up at one step: the error names the lower one
     grid, x0 = GridSpec(1.0, 64), np.array([0.5, 3.05, 3.0])
     zero = np.zeros((3, 65))
@@ -626,6 +646,15 @@ def test_euler_paths_equals_the_row_major_loop():
         euler_paths(build_model("explosive"), x0, grid, zero, zero)
     assert str(got.value) == str(want.value)
     assert got.value.state == failed[1][1]
+    # the same when the first bad step lies in the second chunk
+    k = failed[1][0]
+    chunk = k // 2 + 1
+    assert chunk <= k < 2 * chunk
+    monkeypatch.setattr(solver, "_CHUNK", 2 * chunk * 3)
+    with pytest.raises(BlowUpError) as got:
+        euler_paths(build_model("explosive"), x0, grid, zero, zero)
+    assert str(got.value) == str(want.value)
+    assert got.value.state == want.value.state == failed[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +733,48 @@ def test_convergence_equals_the_per_seed_loop(text):
     assert report.mean_errors == tuple(float(e) for e in mean_errors)
     if not report.exact:
         assert report.monotone_fraction == monotone
+
+
+_MEMORY_PROBE = """
+import json
+from mfsde.cli import run_convergence
+from mfsde.config import parse_config
+
+def config(replicas, steps):
+    return parse_config("[model]\\nname = mixed_geometric\\nsigma_w = 0.1\\n"
+                        "[noise]\\nhurst = 0.75\\nrate = 0\\n"
+                        f"[grid]\\nsteps = {steps}\\n[mc]\\nreplicas = {replicas}\\n")
+
+def peak_kb():
+    # this process's own peak RSS; ru_maxrss would start at the parent's,
+    # which Linux carries across fork and exec
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+run_convergence(config(4, 16), 3)
+before = peak_kb()
+run_convergence(config(1000, 256), 3)
+print(json.dumps(peak_kb() - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_jump_free_convergence_holds_at_most_three_and_a_half_driver_stacks():
+    # a fresh interpreter, warmed by a small call: the benchmark's
+    # convergence shape (1000 seeds, 256 -> 2048 steps) holds its two
+    # driver stacks, one level's paths and a chunk of increments at a time
+    # (about 3.15 stacks); the bound also refuses whole increment stacks
+    # (5.6) and a level's paths kept alive while the next is solved (3.65)
+    src = str(Path(importlib.import_module("mfsde").__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    stacks = json.loads(run.stdout) * 1024 / (1000 * 2049 * 8)
+    assert stacks <= 3.5, stacks
 
 
 def test_lemma_equals_the_per_replica_loop():
