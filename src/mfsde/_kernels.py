@@ -209,9 +209,10 @@ def _abs_right_singular_total(
     g2r = g2[1 : i + 1][::-1]
     w_lo = np.arange(i, dtype=float)[::-1] * h
     c = vj1 - slope * w_lo
-    # one dot per row: a matrix-vector product sums in another order
-    total = (np.array(list(map(np.dot, c, repeat(g1r))))
-             + np.array(list(map(np.dot, slope, repeat(g2r)))))
+    # one blocked dot per row: a matrix-vector product sums in another
+    # order, and a blocked dot has the same bits at any BLAS thread count
+    total = (np.array(list(map(_blocked_dot, c, repeat(g1r))))
+             + np.array(list(map(_blocked_dot, slope, repeat(g2r)))))
     row, j = np.divmod(np.flatnonzero(d[:, :i] * d[:, 1 : i + 1] < 0.0), i)
     if j.size:
         k = i - j

@@ -27,7 +27,7 @@ from .noise import (
     _check_jump_mean,
     build_mark_law,
 )
-from .solver import CoefficientSet
+from .solver import CoefficientSet, _check_start
 
 _DEFAULTS = {
     "model": {"name": "additive", "x0": "1"},
@@ -155,6 +155,7 @@ def parse_config(text: str) -> RunConfig:
     model_sec = merged["model"]
     model_name = model_sec["name"]
     x0 = _get_float(text, model_sec, "model", "x0")
+    _owned(text, {"x0": "model"}, _check_start, x0)
     model_params = {}
     for key, value in model_sec.items():
         if key in ("name", "x0"):

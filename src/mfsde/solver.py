@@ -8,11 +8,12 @@ shifted to each segment's origin, and the jump map is applied at the
 boundary.  Everything is deterministic given the drivers.
 
 One time-major step loop serves every solve: step k reads and writes one
-contiguous row.  A replica's segments and jumps lie on one step axis, an
-event table names the rows that jump at each step, and a block's replicas
-are ranked longest first, so those that have ended are a row suffix that
-holds.  A replica that blows up is frozen and reported alone.  The state is
-an array at every width, so a replica alone equals it in a batch bit for bit.
+contiguous row.  A replica's segments and jumps lie on one step axis, with
+replica r in column r, and an event table names the columns that jump at
+each step.  A replica that has ended takes zero steps whose results are
+never read.  A replica that blows up is frozen and reported alone.  The
+state is an array at every width, so a replica alone equals it in a batch
+bit for bit.
 """
 
 from __future__ import annotations
@@ -212,19 +213,18 @@ _JUMP = -1
 
 def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
                 dt: np.ndarray, dw: np.ndarray, dz: np.ndarray,
-                active: list | None = None, jumps: dict | None = None) -> dict:
+                jumps: dict | None = None) -> dict:
     """The one step loop behind every solve; it advances all rows at once.
 
     Row 0 of the caller's (K + 1, rows) array `out` holds the start; step k
     takes [k, r] to [k + 1, r] of it by the forward Euler step
     x + a(t, x) dt + b(t, x) dw + c(t, x) dz, with t, dt, dw, dz read at
     [k, r] from (K, rows) or (K, 1) arrays.  `jumps` maps k to the (row
-    indices, marks) that take the jump map x + q(t, x, mark) instead, and
-    the rows from active[k] on hold their value (rows ranked longest first
-    end in a suffix).  The state is an array at every width, so a row alone
-    sees the same operations as in a batch.  A row whose state leaves the
-    trust region is frozen at its last finite value; the result maps each
-    such row to (k, state) of its first bad transition, in order of k.
+    indices, marks) that take the jump map x + q(t, x, mark) instead.  The
+    state is an array at every width, so a row alone sees the same
+    operations as in a batch.  A row whose state leaves the trust region is
+    frozen at its last finite value; the result maps each such row to
+    (k, state) of its first bad transition, in order of k.
     """
     x = out[0]
     jumps, frozen, failed = jumps or {}, None, {}
@@ -235,8 +235,6 @@ def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
         if k in jumps:
             r, marks = jumps[k]
             new[r] = x[r] + coeffs.q(tk[r], x[r], marks)
-        if active is not None:
-            new[active[k]:] = x[active[k]:]
         if frozen is not None:
             new[frozen] = x[frozen]
         ok = np.abs(new) <= BLOWUP_LIMIT
@@ -252,8 +250,10 @@ def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
 
 
 def _check_start(x0) -> None:
-    if not np.all(np.isfinite(x0)):
-        raise ParameterError(f"x0 must be finite, got {x0}")
+    """Refuse a start outside the trust region (nan and inf included): its
+    first transition could only report a blow-up."""
+    if not np.all(np.abs(x0) <= BLOWUP_LIMIT):
+        raise ParameterError(f"x0 must be finite with |x0| <= {BLOWUP_LIMIT:g}, got {x0}")
 
 
 def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
@@ -365,9 +365,9 @@ def read_solution_csv(file) -> tuple:
     return data[:, 0], data[:, 1], data[:, 2].astype(int)
 
 
-def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
-                    trains: list) -> tuple:
-    """Lay a block of jump-restart solves on one time-major step axis.
+def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
+                 BH: np.ndarray, trains: list) -> list:
+    """Solve a block of jump-restart replicas on one time-major step axis.
 
     Row r of the (rows, n+1) driver stacks W and BH holds replica r's
     driver values at the nodes of `grid`, and trains[r] its jumps.
@@ -377,11 +377,12 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
     time, dt = dw = dz = 0).  A driver value within 1e-9 h of a grid node
     is that node's value, any other is the linear interpolation np.interp
     computes, so a replica's arrays do not depend on its block.
-    Transition k of the replica ranked i (by count, longest first) sits at
-    [k, i] of the returned (K, rows) t, dt, dw, dz; also returned: active,
-    the jump table {k: (ranks, marks)}, the ranks, the flat kinds and
-    output times, and each replica's end offset in them (replica r holds
-    the slice from the end of replica r - 1, or 0, up to row_end[r]).
+    Transition k of replica r sits at [k, r] of the (K, rows) t, dt, dw,
+    dz that the step loop reads, and the jump table maps k to the
+    (replicas, marks) that jump there.  The slots after a replica's last
+    transition stay zero with no jump: their results are never read, and a
+    failure there is not a blow-up.  Returns one entry per replica: its
+    SolutionPath, or the BlowUpError that stopped it.
     """
     T, n = grid.horizon, grid.steps
     taus = np.concatenate([jumps.times for jumps in trains])
@@ -432,11 +433,9 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
         d[jump_from] = 0.0
         return d
 
-    # ranks longest first (a stable sort); a replica's last node leaves none
-    order = np.argsort(1 - sizes, kind="stable")
-    rank = np.argsort(order)
-    rows, K = order.size, int(sizes.max()) - 1
-    slot = (np.arange(times.size) - np.repeat(row_end - sizes, sizes)) * rows + rank[row]
+    # transition k of replica r at [k, r]; a replica's last node leaves none
+    rows, K = len(trains), int(sizes.max()) - 1
+    slot = (np.arange(times.size) - np.repeat(row_end - sizes, sizes)) * rows + row
     keep = np.delete(np.arange(times.size), row_end - 1)
 
     def scatter(values):
@@ -444,38 +443,30 @@ def _restart_layout(grid: GridSpec, W: np.ndarray, BH: np.ndarray,
         out[slot[keep]] = values[keep]
         return out.reshape(K, rows)
 
-    active = np.searchsorted(1 - sizes[order], -np.arange(K)).tolist()
     by_slot = np.argsort(slot[jump_from])
     at_jump = slot[jump_from][by_slot]
     cols, cuts = np.unique(at_jump // rows, return_index=True)
     marks = np.concatenate([jumps.marks for jumps in trains])[by_slot]
-    ranks, bounds = at_jump % rows, np.append(cuts, at_jump.size).tolist()
-    events = {c: (ranks[a:b], marks[a:b])
+    who, bounds = at_jump % rows, np.append(cuts, at_jump.size).tolist()
+    events = {c: (who[a:b], marks[a:b])
               for c, a, b in zip(cols.tolist(), bounds[:-1], bounds[1:])}
 
-    return ((scatter(t), scatter(steps(local)), scatter(steps(sample(W))),
-             scatter(steps(sample(BH)))), active, events, rank.tolist(), kinds,
-            times, row_end.tolist())
-
-
-def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarray,
-                 BH: np.ndarray, trains: list) -> list:
-    steps, active, jumps, rank, kinds, times, row_end = _restart_layout(grid, W, BH, trains)
-    states = np.empty((steps[0].shape[0] + 1, len(trains)))
+    states = np.empty((K + 1, rows))
     states[0] = float(x0)
-    failed = _euler_loop(coeffs, states, *steps, active, jumps)
+    failed = _euler_loop(coeffs, states, scatter(t), scatter(steps(local)),
+                         scatter(steps(sample(W))), scatter(steps(sample(BH))), events)
     states = states.T.copy()            # each path's values: one contiguous row
     flags = (kinds == _JUMP).astype(int)
+    cut = [0] + row_end.tolist()
     results = []
-    for r, (train, a, b) in enumerate(zip(trains, [0] + row_end, row_end)):
-        i = rank[r]
-        if i in failed:
+    for r, (train, a, b) in enumerate(zip(trains, cut, cut[1:])):
+        if r in failed and failed[r][0] < b - a - 1:
             # a post-jump node sits at exactly its jump time
-            k, state = failed[i]
+            k, state = failed[r]
             results.append(BlowUpError(step=int(kinds[a + k]), time=times[a + k + 1],
                                        state=state))
         else:
-            results.append(SolutionPath(times=times[a:b], values=states[i, :b - a],
+            results.append(SolutionPath(times=times[a:b], values=states[r, :b - a],
                                         left_flags=flags[a:b], train=train, grid=grid))
     return results
 

@@ -95,10 +95,18 @@ def test_start_and_rate_edges(tmp_path, capsys):
     assert cli.main(["simulate", "--config", huge, "--out", str(tmp_path / "h")]) == 2
     assert "[noise] rate" in capsys.readouterr().err
     assert not (tmp_path / "h").exists()
-    # a start outside the trust region blows up at the first step
+    # a start outside the trust region is a config error too; the trust
+    # region's edge is a start
     far = _write(tmp_path, "far.ini", "[model]\nx0 = 1e13\n")
-    assert cli.main(["simulate", "--config", far, "--out", str(tmp_path / "f")]) == 1
-    assert "state blew up at step 1 (t=0.00390625)" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", far, "--out", str(tmp_path / "f")]) == 2
+    assert "[model] x0: x0 must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+    edge = _write(tmp_path, "edge.ini", "[model]\nname = zero\nx0 = 1e12\n[grid]\nsteps = 8\n")
+    assert cli.main(["simulate", "--config", edge, "--out", str(tmp_path / "e")]) == 0
+    past = _write(tmp_path, "past.ini", f"[model]\nx0 = {math.nextafter(1e12, math.inf)!r}\n")
+    assert cli.main(["simulate", "--config", past, "--out", str(tmp_path / "p")]) == 2
+    assert "[model] x0" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_verify_kernel_passes(tmp_path, capsys):
@@ -550,6 +558,7 @@ def _ini(config):
 @example(case=(["verify", "all"], {"model": {"name": "explosive", "x0": "3"},
                                    "grid": {"steps": "64"}, "mc": {"replicas": "120"}}))
 @example(case=(["simulate"], {"noise": {"rate": repr(MAX_JUMP_MEAN)}}))
+@example(case=(["simulate"], {"model": {"x0": "1e13"}}))
 @example(case=(["verify", "selfsim", "--kappa-scale=1e308"],
                {"grid": {"steps": "4"}, "mc": {"replicas": "10"}}))
 @example(case=(["verify", "lemma"], {"grid": {"steps": "16", "horizon": "1e-320"},

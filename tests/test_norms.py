@@ -2,7 +2,13 @@
 rough ones, the stacked norms against the one-path kernels, and the pruned
 anchor loops against their bounds and the full loops."""
 
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +487,30 @@ def test_a_negligible_side_of_a_sign_change_gives_finite_kernels():
         _check_pruned([row], 0.0, 1.0, alpha)
         assert math.isfinite(norm_inf(f, 1.0, alpha))
         assert math.isfinite(norm_0_interval(f, 0.0, 1.0, alpha))
+
+
+_THREADS_PROBE = """
+import json
+from mfsde.noise import GridSpec, Seed, gen_fbm
+from mfsde.norms import norm_inf
+
+f = gen_fbm(GridSpec(1.0, 12288), 0.75, Seed(0).child(1))
+print(json.dumps(norm_inf(f, 1.0, 0.3).hex()))
+"""
+
+
+def test_norm_inf_has_the_same_bits_at_any_blas_thread_count():
+    # OpenBLAS splits a dot longer than 10,000 elements across its threads;
+    # this path's exact anchors past node 10,000 gave another last bit at 2
+    # threads when each row was one np.dot
+    src = str(Path(importlib.import_module("mfsde").__file__).parents[1])
+    norms = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        norms.append(json.loads(run.stdout))
+    assert norms[0] == norms[1]

@@ -324,9 +324,8 @@ def test_blow_up_error_carries_location():
     assert not np.isfinite(err.state) or abs(err.state) > 1e12
 
 
-def _start_outcomes(entry, x0):
-    """Error texts of one solve entry started at x0: the raised error, or
-    one exclusion reason per replica of an ensemble that kept none."""
+def _start_error(entry, x0):
+    """The text of the error one solve entry raises when started at x0."""
     grid = GridSpec(1.0, 8)
     coeffs = build_model("linear")
     w, z, train = _drivers(grid, 0.75, 0.0, Seed(3))
@@ -336,29 +335,29 @@ def _start_outcomes(entry, x0):
         elif entry == "solve_with_jumps":
             solve_with_jumps(coeffs, x0, w, z, train)
         else:
-            ens = simulate_ensemble(coeffs, x0, grid, FracParams(0.75), Seed(3), 4)
-            assert ens.size == 0
-            return [reason for _, reason in ens.excluded]
+            simulate_ensemble(coeffs, x0, grid, FracParams(0.75), Seed(3), 4)
     except (ParameterError, BlowUpError) as err:
-        return [f"{type(err).__name__}: {err}"]
+        return f"{type(err).__name__}: {err}"
     raise AssertionError(f"{entry} accepted x0 = {x0}")
 
 
 @pytest.mark.parametrize("entry", ["euler_paths", "solve_with_jumps", "simulate_ensemble"])
-@pytest.mark.parametrize("x0, expected", [
-    (math.nan, "ParameterError: x0 must be finite"),
-    (math.inf, "ParameterError: x0 must be finite"),
-    # a finite start outside the trust region fails at its first transition
-    (1e13, "state blew up at step 1 (t=0.125)"),
-], ids=["nan", "inf", "1e13"])
-def test_starts_outside_the_trust_region(entry, x0, expected):
-    outcomes = _start_outcomes(entry, x0)
-    if entry == "simulate_ensemble" and math.isfinite(x0):
-        assert len(outcomes) == 4
-    else:
-        assert len(outcomes) == 1
-        expected = expected if not math.isfinite(x0) else "BlowUpError: " + expected
-    assert all(text.startswith(expected) for text in outcomes), outcomes
+@pytest.mark.parametrize("x0", [math.nan, math.inf, 1e13, -1e13,
+                                math.nextafter(BLOWUP_LIMIT, math.inf)],
+                         ids=["nan", "inf", "1e13", "-1e13", "past-limit"])
+def test_starts_outside_the_trust_region(entry, x0):
+    # a finite start past BLOWUP_LIMIT is refused with the non-finite ones:
+    # its first transition could only report a blow-up
+    text = _start_error(entry, x0)
+    assert text.startswith("ParameterError: x0 must be finite"), text
+
+
+def test_the_trust_region_edge_is_a_start():
+    grid = GridSpec(1.0, 8)
+    w, zero = _zero_path(grid), build_model("zero")
+    for x0 in (BLOWUP_LIMIT, -BLOWUP_LIMIT):
+        assert euler_paths(zero, x0, grid, w.values, w.values).tolist() == [x0] * 9
+        assert solve_with_jumps(zero, x0, w, w, EMPTY_TRAIN).terminal == x0
 
 
 def test_solution_csv_roundtrip():

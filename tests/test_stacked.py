@@ -583,13 +583,17 @@ def test_block_blow_ups_equal_the_row_major_loop():
         # three jumps 1e-12 apart: the third one blows up
         "at a jump": [quiet, JumpTrain(0.3 + np.arange(3) * 1e-12, np.full(3, 0.45),
                                        1.0, 1.0)],
+        # a jump at T blows up on the row's last real transition, the slot
+        # before its padding, while the longer quiet row still steps
+        "last transition": [JumpTrain([1.0], [1e12], 1.0, 1.0), quiet],
     }
     texts = {name: _check_block(_cubic_jumps(), 0.3, grid, W[:2], W[:2], trains)
              for name, trains in cases.items()}
     texts["in a segment"] = _check_block(_cubic_jumps(), 1.0, grid, W, W,
                                          [quiet] + [EMPTY] * 4)
-    # a replica that has ended holds its value while longer ones step; its
-    # drift here is inf, and inf * 0 in a padded step would be a blow-up
+    # a replica that has ended takes zero steps while longer ones step; its
+    # drift here is inf, so inf * 0 makes its padded state NaN, which is
+    # ignored: it is not a blow-up
     lifted = dataclasses.replace(build_model("linear"), a=lambda t, x: 1e-3 * np.exp(x),
                                  q=lambda t, x, y: y - x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -598,6 +602,7 @@ def test_block_blow_ups_equal_the_row_major_loop():
     where = {name: [text.split(":")[0] for text in found] for name, found in texts.items()}
     assert where["short row"] == ["state blew up at step 5 (t=0.8125)"]
     assert where["at a jump"] == ["state blew up at a jump (t=0.3)"]
+    assert where["last transition"] == ["state blew up at a jump (t=1)"]
     assert where["in a segment"][1:] == ["state blew up at step 7 (t=0.4375)"] * 4
     assert where["ended"] == []
 
