@@ -30,6 +30,7 @@ from .noise import (
     TwoPointMarks,
     _check_count,
     _check_jump_mean,
+    _check_positive,
     _csv_row,
     _replica_seeds,
     gen_driving_stack,
@@ -257,11 +258,6 @@ class MomentTable:
     def csv_rows(self) -> list:
         return [_csv_row(row.power, row.value, row.std_error, row.half_value,
                          row.half_std_error, row.stable) for row in self.rows]
-
-
-def _check_positive(what: str, value) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ParameterError(f"{what} must be positive and finite, got {value}")
 
 
 def _moment_orders(p_list) -> tuple:

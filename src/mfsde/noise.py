@@ -74,6 +74,11 @@ def _check_count(name: str, value, floor: int) -> None:
         raise ParameterError(f"{name} must be {bound}, got {value!r}")
 
 
+def _check_positive(what: str, value) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{what} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Seed:
     """Root entropy plus a stream path for derived substreams.
@@ -214,8 +219,7 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ParameterError(f"horizon must be positive and finite, got {self.horizon}")
+        _check_positive("horizon", self.horizon)
         _check_count("steps", self.steps, 1)
         if self.steps >= _MAX_NODES:
             raise ParameterError(f"steps must be below {_MAX_NODES}, got {self.steps}")
@@ -578,8 +582,7 @@ def gen_jump_train(rate: float, marks: MarkLaw, horizon: float, seed: Seed) -> J
 def _check_jump_mean(rate: float, horizon: float) -> None:
     if not (math.isfinite(rate) and rate >= 0.0):
         raise ParameterError(f"rate must be finite and nonnegative, got {rate}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+    _check_positive("horizon", horizon)
     if rate * horizon > MAX_JUMP_MEAN:
         raise ParameterError(f"rate * horizon must be at most {MAX_JUMP_MEAN:.6g},"
                              f" got {rate * horizon:.6g}")

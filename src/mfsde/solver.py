@@ -19,6 +19,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -224,76 +225,78 @@ def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
     state is an array at every width, so a row alone sees the same
     operations as in a batch.  A row whose state leaves the trust region is
     frozen at its last finite value; the result maps each such row to
-    (k, state) of its first bad transition, in order of k.
+    (k, state) of its first bad transition, in order of k.  A float error
+    in a step warns of nothing: a state it leaves non-finite is the
+    blow-up that the result reports.
     """
     x = out[0]
     jumps, frozen, failed = jumps or {}, None, {}
-    for k in range(dw.shape[0]):
-        tk = t[k]
-        new = (x + coeffs.a(tk, x) * dt[k] + coeffs.b(tk, x) * dw[k]
-               + coeffs.c(tk, x) * dz[k])
-        if k in jumps:
-            r, marks = jumps[k]
-            new[r] = x[r] + coeffs.q(tk[r], x[r], marks)
-        if frozen is not None:
-            new[frozen] = x[frozen]
-        ok = np.abs(new) <= BLOWUP_LIMIT
-        if not ok.all():
-            bad = ~ok
-            for r in np.flatnonzero(bad if frozen is None else bad & ~frozen):
-                failed[int(r)] = (k, float(new[r]))
-            new[bad] = x[bad]
-            frozen = bad if frozen is None else frozen | bad
-        out[k + 1] = new
-        x = new
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(dw.shape[0]):
+            tk = t[k]
+            new = (x + coeffs.a(tk, x) * dt[k] + coeffs.b(tk, x) * dw[k]
+                   + coeffs.c(tk, x) * dz[k])
+            if k in jumps:
+                r, marks = jumps[k]
+                new[r] = x[r] + coeffs.q(tk[r], x[r], marks)
+            if frozen is not None:
+                new[frozen] = x[frozen]
+            ok = np.abs(new) <= BLOWUP_LIMIT
+            if not ok.all():
+                bad = ~ok
+                for r in np.flatnonzero(bad if frozen is None else bad & ~frozen):
+                    failed[int(r)] = (k, float(new[r]))
+                new[bad] = x[bad]
+                frozen = bad if frozen is None else frozen | bad
+            out[k + 1] = new
+            x = new
     return failed
 
 
-def _check_start(x0) -> None:
-    """Refuse a start outside the trust region (nan and inf included): its
-    first transition could only report a blow-up."""
-    if not np.all(np.abs(x0) <= BLOWUP_LIMIT):
-        raise ParameterError(f"x0 must be finite with |x0| <= {BLOWUP_LIMIT:g}, got {x0}")
+def _check_start(x0) -> float:
+    """The start of a solve as a float: a real number (numpy's too) inside
+    the trust region, since from outside it a first step could only blow up."""
+    if not (isinstance(x0, numbers.Real) and abs(x0) <= BLOWUP_LIMIT):
+        raise ParameterError(f"x0 must be finite and real with |x0| <= {BLOWUP_LIMIT:g},"
+                             f" got {x0!r}")
+    return float(x0)
 
 
-def euler_paths(coeffs: CoefficientSet, x0, grid: GridSpec,
+def euler_paths(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                 wiener_values: np.ndarray, frac_values: np.ndarray) -> np.ndarray:
-    """Batched jump-free solve: driver value arrays of shape (m, n+1) give
-    an (m, n+1) state array in one pass (shape (n+1,) for a single path;
-    x0 may be a scalar or one start per path).  A blow-up in any path
-    raises BlowUpError for the earliest one, the lowest path at a tie, once
-    the chunk of steps that holds it is solved: the increments are formed a
-    chunk at a time in one buffer of about 1 MB, so a call holds little
-    besides its result.  Used by the convergence study."""
-    _check_start(x0)
-    w = np.asarray(wiener_values, dtype=float)
-    z = np.asarray(frac_values, dtype=float)
-    if w.shape != z.shape or w.shape[-1] != grid.steps + 1:
-        raise GridMismatchError("driver arrays must share shape (..., steps+1)")
-    try:
-        shape = np.broadcast_shapes(np.shape(x0), w.shape[:-1])
-    except ValueError:
-        raise ParameterError(f"x0 of shape {np.shape(x0)} does not broadcast against"
-                             f" driver arrays of shape {w.shape}") from None
-    n, ts, cols = grid.steps, grid.times, math.prod(shape)
-    # time-major driver views, one column per start; each chunk's
+    """Batched jump-free solve from the one start x0: driver value arrays of
+    shape (m, n+1) give an (m, n+1) state array in one pass, and shape
+    (n+1,) gives one path.  A blow-up in any path raises BlowUpError for
+    the earliest one, the lowest path at a tie, once the chunk of steps
+    that holds it is solved: the increments are formed a chunk at a time in
+    one buffer of about 1 MB, so a call holds little besides its result.
+    Used by the convergence study."""
+    x0 = _check_start(x0)
+    w, z = (np.asarray(v, dtype=float) for v in (wiener_values, frac_values))
+    n, ts = grid.steps, grid.times
+    if w.shape != z.shape or w.ndim not in (1, 2) or w.shape[-1] != n + 1:
+        raise GridMismatchError("driver arrays must share shape (steps+1,) or (m, steps+1)")
+    cols = w.size // (n + 1)
+    if not cols:
+        return np.empty(w.shape)
+    # time-major driver views, one column per path; each chunk's
     # increments are formed from them into one reused buffer
-    views = [np.moveaxis(np.broadcast_to(v, shape + (n + 1,)), -1, 0) for v in (w, z)]
+    views = [v.reshape(cols, n + 1).T for v in (w, z)]
     chunk = min(max(_CHUNK // (2 * cols), 1), n)
     buf = np.empty((2, chunk, cols))
     vals = np.empty((n + 1, cols))
-    vals[0] = np.full(shape, x0, dtype=float).reshape(-1)
+    vals[0] = x0
     t, dt = ts[:-1, None], np.diff(ts)[:, None]
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
         inc = buf[:, :b - a]
         for d, v in zip(inc, views):
-            np.subtract(v[a + 1:b + 1], v[a:b], out=d.reshape((b - a,) + shape))
+            np.subtract(v[a + 1:b + 1], v[a:b], out=d)
         failed = _euler_loop(coeffs, vals[a:b + 1], t[a:b], dt[a:b], *inc)
         if failed:
             k, state = next(iter(failed.values()))
             raise BlowUpError(step=a + k + 1, time=ts[a + k + 1], state=state)
-    return vals.T.reshape(shape + (n + 1,))
+    return vals.T.reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +387,10 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
     failure there is not a blow-up.  Returns one entry per replica: its
     SolutionPath, or the BlowUpError that stopped it.
     """
-    T, n = grid.horizon, grid.steps
+    T, n, h, nodes = grid.horizon, grid.steps, grid.dt, grid.times
     taus = np.concatenate([jumps.times for jumps in trains])
     if taus.size and taus.max() > T * (1 + 1e-12):
         raise ParameterError("jump train extends beyond the driver horizon")
-    h = T / n
 
     # segments in row order: a row's last one ends at T, the others at a jump
     last_seg = np.cumsum([jumps.count + 1 for jumps in trains]) - 1
@@ -407,7 +409,6 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
 
     # drivers read at every output node, shifted to each segment origin;
     # both stacks share the flat node indices and interpolation weights
-    nodes = np.linspace(0.0, T, n + 1)
     near = np.clip(np.rint(times / h).astype(int), 0, n)
     off = np.flatnonzero(np.abs(times - nodes[near]) > 1e-9 * h)
     j = np.clip(np.searchsorted(nodes, times[off], "right") - 1, 0, n - 1)
@@ -452,7 +453,7 @@ def _solve_block(coeffs: CoefficientSet, x0: float, grid: GridSpec, W: np.ndarra
               for c, a, b in zip(cols.tolist(), bounds[:-1], bounds[1:])}
 
     states = np.empty((K + 1, rows))
-    states[0] = float(x0)
+    states[0] = x0
     failed = _euler_loop(coeffs, states, scatter(t), scatter(steps(local)),
                          scatter(steps(sample(W))), scatter(steps(sample(BH))), events)
     states = states.T.copy()            # each path's values: one contiguous row
@@ -487,7 +488,7 @@ def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, dr
     Entry r equals solve_with_jumps(coeffs, x0, W_r, BH_r, trains_r) bit
     for bit.
     """
-    _check_start(x0)
+    x0 = _check_start(x0)
     _check_count("replicas", replicas, 0)
     results = []
     for a in range(0, replicas, _BLOCK):

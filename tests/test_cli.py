@@ -6,6 +6,7 @@ import inspect
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,23 @@ def test_a_blow_up_at_a_jump_names_the_jump(tmp_path, capsys):
     assert "step -1" not in err
     assert sorted(p.name for p in out.iterdir()) == [
         "config.echo.ini", "fbm.csv", "jumps.csv", "manifest.txt", "wiener.csv"]
+
+
+def test_a_float_error_in_a_step_is_reported_as_the_blow_up_alone(tmp_path, capsys):
+    # x / capacity overflows in the logistic drift's first step; the step
+    # loop reports the state it makes as the blow-up, and numpy warns of
+    # nothing (a warning here is an error)
+    text = "[model]\nname = logistic_drift\ncapacity = 1e-310\n[grid]\nsteps = 16\n"
+    one = _write(tmp_path, "one.ini", text)
+    many = _write(tmp_path, "many.ini", text + "[mc]\nreplicas = 120\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", one, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == ("simulate: solve failed: state blew up at step 1"
+                                           " (t=0.0625): x=-inf\n")
+        assert cli.main(["verify", "all", "--config", many, "--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err == ("error: need at least 4 paths to split, got 0:"
+                                           " 120 of 120 replicas blew up\n")
 
 
 def test_lemma_without_survivors_exits_1(tmp_path, capsys):

@@ -343,21 +343,25 @@ def _start_error(entry, x0):
 
 @pytest.mark.parametrize("entry", ["euler_paths", "solve_with_jumps", "simulate_ensemble"])
 @pytest.mark.parametrize("x0", [math.nan, math.inf, 1e13, -1e13,
-                                math.nextafter(BLOWUP_LIMIT, math.inf)],
-                         ids=["nan", "inf", "1e13", "-1e13", "past-limit"])
+                                math.nextafter(BLOWUP_LIMIT, math.inf),
+                                np.ones(2), np.array([1.0]), 1 + 0j, "1"],
+                         ids=["nan", "inf", "1e13", "-1e13", "past-limit",
+                              "array", "one-element-array", "complex", "string"])
 def test_starts_outside_the_trust_region(entry, x0):
     # a finite start past BLOWUP_LIMIT is refused with the non-finite ones:
-    # its first transition could only report a blow-up
+    # its first transition could only report a blow-up; a start is one real
+    # number, so an array, a complex number or a string is refused too
     text = _start_error(entry, x0)
     assert text.startswith("ParameterError: x0 must be finite"), text
 
 
 def test_the_trust_region_edge_is_a_start():
+    # so are a numpy float and an int, each solved as its Python float
     grid = GridSpec(1.0, 8)
     w, zero = _zero_path(grid), build_model("zero")
-    for x0 in (BLOWUP_LIMIT, -BLOWUP_LIMIT):
-        assert euler_paths(zero, x0, grid, w.values, w.values).tolist() == [x0] * 9
-        assert solve_with_jumps(zero, x0, w, w, EMPTY_TRAIN).terminal == x0
+    for x0 in (BLOWUP_LIMIT, -BLOWUP_LIMIT, np.float64(0.3), 3):
+        assert euler_paths(zero, x0, grid, w.values, w.values).tolist() == [float(x0)] * 9
+        assert solve_with_jumps(zero, x0, w, w, EMPTY_TRAIN).values.tolist() == [float(x0)] * 9
 
 
 def test_solution_csv_roundtrip():
@@ -389,12 +393,6 @@ def test_euler_paths_batch_matches_single_solves():
         for s in range(5):
             single = euler_paths(coeffs, x0, grid, ws[s], zs[s])
             np.testing.assert_array_equal(batch[s], single)
-
-
-def test_euler_paths_refuses_starts_that_do_not_broadcast():
-    grid, zero = GridSpec(1.0, 4), np.zeros((2, 5))
-    with pytest.raises(ParameterError, match=r"x0 of shape \(3,\) .* shape \(2, 5\)"):
-        euler_paths(build_model("linear"), np.ones(3), grid, zero, zero)
 
 
 def _segment_nodes(length, dt):

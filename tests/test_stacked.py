@@ -614,15 +614,16 @@ def test_euler_paths_equals_the_row_major_loop(monkeypatch):
     fine = GridSpec(1.0, 256)
     cases = [(1.0, GridSpec(1.0, 64), w[:, ::4], z[:, ::4]),       # strided views
              (0.7, fine, w[0], z[0]),                              # one path
-             (np.linspace(0.1, 1.0, 5), fine, w[0], z[0]),         # starts, one path
-             (np.array([[0.5], [1.5]]), fine, w[:2], z[:2])]       # (2, 1) starts
+             (0.1, fine, w[:1], z[:1]),                            # a stack of one
+             (1.5, fine, w[:2], z[:2]),                            # two paths
+             (1.0, fine, w[:0], z[:0])]                            # an empty stack
     shapes = []
     for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
         for x0, grid, wi, zi in cases:
             got = euler_paths(coeffs, x0, grid, wi, zi)
             assert _same(got, _ref_euler_paths(coeffs, x0, grid, wi, zi))
             shapes.append(got.shape)
-    assert shapes[:4] == [(6, 65), (257,), (5, 257), (2, 2, 257)]
+    assert shapes[:5] == [(6, 65), (257,), (1, 257), (2, 257), (0, 257)]
 
     # the increments come a chunk of steps at a time: chunks of 8 steps at
     # every width, around one and two chunks, on the same kinds of driver
@@ -631,24 +632,26 @@ def test_euler_paths_equals_the_row_major_loop(monkeypatch):
         grid = GridSpec(1.0, n)
         ws, zs = w[:, :4 * n + 1:4], z[:, :4 * n + 1:4]
         for x0, wi, zi, cols in ((1.0, ws, zs, 6), (0.7, ws[0], zs[0], 1),
-                                 (np.array([[0.5], [1.5]]), ws[:2], zs[:2], 4)):
+                                 (1.5, ws[:2], zs[:2], 2)):
             monkeypatch.setattr(solver, "_CHUNK", 2 * chunk * cols)
             for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
                 assert _same(euler_paths(coeffs, x0, grid, wi, zi),
                              _ref_euler_paths(coeffs, x0, grid, wi, zi))
     monkeypatch.undo()
 
-    # two rows blow up at one step: the error names the lower one
-    grid, x0 = GridSpec(1.0, 64), np.array([0.5, 3.05, 3.0])
-    zero = np.zeros((3, 65))
+    # two rows blow up at one step with different states: the error names
+    # the lower one
+    grid, x0, linear = GridSpec(1.0, 64), 1.0, build_model("linear")
+    zero, rough = np.zeros((3, 65)), np.zeros((3, 65))
+    rough[1, 6:], rough[2, 6:] = 4e12, 6e12
     ts = grid.times
-    _, failed = _ref_euler_loop(build_model("explosive"), x0, ts[None, :-1],
-                                np.diff(ts)[None, :], zero[:, 1:], zero[:, 1:])
+    _, failed = _ref_euler_loop(linear, np.full(3, x0), ts[None, :-1], np.diff(ts)[None, :],
+                                zero[:, 1:], np.diff(rough, axis=1))
     assert failed[1][0] == failed[2][0] and failed[1][1] != failed[2][1]
     with pytest.raises(BlowUpError) as want:
-        _ref_euler_paths(build_model("explosive"), x0, grid, zero, zero)
+        _ref_euler_paths(linear, x0, grid, zero, rough)
     with pytest.raises(BlowUpError) as got:
-        euler_paths(build_model("explosive"), x0, grid, zero, zero)
+        euler_paths(linear, x0, grid, zero, rough)
     assert str(got.value) == str(want.value)
     assert got.value.state == failed[1][1]
     # the same when the first bad step lies in the second chunk
@@ -657,7 +660,7 @@ def test_euler_paths_equals_the_row_major_loop(monkeypatch):
     assert chunk <= k < 2 * chunk
     monkeypatch.setattr(solver, "_CHUNK", 2 * chunk * 3)
     with pytest.raises(BlowUpError) as got:
-        euler_paths(build_model("explosive"), x0, grid, zero, zero)
+        euler_paths(linear, x0, grid, zero, rough)
     assert str(got.value) == str(want.value)
     assert got.value.state == want.value.state == failed[1][1]
 
