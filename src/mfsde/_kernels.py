@@ -24,8 +24,6 @@ integral keeps its own and hands it to the body `_increment_kernel_sums`.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import threading
 from itertools import repeat
 
@@ -55,26 +53,20 @@ def _power_tables(n: int, a: float, b: float, h: float):
     return t1, t2, pow_a, pow_b
 
 
-@functools.cache
-def _smooth_lengths() -> list:
-    """Every 5-smooth number 2^i 3^j 5^k up to 2^63, ascending."""
-    top = 1 << 63
-    out = []
-    p5 = 1
-    while p5 <= top:
-        p35 = p5
-        while p35 <= top:
-            out.extend(p35 << i for i in range((top // p35).bit_length()))
-            p35 *= 3
-        p5 *= 5
-    return sorted(out)
-
-
 def _next_fast_len(target: int) -> int:
     """The smallest 5-smooth number >= target (1 <= target <= 2^63): the
-    length `scipy.fft.next_fast_len(target, real=True)` returns."""
-    lengths = _smooth_lengths()
-    return lengths[bisect.bisect_left(lengths, target)]
+    length `scipy.fft.next_fast_len(target, real=True)` returns.  Each
+    3^j 5^k below the best length so far is lifted to the target by the
+    least power of two."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _kernel_spectra(n: int, alpha: float, h: float):

@@ -277,7 +277,8 @@ def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THR
     The half ensemble must agree with the full one within
     `stability_se_multiplier` combined standard errors for every p; a
     drifting mean between the two is how an almost-surely-finite-looking
-    sample reveals an infinite moment.
+    sample reveals an infinite moment.  A moment or standard error that
+    overflows a float is a RunFailure naming its order, not a table row.
     """
     _require_kept(ens, MOMENTS_MIN_REPLICAS,
                   f"moment estimation needs >= {MOMENTS_MIN_REPLICAS} kept replicas,"
@@ -287,10 +288,14 @@ def estimate_moments(ens: Ensemble, p_list, thresholds: Thresholds = DEFAULT_THR
     half = sups[:sups.size // 2]
     rows = []
     for p in orders:
-        full_vals = sups ** p
-        half_vals = half ** p
-        value, err = float(full_vals.mean()), _batch_se(full_vals)
-        hvalue, herr = float(half_vals.mean()), _batch_se(half_vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full_vals = sups ** p
+            half_vals = half ** p
+            value, err = float(full_vals.mean()), _batch_se(full_vals)
+            hvalue, herr = float(half_vals.mean()), _batch_se(half_vals)
+        if not all(map(math.isfinite, (value, err, hvalue, herr))):
+            raise RunFailure(f"the moment table overflows a float at p={_num(p)}:"
+                             f" {_num(value)} +- {_num(err)}")
         combined = math.hypot(err, herr)
         stable = abs(hvalue - value) <= thresholds.stability_se_multiplier * combined
         rows.append(MomentRow(p, value, err, hvalue, herr, stable))

@@ -11,9 +11,10 @@ One time-major step loop serves every solve: step k reads and writes one
 contiguous row.  A replica's segments and jumps lie on one step axis, with
 replica r in column r, and an event table names the columns that jump at
 each step.  A replica that has ended takes zero steps whose results are
-never read.  A replica that blows up is frozen and reported alone.  The
-state is an array at every width, so a replica alone equals it in a batch
-bit for bit.
+never read.  A replica that blows up is reported alone, at its first
+transition out of the trust region, by a scan after the loop.  The state
+is an array at every width, so a replica alone equals it in a batch bit
+for bit.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ __all__ = [
 # abort threshold for the state; protects moment experiments from overflow
 BLOWUP_LIMIT = 1e12
 
-# increment elements per chunk of a jump-free solve: a chunk's Wiener and
-# rough increments share one buffer that stays about 1 MB at any width
+# elements per chunk of a jump-free solve's increments, whose two drivers
+# share one buffer of about 1 MB at any width, and per blow-up scan slice
 _CHUNK = 131072
 
 
@@ -218,39 +219,39 @@ def _euler_loop(coeffs: CoefficientSet, out: np.ndarray, t: np.ndarray,
     """The one step loop behind every solve; it advances all rows at once.
 
     Row 0 of the caller's (K + 1, rows) array `out` holds the start; step k
-    takes [k, r] to [k + 1, r] of it by the forward Euler step
+    writes [k + 1, r] of it in place from [k, r] by the forward Euler step
     x + a(t, x) dt + b(t, x) dw + c(t, x) dz, with t, dt, dw, dz read at
     [k, r] from (K, rows) or (K, 1) arrays.  `jumps` maps k to the (row
     indices, marks) that take the jump map x + q(t, x, mark) instead.  The
     state is an array at every width, so a row alone sees the same
-    operations as in a batch.  A row whose state leaves the trust region is
-    frozen at its last finite value; the result maps each such row to
-    (k, state) of its first bad transition, in order of k.  A float error
-    in a step warns of nothing: a state it leaves non-finite is the
-    blow-up that the result reports.
+    operations as in a batch.  No step tests the trust region: the result,
+    found by one scan after the loop, maps each row whose state ever leaves
+    it to (k, state) of its first bad transition, in order of k and then of
+    row, and the row's later states are never read.  A float error in a
+    step warns of nothing: a state it leaves non-finite is the blow-up that
+    the result reports.
     """
-    x = out[0]
-    jumps, frozen, failed = jumps or {}, None, {}
+    x, jumps = out[0], jumps or {}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(dw.shape[0]):
-            tk = t[k]
-            new = (x + coeffs.a(tk, x) * dt[k] + coeffs.b(tk, x) * dw[k]
-                   + coeffs.c(tk, x) * dz[k])
+            tk, new = t[k], out[k + 1]
+            np.add(x, coeffs.a(tk, x) * dt[k], out=new)
+            new += coeffs.b(tk, x) * dw[k]
+            new += coeffs.c(tk, x) * dz[k]
             if k in jumps:
                 r, marks = jumps[k]
                 new[r] = x[r] + coeffs.q(tk[r], x[r], marks)
-            if frozen is not None:
-                new[frozen] = x[frozen]
-            ok = np.abs(new) <= BLOWUP_LIMIT
-            if not ok.all():
-                bad = ~ok
-                for r in np.flatnonzero(bad if frozen is None else bad & ~frozen):
-                    failed[int(r)] = (k, float(new[r]))
-                new[bad] = x[bad]
-                frozen = bad if frozen is None else frozen | bad
-            out[k + 1] = new
             x = new
-    return failed
+    failed, span = {}, max(_CHUNK // out.shape[1], 1)
+    for a in range(1, out.shape[0], span):
+        part = out[a:a + span]
+        if part.max() <= BLOWUP_LIMIT and part.min() >= -BLOWUP_LIMIT:     # NaN fails
+            continue
+        bad = ~(np.abs(part) <= BLOWUP_LIMIT)
+        first = bad.argmax(axis=0)
+        for r in np.flatnonzero(bad.any(axis=0)).tolist():
+            failed.setdefault(r, (a - 1 + int(first[r]), float(part[first[r], r])))
+    return dict(sorted(failed.items(), key=lambda item: (item[1][0], item[0])))
 
 
 def _check_start(x0) -> float:
@@ -264,13 +265,14 @@ def _check_start(x0) -> float:
 
 def euler_paths(coeffs: CoefficientSet, x0: float, grid: GridSpec,
                 wiener_values: np.ndarray, frac_values: np.ndarray) -> np.ndarray:
-    """Batched jump-free solve from the one start x0: driver value arrays of
-    shape (m, n+1) give an (m, n+1) state array in one pass, and shape
-    (n+1,) gives one path.  A blow-up in any path raises BlowUpError for
-    the earliest one, the lowest path at a tie, once the chunk of steps
-    that holds it is solved: the increments are formed a chunk at a time in
-    one buffer of about 1 MB, so a call holds little besides its result.
-    Used by the convergence study."""
+    """Batched jump-free solve from the one start x0, for the convergence
+    study: driver value arrays of shape (m, n+1) give an (m, n+1) state
+    array in one pass, and shape (n+1,) gives one path.  A blow-up in any
+    path raises BlowUpError for the earliest one, the lowest path at a tie,
+    once the chunk of steps that holds it is solved.  A chunk's driver
+    values are copied time-major 32 paths at a time, which keeps the rows
+    read in cache, and differenced; the two buffers hold about 1.5 MB, so a
+    call holds little besides its result."""
     x0 = _check_start(x0)
     w, z = (np.asarray(v, dtype=float) for v in (wiener_values, frac_values))
     n, ts = grid.steps, grid.times
@@ -279,11 +281,9 @@ def euler_paths(coeffs: CoefficientSet, x0: float, grid: GridSpec,
     cols = w.size // (n + 1)
     if not cols:
         return np.empty(w.shape)
-    # time-major driver views, one column per path; each chunk's
-    # increments are formed from them into one reused buffer
     views = [v.reshape(cols, n + 1).T for v in (w, z)]
     chunk = min(max(_CHUNK // (2 * cols), 1), n)
-    buf = np.empty((2, chunk, cols))
+    buf, node = np.empty((2, chunk, cols)), np.empty((chunk + 1, cols))
     vals = np.empty((n + 1, cols))
     vals[0] = x0
     t, dt = ts[:-1, None], np.diff(ts)[:, None]
@@ -291,7 +291,9 @@ def euler_paths(coeffs: CoefficientSet, x0: float, grid: GridSpec,
         b = min(a + chunk, n)
         inc = buf[:, :b - a]
         for d, v in zip(inc, views):
-            np.subtract(v[a + 1:b + 1], v[a:b], out=d)
+            for p in range(0, cols, 32):
+                node[:b - a + 1, p:p + 32] = v[a:b + 1, p:p + 32]
+            np.subtract(node[1:b - a + 1], node[:b - a], out=d)
         failed = _euler_loop(coeffs, vals[a:b + 1], t[a:b], dt[a:b], *inc)
         if failed:
             k, state = next(iter(failed.values()))
@@ -484,7 +486,7 @@ def solve_with_jumps_stack(coeffs: CoefficientSet, x0: float, grid: GridSpec, dr
     solved, so only one block's drivers need exist at a time, and its
     replicas advance together with exactly the operations of a solve on
     its own.  Returns one entry per replica: its SolutionPath, or the
-    BlowUpError that stopped it (a blow-up freezes only its own replica).
+    BlowUpError that stopped it (a blow-up stops only its own replica).
     Entry r equals solve_with_jumps(coeffs, x0, W_r, BH_r, trains_r) bit
     for bit.
     """

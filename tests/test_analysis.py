@@ -165,6 +165,24 @@ def test_moments_stable_on_jumpy_model_and_power_mean_monotone():
     assert all(b >= a for a, b in zip(pmeans, pmeans[1:]))
 
 
+def test_a_moment_that_overflows_a_float_is_a_run_failure():
+    # a finite moment whose batch-means error overflows in numpy's square,
+    # and a moment past the float range: each is refused with its order
+    # named, and no numpy warning leaks; the orders below them still give
+    # a finite table
+    ens = simulate_ensemble(build_model("linear"), 1.0, GridSpec(1.0, 16),
+                            FRAC, Seed(13), 120, rate=2.0, marks=TwoPointMarks())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = estimate_moments(ens, [1.0, 2.0, 4.0, 8.0])
+        assert all(math.isfinite(v) for row in table.rows
+                   for v in (row.value, row.std_error, row.half_value, row.half_std_error))
+        for p, text in ((200.0, r"p=200: [0-9.]+e\+[0-9]+ \+- inf"),
+                        (1100.0, r"p=1100: inf \+- nan")):
+            with pytest.raises(RunFailure, match=text):
+                estimate_moments(ens, [1.0, p])
+
+
 def test_moments_flag_excluded_replicas():
     ens = simulate_ensemble(_cubic_coeffs(), 0.25, GridSpec(1.0, 32),
                             FRAC, Seed(19), 250)

@@ -589,6 +589,8 @@ def _ini(config):
 @example(case=(["convergence", "--refinements=1100"], {"grid": {"steps": "16"}}))
 @example(case=(["convergence", "--refinements=51"], {"grid": {"steps": "16"},
                                                       "mc": {"replicas": "1000"}}))
+@example(case=(["verify", "moments"], {"mc": {"replicas": "120", "p_list": "1 2 4 420"}}))
+@example(case=(["verify", "moments"], {"mc": {"replicas": "120", "p_list": "1 2 4 1100"}}))
 def test_every_config_exits_0_1_or_2_and_an_error_writes_nothing(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -604,3 +606,7 @@ def test_every_config_exits_0_1_or_2_and_an_error_writes_nothing(case):
         assert failed or code != 2
         if failed:
             assert not out.exists() or list(out.iterdir()) == []
+        # a moment table that is written holds only finite numbers
+        table = out / "moments_data.csv"
+        if table.exists():
+            assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)).all()

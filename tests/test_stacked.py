@@ -570,7 +570,7 @@ def test_block_solve_equals_the_row_major_loop(seed, steps, horizon, model, spec
     _check_block(_BLOCK_COEFFS[model], 1.0, grid, W, BH, trains)
 
 
-def test_block_blow_ups_equal_the_row_major_loop():
+def test_block_blow_ups_equal_the_row_major_loop(monkeypatch):
     # zero drivers: the cubic drift and jump map alone; from 0.3 the drift
     # does not blow up by T, from 1.0 it does inside the first segment
     grid = GridSpec(1.0, 16)
@@ -599,7 +599,19 @@ def test_block_blow_ups_equal_the_row_major_loop():
     with np.errstate(over="ignore", invalid="ignore"):
         texts["ended"] = _check_block(lifted, 0.3, grid, W[:2], W[:2],
                                       [JumpTrain([1.0], [800.0], 1.0, 1.0), quiet])
+    # additive moves x by the rough increment alone: row 1 leaves the trust
+    # region at step 6 and comes back to its start at step 9, before its
+    # jump, and row 2 leaves for good at step 12; each is reported at its
+    # first bad transition, with the states scanned two steps at a time
+    rough = np.zeros((3, 17))
+    rough[1, 6:9], rough[2, 12:] = 4e12, 6e12
+    monkeypatch.setattr(solver, "_CHUNK", 6)
+    texts["comes back"] = _check_block(build_model("additive"), 1.0, grid, W[:3], rough,
+                                       [EMPTY, JumpTrain([0.8], [0.5], 1.0, 1.0), EMPTY])
+    monkeypatch.undo()
     where = {name: [text.split(":")[0] for text in found] for name, found in texts.items()}
+    assert where["comes back"] == ["state blew up at step 6 (t=0.375)",
+                                   "state blew up at step 12 (t=0.75)"]
     assert where["short row"] == ["state blew up at step 5 (t=0.8125)"]
     assert where["at a jump"] == ["state blew up at a jump (t=0.3)"]
     assert where["last transition"] == ["state blew up at a jump (t=1)"]
@@ -637,6 +649,13 @@ def test_euler_paths_equals_the_row_major_loop(monkeypatch):
             for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
                 assert _same(euler_paths(coeffs, x0, grid, wi, zi),
                              _ref_euler_paths(coeffs, x0, grid, wi, zi))
+    # the driver values are copied 32 paths at a time: 70 strided paths
+    # take two whole blocks and part of a third, in chunks of 8 steps
+    wide_w, wide_z = np.cumsum(rng.normal(0.0, 0.1, (2, 70, 129)), axis=2)[:, :, ::2]
+    monkeypatch.setattr(solver, "_CHUNK", 2 * chunk * 70)
+    for coeffs in (build_model("trigonometric"), build_model("explosive", scale=-1.0)):
+        assert _same(euler_paths(coeffs, 1.0, GridSpec(1.0, 64), wide_w, wide_z),
+                     _ref_euler_paths(coeffs, 1.0, GridSpec(1.0, 64), wide_w, wide_z))
     monkeypatch.undo()
 
     # two rows blow up at one step with different states: the error names
@@ -663,6 +682,20 @@ def test_euler_paths_equals_the_row_major_loop(monkeypatch):
         euler_paths(linear, x0, grid, zero, rough)
     assert str(got.value) == str(want.value)
     assert got.value.state == want.value.state == failed[1][1]
+    monkeypatch.undo()
+
+    # additive moves x by the rough increment alone: row 1 leaves the trust
+    # region for good at step 12, and row 2 leaves it at step 6 and comes
+    # back to its start at step 9; the error names row 2's first bad step
+    grid, additive = GridSpec(1.0, 16), build_model("additive")
+    rough = np.zeros((3, 17))
+    rough[1, 12:], rough[2, 6:9] = 6e12, 4e12
+    with pytest.raises(BlowUpError) as want:
+        _ref_euler_paths(additive, x0, grid, zero[:, :17], rough)
+    with pytest.raises(BlowUpError) as got:
+        euler_paths(additive, x0, grid, zero[:, :17], rough)
+    assert str(got.value) == str(want.value)
+    assert (got.value.step, got.value.state) == (6, x0 + 4e12)
 
 
 # ---------------------------------------------------------------------------
